@@ -35,6 +35,7 @@ from .errors import (
 )
 from .geometry import BoundaryGrid, classify_points, domain_diameter
 from .quadrature import periodic_trapezoid
+from .roots import derivative_coefficients, horner, monic_coefficients
 
 # Reject kernel evaluation when min_j |p(z, t_j)| falls below this factor
 # times diameter^degree: the trapezoid error grows like exp(-c*N*dist), and
@@ -79,28 +80,12 @@ def monic_eval(sym_coords, t) -> np.ndarray:
     (..., M).  The coefficients are the signed elementary symmetric values
     of the (implicit) root tuple.
     """
-    z = np.asarray(sym_coords, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    n = z.shape[-1]
-    signs = (-1.0) ** np.arange(1, n + 1)
-    c = z * signs
-    out = np.ones(z.shape[:-1] + t.shape, dtype=complex)
-    for j in range(n):
-        out = out * t + c[..., j : j + 1]
-    return out
+    return horner(monic_coefficients(sym_coords), t)
 
 
 def monic_derivative_eval(sym_coords, t) -> np.ndarray:
     """d/dt of :func:`monic_eval` with the same broadcasting."""
-    z = np.asarray(sym_coords, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    n = z.shape[-1]
-    signs = (-1.0) ** np.arange(1, n + 1)
-    c = z * signs                     # coefficients of t^(n-1) .. t^0
-    out = np.full(z.shape[:-1] + t.shape, float(n), dtype=complex)
-    for j in range(n - 1):
-        out = out * t + (n - 1 - j) * c[..., j : j + 1]
-    return out
+    return horner(derivative_coefficients(monic_coefficients(sym_coords)), t)
 
 
 def _sorted_nodes(w: np.ndarray) -> np.ndarray:
@@ -128,6 +113,20 @@ def _check_kernel(kernel_values: np.ndarray, domain, degree: int) -> None:
         raise KernelProximityError(
             f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
         )
+
+
+def _require_roots_inside(domain, z) -> np.ndarray:
+    """Roots (B, n) of the coefficient-form kernels of ``z`` (..., n).
+
+    Raises :class:`WrongRegionError` unless every root lies inside the domain.
+    """
+    from .symmetric import desymmetrize_batch  # local import to avoid a cycle
+
+    z = np.asarray(z, dtype=complex)
+    roots, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
+    if (classify_points(domain, roots.reshape(-1)) != 0).any():
+        raise WrongRegionError("kernel roots outside the domain")
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +188,12 @@ def symmetrized_transform(samples: BoundarySamples, z, check_region: bool = True
     the roots of the kernel polynomial are found and classified; evaluation
     is refused unless all of them lie inside the domain.
     """
-    from .symmetric import desymmetrize_batch  # local import to avoid a cycle
-
     domain = samples.grid.domain
     zs = np.asarray(z, dtype=complex)
     single = zs.ndim == 1
     zb = zs[None, :] if single else zs.reshape(-1, zs.shape[-1])
     if check_region:
-        roots, _ = desymmetrize_batch(zb)
-        labels = classify_points(domain, roots.reshape(-1))
-        if (labels != 0).any():
-            raise WrongRegionError("some kernel roots lie outside the domain")
+        _require_roots_inside(domain, zb)
     kern = monic_eval(zb, samples.grid.nodes)
     _check_kernel(kern, domain, zb.shape[-1])
     out = (samples.values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
@@ -264,17 +258,12 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z) -> complex:
     the coincident nodes.  Agrees with finite differences of
     :func:`symmetrized_transform`.
     """
-    from .symmetric import desymmetrize
-
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     g = _validated_multiindex(gamma, n)
     order = int(g.sum())
-    roots = desymmetrize(z).roots
     domain = samples.grid.domain
-    labels = classify_points(domain, roots)
-    if (labels != 0).any():
-        raise WrongRegionError("kernel roots outside the domain")
+    roots = _require_roots_inside(domain, z)[0]
     if order == 0:
         return symmetrized_transform(samples, z, check_region=False)
     values = samples.values * derivative_weight_values(g, n, samples.grid.nodes)

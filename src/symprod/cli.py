@@ -25,7 +25,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,6 +43,8 @@ _DEFAULTS = {
     "tol_scale": 1.0,
     "propermap": "monomial 2",
 }
+# Defaults of single commands; they still yield to the config file and flags.
+_COMMAND_DEFAULTS = {"pv": {"phi": "weierstrass 0.5 12"}}
 
 
 def _load_config(path: str | None) -> dict:
@@ -67,6 +68,7 @@ def _load_config(path: str | None) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
+    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     cfg.update(_load_config(args.config))
     for key in ("domain", "phi", "propermap"):
         flag = getattr(args, key, None)
@@ -137,7 +139,6 @@ def _meta(command: str, cfg: dict) -> dict:
         "command": command,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "seed": cfg["seed"],
-        "threads": os.environ.get("SYMPROD_THREADS"),
     }
 
 
@@ -244,7 +245,7 @@ def _cmd_pv(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
     nodes = max(cfg["nodes"], 8192)
     grid = geometry.sample_boundary(domain, nodes)
-    phi = catalog.parse_phi(cfg["phi"]) if cfg["phi"] != _DEFAULTS["phi"] else catalog.weierstrass_phi(0.5)
+    phi = catalog.parse_phi(cfg["phi"])
     samples = cauchy.boundary_samples(grid, phi)
     base = pv_base_point(domain, nodes)
     fit = cauchy.truncation_growth_fit(samples, base, cfg["n"])
@@ -299,7 +300,7 @@ def _cmd_holder(cfg: dict, out: Path) -> int:
 def _cmd_propermap(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
     fun = propermap.parse_proper_map(cfg["propermap"])
-    spec = propermap.ProperMapSpec(source=domain, target=domain, fun=fun, arity=cfg["n"])
+    spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
     agreement = propermap.route_agreement(spec, count=100, seed=cfg["seed"], nodes=cfg["nodes"])
     experiment = propermap.boundary_regularity_experiment(
         spec, num_samples=max(cfg["samples"], 1000), seed=cfg["seed"])

@@ -30,7 +30,7 @@ class CoincidentNodesError(SymprodError):
 
 
 class RootFindingError(SymprodError):
-    """The simultaneous root iteration failed to reach its residual target."""
+    """Polynomial roots could not be found to their residual or round-trip target."""
 
 
 class AsymmetryError(SymprodError):

@@ -415,12 +415,21 @@ def composite(outer: Contour, holes: Sequence[Contour] = ()) -> DomainBoundary:
 _FAMILY_ARITY = {"disc": 3, "ellipse": 4, "star": 3, "annulus": 4}
 
 
-def _parse_family(tokens: list[str]) -> Contour:
-    name = tokens[0]
+def _parse_numbers(tokens: list[str]) -> list[float]:
     try:
         args = [float(x) for x in tokens[1:]]
     except ValueError as exc:
         raise InvalidGeometryError(f"bad numeric argument in {tokens!r}") from exc
+    if not np.isfinite(args).all():
+        raise InvalidGeometryError(f"non-finite numeric argument in {tokens!r}")
+    return args
+
+
+def _parse_family(tokens: list[str]) -> Contour:
+    if not tokens:
+        raise InvalidGeometryError("missing contour spec")
+    name = tokens[0]
+    args = _parse_numbers(tokens)
     if name not in _FAMILY_ARITY or len(args) != _FAMILY_ARITY[name]:
         raise InvalidGeometryError(f"unknown contour spec {tokens!r}")
     if name == "disc":
@@ -451,7 +460,7 @@ def build_domain(descriptor: str) -> DomainBoundary:
     if head[0] == "annulus":
         if len(parts) > 1:
             raise InvalidGeometryError("annulus does not take extra holes")
-        args = [float(x) for x in head[1:]]
+        args = _parse_numbers(head)
         if len(args) != 4:
             raise InvalidGeometryError("annulus needs: cx cy r_inner r_outer")
         return annulus(complex(args[0], args[1]), args[2], args[3])

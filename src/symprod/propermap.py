@@ -33,10 +33,9 @@ from .symmetric import desymmetrize, lojasiewicz_exponent, symmetric_power_map, 
 
 @dataclass(frozen=True)
 class ProperMapSpec:
-    """Source/target domains, the inducing map, and the arity."""
+    """Source domain, the inducing map, and the arity."""
 
     source: DomainBoundary
-    target: DomainBoundary
     fun: AnalyticFunction
     arity: int
 

@@ -1,11 +1,11 @@
-"""Simultaneous polynomial root finding (Aberth-Ehrlich iteration).
+"""Monic polynomials in coefficient form: evaluation and root finding.
 
-Operates on batches of monic polynomials of a common degree, given by
-coefficient rows in descending powers.  The iteration runs Jacobi-style on
-all roots of all polynomials at once, stops when the corrections stall, and
-finishes with a guarded Newton polish.  Multiple roots converge linearly
-and end up accurate to roughly sqrt(machine eps), which the callers accept
-through a relaxed residual for clustered roots.
+Operates on batches of polynomials of a common degree, given by coefficient
+rows in descending powers.  Roots are the eigenvalues of the companion
+matrices, which are backward stable (Edelman & Murakami 1995, Math. Comp.
+64, 763-776), finished by a guarded Newton polish.  Multiple roots end up
+accurate to roughly sqrt(machine eps), which the callers accept through a
+relaxed residual for clustered roots.
 """
 
 from __future__ import annotations
@@ -14,91 +14,69 @@ import numpy as np
 
 from .errors import RootFindingError
 
-MAX_ITERATIONS = 200
-_CORRECTION_TOL = 5e-16
 _POLISH_STEPS = 3
-_ANGLE_OFFSET = 0.9  # breaks symmetry traps of the initial circle
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # coeffs (B, m+1) descending, x (B, m) -> values (B, m)
-    out = np.broadcast_to(coeffs[:, 0:1], x.shape).copy()
-    for k in range(1, coeffs.shape[1]):
-        out = out * x + coeffs[:, k : k + 1]
+def monic_coefficients(z) -> np.ndarray:
+    """Coefficient rows of t^n - z_1 t^(n-1) + z_2 t^(n-2) - ... + (-1)^n z_n.
+
+    ``z`` has shape (..., n); returns (..., n+1) in descending powers.
+    """
+    z = np.asarray(z, dtype=complex)
+    signs = (-1.0) ** np.arange(1, z.shape[-1] + 1)
+    lead = np.ones(z.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate([lead, z * signs], axis=-1)
+
+
+def derivative_coefficients(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the derivative; (..., m+1) -> (..., m)."""
+    return coeffs[..., :-1] * np.arange(coeffs.shape[-1] - 1, 0, -1)
+
+
+def horner(coeffs, x) -> np.ndarray:
+    """Values of the polynomials with coefficient rows ``coeffs`` at ``x``.
+
+    ``coeffs`` has shape (..., m+1) in descending powers; ``x`` broadcasts
+    against ``coeffs[..., :1]``: (..., k) gives k points per row, (k,) the
+    same k points for every row.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    shape = np.broadcast_shapes(coeffs[..., :1].shape, x.shape)
+    out = np.broadcast_to(coeffs[..., :1], shape).copy()
+    for k in range(1, coeffs.shape[-1]):
+        out = out * x + coeffs[..., k : k + 1]
     return out
 
 
-def aberth_roots_batch(coeffs, radii=None, max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
-    """All roots of each monic polynomial row; shape (B, degree).
+def monic_roots(coeffs) -> np.ndarray:
+    """All roots of each monic polynomial row, sorted by (real, imag).
 
-    ``radii`` optionally overrides the initial-guess circle radius per row.
+    ``coeffs`` has shape (B, degree+1) with leading entries 1; returns
+    (B, degree).
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim == 1:
-        c = c[None, :]
     B, m1 = c.shape
     degree = m1 - 1
     if degree < 1:
         raise ValueError("need degree >= 1")
-    if not np.allclose(c[:, 0], 1.0):
-        c = c / c[:, 0:1]
 
-    dcoeffs = c[:, :-1] * np.arange(degree, 0, -1)
+    companion = np.zeros((B, degree, degree), dtype=complex)
+    companion[:, 0, :] = -c[:, 1:]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    try:
+        x = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:  # non-finite entries or no convergence
+        raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
 
-    if radii is None:
-        # 1 + max_j |c_j|^(1/j): keeps every root strictly inside the circle.
-        j = np.arange(1, degree + 1)
-        radii = 1.0 + (np.abs(c[:, 1:]) ** (1.0 / j)).max(axis=1)
-    radii = np.asarray(radii, dtype=float).reshape(B, 1)
-
-    ang = 2.0 * np.pi * np.arange(degree) / degree + _ANGLE_OFFSET
-    x = radii * np.exp(1j * ang)[None, :]
-
-    scale = 1.0 + np.abs(x).max(axis=1, keepdims=True)
-    for _ in range(max_iterations):
-        p = _horner(c, x)
-        dp = _horner(dcoeffs, x)
-        dp = np.where(dp == 0, 1e-300, dp)
-        ratio = p / dp
-        diff = x[:, :, None] - x[:, None, :]
-        np.einsum("bii->bi", diff)[...] = np.inf
-        diff = np.where(diff == 0, 1e-300, diff)
-        s = (1.0 / diff).sum(axis=2)
-        corr = ratio / (1.0 - ratio * s)
-        x = x - corr
-        if (np.abs(corr) <= _CORRECTION_TOL * scale).all():
-            break
-        scale = 1.0 + np.abs(x).max(axis=1, keepdims=True)
-
+    dcoeffs = derivative_coefficients(c)
     for _ in range(_POLISH_STEPS):
-        p = _horner(c, x)
-        dp = _horner(dcoeffs, x)
+        p = horner(c, x)
+        dp = horner(dcoeffs, x)
         dp = np.where(dp == 0, 1e-300, dp)
         candidate = x - p / dp
-        better = np.abs(_horner(c, candidate)) <= np.abs(p)
+        better = np.abs(horner(c, candidate)) <= np.abs(p)
         x = np.where(better, candidate, x)
 
     order = np.lexsort((x.imag, x.real), axis=-1)
     return np.take_along_axis(x, order, axis=-1)
-
-
-def aberth_roots(coeffs, max_iterations: int = MAX_ITERATIONS) -> np.ndarray:
-    """Roots of a single monic polynomial, sorted by (real, imag)."""
-    return aberth_roots_batch(np.asarray(coeffs, dtype=complex)[None, :], max_iterations=max_iterations)[0]
-
-
-def residuals(coeffs, roots) -> np.ndarray:
-    """Max |p(root)| per polynomial row."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim == 1:
-        c = c[None, :]
-    r = np.asarray(roots, dtype=complex)
-    if r.ndim == 1:
-        r = r[None, :]
-    return np.abs(_horner(c, r)).max(axis=1)
-
-
-def require_residual(coeffs, roots, tol: float) -> None:
-    res = residuals(coeffs, roots)
-    if (res > tol).any():
-        raise RootFindingError(f"root residual {res.max():.3g} above tolerance {tol:.3g}")

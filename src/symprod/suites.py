@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, cauchy, divdiff, geometry, symmetric
+from . import catalog, cauchy, divdiff, geometry, holder, symmetric
 
 DEFAULT_NODES = 256
 
@@ -169,21 +169,6 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
 
 
-def _multi_indices(nvars, orders):
-    out = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            if sum(prefix) in orders:
-                out.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            rec(prefix + [v], remaining - 1, budget - v)
-
-    rec([], nvars, max(orders))
-    return out
-
-
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
                                    arities=(1, 2, 3), max_order=2, step=1e-4) -> SuiteResult:
     """Factorized derivative of the symmetrized transform against central
@@ -210,7 +195,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         except RuntimeError:
             continue
         zs = symmetric.symmetrize(tuples)
-        gammas = _multi_indices(n, set(range(max_order + 1)))
+        gammas = holder._multi_indices(n, max_order)
         for phi in phis:
             samples = cauchy.boundary_samples(grid, phi)
 

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roots as _roots
-from .cauchy import BoundarySamples, _check_kernel, monic_derivative_eval, monic_eval
-from .errors import (
-    AsymmetryError,
-    BoundaryProximityError,
-        RootFindingError,
+from .cauchy import (
+    BoundarySamples,
+    _check_kernel,
+    _require_roots_inside,
+    monic_derivative_eval,
+    monic_eval,
 )
+from .errors import AsymmetryError, BoundaryProximityError, RootFindingError
 from .geometry import (
     DomainBoundary,
     boundary_tolerance,
@@ -74,13 +76,6 @@ class RootMultiset:
     residual: float
 
 
-def _monic_coefficients(z: np.ndarray) -> np.ndarray:
-    n = z.shape[-1]
-    signs = (-1.0) ** np.arange(1, n + 1)
-    lead = np.ones(z.shape[:-1] + (1,), dtype=complex)
-    return np.concatenate([lead, z * signs], axis=-1)
-
-
 def _has_cluster(rts: np.ndarray) -> np.ndarray:
     n = rts.shape[-1]
     if rts.size == 0 or n == 1:
@@ -104,9 +99,11 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
     n = zb.shape[-1]
     if n > MAX_ROOT_ARITY:
         raise ValueError(f"arity {n} above the supported maximum {MAX_ROOT_ARITY}")
-    coeffs = _monic_coefficients(zb)
-    rts = _roots.aberth_roots_batch(coeffs)
-    res = _roots.residuals(coeffs, rts)
+    if not np.isfinite(zb).all():
+        raise RootFindingError("coefficient tuples are not finite")
+    coeffs = _roots.monic_coefficients(zb)
+    rts = _roots.monic_roots(coeffs)
+    res = np.abs(_roots.horner(coeffs, rts)).max(axis=-1)
     scale = 1.0 + np.abs(zb).max(axis=-1)
     ok = res <= ROOT_TOL * scale
     if not ok.all():
@@ -447,12 +444,7 @@ def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: b
     z = np.asarray(z, dtype=complex)
     domain = f_samples.grid.domain
     if check_region:
-        rts = desymmetrize(z).roots
-        labels = classify_points(domain, rts)
-        if (labels != 0).any():
-            from .errors import WrongRegionError
-
-            raise WrongRegionError("kernel roots outside the domain")
+        _require_roots_inside(domain, z)
     t = f_samples.grid.nodes
     q = monic_eval(z, t)
     _check_kernel(q, domain, z.shape[-1])
@@ -468,11 +460,6 @@ def symmetric_power_map(f_samples: BoundarySamples, z, check_region: bool = True
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     if check_region:
-        rts = desymmetrize(z).roots
-        labels = classify_points(f_samples.grid.domain, rts)
-        if (labels != 0).any():
-            from .errors import WrongRegionError
-
-            raise WrongRegionError("kernel roots outside the domain")
+        _require_roots_inside(f_samples.grid.domain, z)
     ps = np.array([power_sum_transform(f_samples, ell, z, check_region=False) for ell in range(1, n + 1)])
     return newton_map(ps)

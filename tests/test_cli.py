@@ -42,7 +42,7 @@ def test_identities_small_run(tmp_path):
     assert code == 0
     rep = _read_report(out)
     assert rep["failures"] == []
-    assert set(rep["meta"]) == {"version", "command", "config", "seed", "threads"}
+    assert set(rep["meta"]) == {"version", "command", "config", "seed"}
     assert rep["meta"]["seed"] == 42
     assert (out / "identities.csv").exists()
     header = (out / "identities.csv").read_text().splitlines()[0]
@@ -110,6 +110,15 @@ def test_pv_run(tmp_path):
     rep = _read_report(out)
     assert abs(rep["results"]["slope"] - rep["results"]["expected_slope"]) <= rep["results"]["band"]
     assert (out / "pv.csv").exists()
+    assert rep["meta"]["config"]["phi"] == rep["results"]["phi"] == "weierstrass 0.5 12"
+
+
+def test_pv_explicit_phi_is_used(tmp_path):
+    out = tmp_path / "pv"
+    code = run(["pv", "--phi", "monomial 3", "--out", str(out)])
+    assert code in (0, 1)
+    rep = _read_report(out)
+    assert rep["meta"]["config"]["phi"] == rep["results"]["phi"] == "monomial 3"
 
 
 def test_propermap_run(tmp_path):

@@ -31,6 +31,16 @@ def test_build_domain_descriptors():
     assert comp.kappa == 4
 
 
+@pytest.mark.parametrize("descriptor", [
+    "annulus a b c d",
+    "disc 0 0 1 + hole",
+    "ellipse 0 0 1 nan",
+])
+def test_malformed_descriptor_rejected(descriptor):
+    with pytest.raises(InvalidGeometryError):
+        sp.build_domain(descriptor)
+
+
 def test_star_regularity_rejected():
     with pytest.raises(InvalidGeometryError):
         sp.star(1, 0.8, 2)

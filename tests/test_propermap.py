@@ -25,7 +25,7 @@ def test_parse_proper_map():
 
 
 def test_identity_map_fixed_points(disc, rng):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.identity_function(), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.identity_function(), arity=2)
     w = 0.8 * (rng.random(2) - 0.5) + 0.8j * (rng.random(2) - 0.5)
     z = sp.symmetrize(w)
     for route in ("roots", "integral"):
@@ -34,14 +34,14 @@ def test_identity_map_fixed_points(disc, rng):
 
 
 def test_square_map_by_hand(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.monomial_function(2), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=2)
     z = sp.symmetrize(np.array([0.1, 0.2]))
     got = sp.evaluate_proper_map(spec, z, route="roots")
     assert np.abs(got - np.array([0.05, 0.0004])).max() < 1e-10
 
 
 def test_route_agreement_blaschke(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.blaschke_function([0.5]), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.blaschke_function([0.5]), arity=2)
     z = sp.symmetrize(np.array([0.0, 0.2]))
     a = sp.evaluate_proper_map(spec, z, route="integral")
     b = sp.evaluate_proper_map(spec, z, route="roots")
@@ -51,7 +51,7 @@ def test_route_agreement_blaschke(disc):
 def test_route_agreement_batch(disc):
     for fun in (catalog.monomial_function(2), catalog.blaschke_function([0.5])):
         for n in (1, 2, 3):
-            spec = ProperMapSpec(source=disc, target=disc, fun=fun, arity=n)
+            spec = ProperMapSpec(source=disc, fun=fun, arity=n)
             assert sp.route_agreement(spec, count=50, seed=0) <= 1e-8
 
 
@@ -64,9 +64,9 @@ def test_functoriality(disc, rng):
         return f(g(z))
 
     comp = catalog.AnalyticFunction("f.g", fg)
-    spec_fg = ProperMapSpec(source=disc, target=disc, fun=comp, arity=2)
-    spec_f = ProperMapSpec(source=disc, target=disc, fun=f, arity=2)
-    spec_g = ProperMapSpec(source=disc, target=disc, fun=g, arity=2)
+    spec_fg = ProperMapSpec(source=disc, fun=comp, arity=2)
+    spec_f = ProperMapSpec(source=disc, fun=f, arity=2)
+    spec_g = ProperMapSpec(source=disc, fun=g, arity=2)
     for _ in range(50):
         w = 0.8 * (rng.random(2) - 0.5) + 0.8j * (rng.random(2) - 0.5)
         z = sp.symmetrize(w)
@@ -77,13 +77,13 @@ def test_functoriality(disc, rng):
 
 
 def test_boundary_experiment_validation(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.monomial_function(2), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=2)
     with pytest.raises(ValueError):
         sp.boundary_regularity_experiment(spec, 500)
 
 
 def test_boundary_experiment_smoke(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.monomial_function(2), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=2)
     result = sp.boundary_regularity_experiment(spec, 1200, seed=0)
     assert len(result.fits) == 2
     assert result.threshold == pytest.approx(0.9 / 2 - 0.05)
@@ -92,19 +92,19 @@ def test_boundary_experiment_smoke(disc):
 
 def test_boundary_experiment_classical_square(disc):
     # classical one-variable case: the squared map is smooth up to the circle
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.monomial_function(2), arity=1)
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=1)
     result = sp.boundary_regularity_experiment(spec, 2000, seed=0)
     assert result.fits[0].alpha_hat >= 0.85
 
 
 def test_boundary_experiment_identity_three(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.identity_function(), arity=3)
+    spec = ProperMapSpec(source=disc, fun=catalog.identity_function(), arity=3)
     result = sp.boundary_regularity_experiment(spec, 3000, seed=0)
     assert min(f.alpha_hat for f in result.fits) >= 0.95
 
 
 def test_map_boundary_samples_description(disc):
-    spec = ProperMapSpec(source=disc, target=disc, fun=catalog.monomial_function(2), arity=2)
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=2)
     samples = map_boundary_samples(spec, nodes=64)
     assert samples.description == "z^2"
     assert len(samples.values) == 64

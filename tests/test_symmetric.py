@@ -45,11 +45,13 @@ def test_desymmetrize_double_root():
 
 
 def test_roundtrip_identity(rng):
-    for n in range(1, 7):
+    for n in range(1, 13):
         w = rng.uniform(-1, 1, (1000 // n, n)) + 1j * rng.uniform(-1, 1, (1000 // n, n))
         roots, _ = desymmetrize_batch(sp.symmetrize(w))
-        deltas = delta_metric_batch(w, roots)
-        assert deltas.max() <= 1e-8
+        # Both directed Hausdorff distances: the permutation metric is
+        # brute force and stops at arity 8.
+        gaps = np.abs(w[:, :, None] - roots[:, None, :])
+        assert max(gaps.min(axis=2).max(), gaps.min(axis=1).max()) <= 1e-8
 
 
 def test_arity_cap():
@@ -226,10 +228,7 @@ def test_symmetric_power_map_square(disc_grid):
 
 
 def test_root_failure_is_diagnosed():
-    # residual target can never be met if we cripple the iteration count
-    from symprod import roots as rootmod
-
-    coeffs = np.array([1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
-    rts = rootmod.aberth_roots(coeffs, max_iterations=1)
-    with pytest.raises(RootFindingError):
-        rootmod.require_residual(coeffs, rts, 1e-12)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        z = np.array([[3.0, 2.0, 1.0], [0.5, bad, 0.1]], dtype=complex)
+        with pytest.raises(RootFindingError):
+            desymmetrize_batch(z)
