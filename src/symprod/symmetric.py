@@ -91,7 +91,8 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
 
     Residual acceptance is multiplicity-aware: rows whose roots cluster are
     accepted at a relaxed tolerance, since a multiple root can only be
-    located to a fractional power of machine precision.
+    located to a fractional power of machine precision.  Non-finite tuples
+    raise :class:`RootFindingError` from ``roots.monic_roots``.
     """
     zb = np.asarray(z, dtype=complex)
     if zb.ndim == 1:
@@ -99,8 +100,6 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
     n = zb.shape[-1]
     if n > MAX_ROOT_ARITY:
         raise ValueError(f"arity {n} above the supported maximum {MAX_ROOT_ARITY}")
-    if not np.isfinite(zb).all():
-        raise RootFindingError("coefficient tuples are not finite")
     coeffs = _roots.monic_coefficients(zb)
     rts = _roots.monic_roots(coeffs)
     res = np.abs(_roots.horner(coeffs, rts)).max(axis=-1)

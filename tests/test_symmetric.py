@@ -48,10 +48,10 @@ def test_roundtrip_identity(rng):
     for n in range(1, 13):
         w = rng.uniform(-1, 1, (1000 // n, n)) + 1j * rng.uniform(-1, 1, (1000 // n, n))
         roots, _ = desymmetrize_batch(sp.symmetrize(w))
-        # Both directed Hausdorff distances: the permutation metric is
-        # brute force and stops at arity 8.
-        gaps = np.abs(w[:, :, None] - roots[:, None, :])
-        assert max(gaps.min(axis=2).max(), gaps.min(axis=1).max()) <= 1e-8
+        # Roots come back in numpy's complex sort order, (real, imag), so
+        # sorting w pairs each root with its source entry, multiplicities
+        # included; a near-tie in real parts could only make this fail.
+        assert np.abs(np.sort(w, axis=-1) - roots).max() <= 1e-8
 
 
 def test_arity_cap():
