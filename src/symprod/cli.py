@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, catalog, cauchy, geometry, holder, propermap, suites, symmetric
-from .errors import ConfigError, SymprodError
+from .errors import ConfigError, InvalidGeometryError, SymprodError
 
 _DEFAULTS = {
     "domain": "disc 0 0 1",
@@ -244,6 +244,7 @@ def _cmd_loja(cfg: dict, out: Path) -> int:
 def _cmd_pv(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
     nodes = max(cfg["nodes"], 8192)
+    cfg = dict(cfg, nodes=nodes)
     grid = geometry.sample_boundary(domain, nodes)
     phi = catalog.parse_phi(cfg["phi"])
     samples = cauchy.boundary_samples(grid, phi)
@@ -378,7 +379,7 @@ def run(argv) -> int:
         cfg = _resolve(args)
         out = Path(args.out)
         code = _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, InvalidGeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SymprodError as exc:

@@ -3,9 +3,11 @@
 A domain is one positively oriented outer contour plus any number of
 negatively oriented hole contours, each given by an analytic 2*pi-periodic
 parametrization.  Geometry checks (simplicity, nesting) run on a dense
-sample grid at construction time.  Quadrature grids are equispaced in the
-parameter, so the trapezoid rule is spectrally accurate for every contour
-integral built on top of them.
+sample grid at construction time.  Point queries (distance, winding,
+classification) project each point onto the analytic parametrization and
+sum a fixed 256-node winding quadrature, in blocks of bounded memory.
+Quadrature grids are equispaced in the parameter, so the trapezoid rule is
+spectrally accurate for every contour integral built on top of them.
 
 Region labels returned by :func:`classify_point` are integers:
 
@@ -33,12 +35,25 @@ from .errors import (
 # exp(-c * N * dist), so points below this floor are rejected outright.
 BOUNDARY_TOL_FACTOR = 1e-6
 
-# Dense samples per contour used for validation, distances and diameters.
+# Dense samples per contour used for validation, diameters and bounding boxes.
 VALIDATION_GRID = 2048
 
+# The boundary oracle runs on a fixed winding grid per contour, over blocks of
+# _QUERY_BLOCK points: its largest array is one real (block x _WINDING_NODES)
+# array, 2 MB, whatever the number of points.
 _WINDING_NODES = 256
-_WINDING_MAX_NODES = 4096
 _WINDING_SLACK = 0.25
+_QUERY_BLOCK = 1024
+# The trapezoid winding sum errs by about exp(-2*pi*d/h) at distance d from a
+# contour with node spacing h (Trefethen & Weideman 2014, SIAM Rev. 56), so it
+# rounds safely only beyond a couple of spacings (3.5e-6 at d = 2h).  Nearer
+# points take their side from the tangent at their projection.
+_NEAR_SPACINGS = 2.0
+# The projection stops once its angle moves by at most _PROJECTION_TOL, which
+# puts the foot within about 1e-12 * |gamma'| of the nearest curve point; it
+# takes three to five steps, _PROJECTION_STEPS at most.
+_PROJECTION_TOL = 1e-12
+_PROJECTION_STEPS = 16
 
 TWO_PI = 2.0 * np.pi
 
@@ -110,108 +125,222 @@ def _domain_points(domain: DomainBoundary) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def domain_diameter(domain: DomainBoundary) -> float:
-    """Largest distance between boundary sample points."""
-    pts = _domain_points(domain)
+def _diameter(contours: tuple[Contour, ...]) -> float:
+    pts = np.concatenate([_dense_points(c) for c in contours])
     # The diameter is attained on the outer contour; a coarse subsample is
     # plenty at validation resolution.
     sub = pts[:: max(1, len(pts) // 512)]
     return float(np.abs(sub[:, None] - sub[None, :]).max())
 
 
+def domain_diameter(domain: DomainBoundary) -> float:
+    """Largest distance between boundary sample points."""
+    return _diameter(domain.contours)
+
+
 def boundary_tolerance(domain: DomainBoundary) -> float:
     return BOUNDARY_TOL_FACTOR * domain_diameter(domain)
 
 
-def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
-    """Distance from point(s) w to the sampled boundary."""
-    pts = _domain_points(domain)
-    w = np.asarray(w, dtype=complex)
-    return np.abs(w[..., None] - pts).min(axis=-1)
+@dataclass(frozen=True)
+class _WindingGrid:
+    """Equispaced nodes of one contour for the boundary oracle.
 
-
-def _contour_distance(contour: Contour, w: np.ndarray) -> np.ndarray:
-    return np.abs(np.asarray(w, dtype=complex)[..., None] - _dense_points(contour)).min(axis=-1)
-
-
-def _winding_estimate(contour: Contour, w: np.ndarray, nodes: int) -> np.ndarray:
-    theta = np.linspace(0.0, TWO_PI, nodes, endpoint=False)
-    t = np.asarray(contour.point(theta), dtype=complex)
-    wts = contour.orientation * (TWO_PI / nodes) * np.asarray(contour.tangent(theta), dtype=complex)
-    return (wts / (t - w[..., None])).sum(axis=-1) / (2.0j * np.pi)
-
-
-def _contour_windings(contour: Contour, w: np.ndarray) -> np.ndarray:
-    """Integer windings of a batch of points about one contour.
-
-    Refines the node count while estimates sit away from integers; a simple
-    closed contour can only wind -1, 0 or +1, so anything else after
-    refinement is reported as nonconvergent rather than trusted.
+    The block arithmetic is real and runs about ``center``: ``xy`` holds the
+    centred nodes as a (2, N) matrix and ``sq`` their squared moduli.  The
+    columns of ``moments`` are the real and imaginary parts of
+    ``weights * conj(centred node)`` and of ``weights``, where ``weights`` are
+    ``(2*pi/N) * tangent`` without the orientation flag; ``sense`` is the sign
+    of the area the parametrization encloses, +1 when it runs
+    counterclockwise.  Points within ``near`` of the curve are classified by
+    their projection.  A point whose nearest node lies ``reach`` (one spacing
+    more) away is farther than ``near`` from the curve.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    est = _winding_estimate(contour, w, _WINDING_NODES)
-    nodes = _WINDING_NODES
-    refine = np.abs(est - np.round(est.real)) > 0.1
-    while refine.any() and nodes < _WINDING_MAX_NODES:
-        nodes *= 2
-        est[refine] = _winding_estimate(contour, w[refine], nodes)
-        refine = np.abs(est - np.round(est.real)) > 0.1
-    bad = np.abs(est - np.round(est.real)) > _WINDING_SLACK
-    if bad.any():
-        raise NonconvergentWindingError(
-            f"winding estimate not near an integer at {w[bad][:3]} (contour {contour.label!r})"
-        )
-    out = np.round(est.real).astype(int)
-    if (np.abs(out) > 1).any():
-        raise NonconvergentWindingError(
-            f"implausible winding {out[np.abs(out) > 1][:3]} about a simple contour"
-        )
-    return out
+
+    nodes: np.ndarray
+    tangents: np.ndarray
+    center: complex
+    xy: np.ndarray
+    sq: np.ndarray
+    moments: np.ndarray
+    near: float
+    reach: float
+    sense: int
+
+
+@functools.lru_cache(maxsize=256)
+def _winding_grid(contour: Contour) -> _WindingGrid:
+    theta = np.linspace(0.0, TWO_PI, _WINDING_NODES, endpoint=False)
+    nodes = np.asarray(contour.point(theta), dtype=complex)
+    tangents = np.asarray(contour.tangent(theta), dtype=complex)
+    weights = (TWO_PI / _WINDING_NODES) * tangents
+    center = complex(nodes.mean())
+    t = nodes - center
+    tw = weights * np.conj(t)
+    area = 0.5 * float(tw.imag.sum())
+    spacing = float(np.abs(np.roll(nodes, -1) - nodes).max())
+    near = _NEAR_SPACINGS * spacing
+    return _WindingGrid(
+        nodes, tangents, center,
+        xy=np.stack([t.real, t.imag]),
+        sq=t.real**2 + t.imag**2,
+        moments=np.stack([tw.real, tw.imag, weights.real, weights.imag], axis=1),
+        near=near, reach=near + spacing, sense=1 if area > 0 else -1,
+    )
+
+
+def _project(contour: Contour, grid: _WindingGrid, w: np.ndarray, j: np.ndarray):
+    """Point of the curve nearest to each w, and the tangent there.
+
+    Solves f(theta) = Re(conj(gamma(theta) - w) * gamma'(theta)) = 0, half
+    the derivative of |gamma - w|^2, by the Illinois variant of regula falsi.
+    The bracket runs from the nearest node j to its neighbour on the side
+    where |gamma - w| decreases; every iterate stays inside it, so the step
+    converges for far points too.  Where that neighbour shows no sign change
+    the bracket collapses onto node j.
+    """
+    def slope(theta):
+        gamma = np.asarray(contour.point(theta), dtype=complex)
+        tangent = np.asarray(contour.tangent(theta), dtype=complex)
+        return np.real(np.conj(gamma - w) * tangent), gamma, tangent
+
+    f = np.real(np.conj(grid.nodes[j] - w) * grid.tangents[j])
+    pos = f > 0
+    down = np.where(pos, -1, 1)
+    k = (j + down) % _WINDING_NODES
+    fk = np.real(np.conj(grid.nodes[k] - w) * grid.tangents[k])
+    shut = pos == (fk > 0)
+    h = TWO_PI / _WINDING_NODES
+    x = j * h
+    other = np.where(shut, x, x + down * h)
+    f_other = np.where(shut, down, fk)
+    # lo keeps f <= 0 and hi keeps f > 0, so fhi - flo is never zero.
+    lo, flo = np.where(pos, other, x), np.where(pos, f_other, f)
+    hi, fhi = np.where(pos, x, other), np.where(pos, f, f_other)
+    last = None
+    for _ in range(_PROJECTION_STEPS):
+        x_new = hi - fhi * (hi - lo) / (fhi - flo)
+        fx, gamma, tangent = slope(x_new)
+        up = fx > 0
+        # Illinois: an end kept for a second step running has its f halved.
+        halve = 1.0 if last is None else np.where(up == last, 0.5, 1.0)
+        lo, flo = np.where(up, lo, x_new), np.where(up, flo * halve, fx)
+        hi, fhi = np.where(up, x_new, hi), np.where(up, fx, fhi * halve)
+        last = up
+        step = np.abs(x_new - x).max()
+        x = x_new
+        if step <= _PROJECTION_TOL:
+            break
+    return gamma, tangent
+
+
+def _contour_query(contour: Contour, w: np.ndarray, wind: bool):
+    """Distance from each point of a 1-D array w to one analytic contour and,
+    if ``wind``, the contour's orientation-signed winding number about it.
+
+    Points farther than ``_NEAR_SPACINGS`` node spacings take the rounded
+    trapezoid winding sum; nearer ones are inside exactly when they lie on the
+    parametrization's inner side of the tangent at their projection.  Raises
+    NonconvergentWindingError when a far point's sum is not near -1, 0 or 1.
+    Points on the curve get distance 0 and an arbitrary winding.  Without
+    ``wind`` every distance is exact; with it, points beyond ``reach`` are
+    not projected and get their nearest node's distance, an upper bound.
+    """
+    grid = _winding_grid(contour)
+    dist = np.empty(len(w))
+    windings = np.zeros(len(w), dtype=int)
+    for start in range(0, len(w), _QUERY_BLOCK):
+        blk = w[start : start + _QUERY_BLOCK]
+        z = blk - grid.center
+        zz = z.real**2 + z.imag**2
+        # |t - z|^2 = |t|^2 - 2 Re(conj(t) z) + |z|^2, one real (block x N) array.
+        d2 = np.stack([z.real, z.imag], axis=1) @ grid.xy
+        d2 *= -2.0
+        d2 += grid.sq
+        j = np.argmin(d2, axis=1)
+        d = np.sqrt(np.maximum(d2[np.arange(len(blk)), j] + zz, 0.0))
+        proj = np.flatnonzero(d < grid.reach) if wind else np.arange(len(blk))
+        if proj.size:
+            foot, tangent = _project(contour, grid, blk[proj], j[proj])
+            d[proj] = np.abs(foot - blk[proj])
+        dist[start : start + len(blk)] = d
+        if not wind:
+            continue
+        # sum(weights / (t - z)) = sum(weights * conj(t) / d2) - conj(z) * sum(weights / d2)
+        d2 += zz[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.reciprocal(d2, out=d2) @ grid.moments
+            est = (s[:, 0] + 1j * s[:, 1] - np.conj(z) * (s[:, 2] + 1j * s[:, 3])) / (2.0j * np.pi)
+            raw = np.round(est.real)
+            far = ~(d < grid.near)
+            bad = far & ~((np.abs(est - raw) <= _WINDING_SLACK) & (np.abs(raw) <= 1))
+        if bad.any():
+            raise NonconvergentWindingError(
+                f"winding estimate {est[bad][:3]} at {blk[bad][:3]} is not near -1, 0 or 1 "
+                f"(contour {contour.label!r})"
+            )
+        if proj.size:
+            close = ~far[proj]
+            inner = grid.sense * np.imag(np.conj(tangent) * (blk[proj] - foot)) > 0
+            raw[proj[close]] = grid.sense * inner[close]
+        windings[start : start + len(blk)] = contour.orientation * raw.astype(int)
+    return dist, windings
+
+
+def _query(contours: Sequence[Contour], w: np.ndarray, wind: bool):
+    """Distance from each point of a 1-D array w to the nearest contour, and
+    the (points, contours) windings when ``wind`` is set."""
+    dist = np.full(len(w), np.inf)
+    windings = np.zeros((len(w), len(contours)), dtype=int)
+    for k, c in enumerate(contours):
+        d, windings[:, k] = _contour_query(c, w, wind)
+        dist = np.minimum(dist, d)
+    return dist, windings
+
+
+def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
+    """Distance from point(s) w to the analytic boundary curves.
+
+    Each point is projected onto every contour's parametrization, so the
+    result is exact to rounding, not to a sample spacing.
+    """
+    w = np.asarray(w, dtype=complex)
+    dist, _ = _query(domain.contours, w.reshape(-1), wind=False)
+    return dist.reshape(w.shape)
 
 
 def winding_number(contours: Sequence[Contour], w: complex) -> int:
     """Total winding (1/2*pi*i) * integral dt/(t - w), summed over contours.
 
     Raises BoundaryProximityError if w is within the tolerance floor of any
-    contour and NonconvergentWindingError if the quadrature estimate does not
-    settle near an integer.
+    contour and NonconvergentWindingError if the quadrature estimate of a
+    far point does not settle near an integer.
     """
     contours = tuple(contours)
-    pts = np.concatenate([_dense_points(c) for c in contours])
-    sub = pts[:: max(1, len(pts) // 512)]
-    diam = float(np.abs(sub[:, None] - sub[None, :]).max())
-    tol = BOUNDARY_TOL_FACTOR * diam
-    warr = np.atleast_1d(np.asarray(w, dtype=complex))
-    for c in contours:
-        if (_contour_distance(c, warr) <= tol).any():
-            raise BoundaryProximityError(f"point {w} within {tol:.3g} of contour {c.label!r}")
-    total = sum(int(_contour_windings(c, warr)[0]) for c in contours)
-    return total
+    dist, windings = _query(contours, np.atleast_1d(np.asarray(w, dtype=complex)), wind=True)
+    tol = BOUNDARY_TOL_FACTOR * _diameter(contours)
+    if dist[0] <= tol:
+        raise BoundaryProximityError(f"point {w} within {tol:.3g} of the boundary")
+    return int(windings[0].sum())
 
 
 def classify_points(domain: DomainBoundary, w) -> np.ndarray:
     """Region labels for a batch of points (see module docstring)."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    tol = boundary_tolerance(domain)
-    dist = distance_to_boundary(domain, w)
-    if (dist <= tol).any():
-        off = w[dist <= tol][:3]
-        raise BoundaryProximityError(f"points too close to the boundary: {off}")
-    windings = np.stack([_contour_windings(c, w) for c in domain.contours], axis=-1)
-    labels = np.empty(w.shape, dtype=int)
-    outer = windings[..., 0]
-    if not np.isin(outer, (0, 1)).all():
+    flat = w.reshape(-1)
+    dist, windings = _query(domain.contours, flat, wind=True)
+    close = dist <= boundary_tolerance(domain)
+    if close.any():
+        raise BoundaryProximityError(f"points too close to the boundary: {flat[close][:3]}")
+    outer = windings[:, 0]
+    if (outer < 0).any():
         raise NonconvergentWindingError("unexpected winding about the outer contour")
-    if windings.shape[-1] > 1 and not np.isin(windings[..., 1:], (-1, 0)).all():
+    if (windings[:, 1:] > 0).any():
         raise NonconvergentWindingError("unexpected winding about a hole contour")
-    labels[outer == 0] = 1
-    inside = outer == 1
-    hole = np.zeros(w.shape, dtype=int)
+    labels = np.where(outer == 1, 0, 1)
     for k in range(1, len(domain.contours)):
-        in_hole = windings[..., k] == -1
-        hole[in_hole & inside] = k + 1
-    labels[inside] = np.where(hole[inside] > 0, hole[inside], 0)
-    return labels
+        labels[(outer == 1) & (windings[:, k] == -1)] = k + 1
+    return labels.reshape(w.shape)
 
 
 def classify_point(domain: DomainBoundary, w: complex) -> int:
@@ -326,11 +455,9 @@ def _check_simple(contour: Contour) -> None:
     for i0 in range(0, m, block):
         rows = pts[i0 : i0 + block]
         d = np.abs(rows[:, None] - pts[None, :])
-        idx = np.arange(i0, i0 + len(rows))[:, None]
-        jdx = np.arange(m)[None, :]
-        cyc = np.abs(idx - jdx)
-        cyc = np.minimum(cyc, m - cyc)
-        d[cyc < sep] = np.inf
+        r = np.arange(len(rows))
+        for off in range(1 - sep, sep):
+            d[r, (r + i0 + off) % m] = np.inf
         if d.min() < floor:
             raise InvalidGeometryError(
                 f"contour {contour.label!r} self-intersects at validation resolution"
@@ -342,15 +469,16 @@ def _check_nesting(domain: DomainBoundary) -> None:
     if len(contours) < 2:
         return
     step = VALIDATION_GRID // 32
+    tol = boundary_tolerance(domain)
     try:
         for i, hole in enumerate(contours[1:], start=1):
             probes = _dense_points(hole)[::step]
             for j, other in enumerate(contours):
                 if j == i:
                     continue
-                if (_contour_distance(other, probes) <= boundary_tolerance(domain)).any():
+                dist, wind = _contour_query(other, probes, wind=True)
+                if (dist <= tol).any():
                     raise InvalidGeometryError("contours touch at validation resolution")
-                wind = _contour_windings(other, probes)
                 if j == 0:
                     if not (wind == 1).all():
                         raise InvalidGeometryError(
@@ -360,7 +488,7 @@ def _check_nesting(domain: DomainBoundary) -> None:
                     raise InvalidGeometryError(
                         f"hole contours {hole.label!r} and {other.label!r} are nested"
                     )
-    except (BoundaryProximityError, NonconvergentWindingError) as exc:
+    except NonconvergentWindingError as exc:
         raise InvalidGeometryError(f"nesting validation failed: {exc}") from exc
 
 

@@ -25,7 +25,9 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        """Within tolerance on at least one comparison; a suite that compared
+        nothing has shown nothing."""
+        return self.comparisons > 0 and self.max_residual <= self.tolerance
 
 
 def _interior_points(domain, count, rng, min_distance=0.1, max_attempts=2000):

@@ -26,7 +26,7 @@ def test_unknown_command_exits_2():
 
 
 def test_bad_domain_exits_2(tmp_path):
-    assert run(["transform", "--domain", "hexagon 1 2", "--out", str(tmp_path)]) in (1, 2)
+    assert run(["transform", "--domain", "hexagon 1 2", "--out", str(tmp_path)]) == 2
 
 
 def test_bad_config_value_exits_2(tmp_path):
@@ -47,6 +47,19 @@ def test_identities_small_run(tmp_path):
     assert (out / "identities.csv").exists()
     header = (out / "identities.csv").read_text().splitlines()[0]
     assert header == "identity,max_residual,tolerance,comparisons,passed"
+
+
+def test_identities_fails_a_suite_without_comparisons(tmp_path):
+    # On this annulus the derivative suite's sampling depth exceeds the ring
+    # width, so it places no tuples; a suite that compared nothing fails.
+    out = tmp_path / "ids_annulus"
+    code = run(["identities", "--domain", "annulus 0 0 0.3 1", "--n", "1",
+                "--samples", "10", "--out", str(out)])
+    assert code == 1
+    rep = _read_report(out)
+    entry = rep["results"]["derivative_factorization"]
+    assert entry["comparisons"] == 0 and entry["passed"] is False
+    assert "derivative_factorization" in rep["failures"]
 
 
 def test_config_file_and_override(tmp_path):
@@ -111,6 +124,7 @@ def test_pv_run(tmp_path):
     assert abs(rep["results"]["slope"] - rep["results"]["expected_slope"]) <= rep["results"]["band"]
     assert (out / "pv.csv").exists()
     assert rep["meta"]["config"]["phi"] == rep["results"]["phi"] == "weierstrass 0.5 12"
+    assert rep["meta"]["config"]["nodes"] == 8192   # the raised count actually used
 
 
 def test_pv_explicit_phi_is_used(tmp_path):

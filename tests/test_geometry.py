@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod.errors import (
-    BoundaryProximityError,
-    InvalidGeometryError,
-    NonconvergentWindingError,
-)
+from symprod.errors import BoundaryProximityError, InvalidGeometryError
 
 
 def test_disc_structure(unit_disc):
@@ -136,6 +132,65 @@ def test_entire_monomials_integrate_to_zero(descriptor, nodes):
 
 
 def test_nonconvergent_for_wild_point(unit_disc):
-    # extremely close to the curve: proximity guard fires first
-    with pytest.raises((BoundaryProximityError, NonconvergentWindingError)):
+    # below the distance floor the proximity guard fires, never a winding error
+    with pytest.raises(BoundaryProximityError):
         sp.classify_point(unit_disc, 1.0 + 5e-7j)
+
+
+def test_figure_eight_rejected():
+    crossing = sp.geometry.Contour(
+        point=lambda t: np.sin(t) + 0.5j * np.sin(2 * t),
+        tangent=lambda t: np.cos(t) + 1j * np.cos(2 * t),
+    )
+    with pytest.raises(InvalidGeometryError, match="self-intersects"):
+        sp.geometry.composite(crossing)
+
+
+README_DESCRIPTORS = [
+    "disc 0 0 1",
+    "ellipse 0 0 1.1 0.9",
+    "star 1 0.25 2",
+    "annulus 0 0 0.3 1",
+    "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+]
+
+
+def _off_curve(domain, k, factor):
+    """Points factor * diameter to the left and to the right of contour k."""
+    contour = domain.contours[k]
+    theta = np.linspace(0.0, 2 * np.pi, 13, endpoint=False) + 0.1
+    tangent = contour.tangent(theta)
+    step = factor * sp.domain_diameter(domain) * 1j * tangent / np.abs(tangent)
+    return contour.point(theta) + step, contour.point(theta) - step
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_points_near_the_boundary_get_labels(descriptor):
+    # Every README contour runs counterclockwise, so its left side is its
+    # inside: the domain for the outer contour, the hole for a hole contour.
+    domain = sp.build_domain(descriptor)
+    for k in range(len(domain.contours)):
+        left, right = _off_curve(domain, k, 1e-5)
+        inside, outside = (0, 1) if k == 0 else (k + 1, 0)
+        assert (sp.classify_points(domain, left) == inside).all()
+        assert (sp.classify_points(domain, right) == outside).all()
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_points_below_the_floor_are_refused(descriptor):
+    domain = sp.build_domain(descriptor)
+    for k in range(len(domain.contours)):
+        for point in np.concatenate(_off_curve(domain, k, 5e-7)):
+            with pytest.raises(BoundaryProximityError):
+                sp.classify_point(domain, point)
+
+
+@pytest.mark.parametrize("radii", [(1.0,), (1.0, 0.3)])
+def test_distance_matches_closed_form(radii, rng):
+    domain = sp.disc(0.2, radii[0]) if len(radii) == 1 else sp.annulus(0.2, radii[1], radii[0])
+    r = 3.0 * radii[0] * np.sqrt(rng.random(4000))
+    w = 0.2 + r * np.exp(2j * np.pi * rng.random(4000))
+    w = np.concatenate([w, 0.2 + np.exp(2j * np.pi * rng.random(50)) * radii[-1]])
+    exact = np.min([np.abs(np.abs(w - 0.2) - rho) for rho in radii], axis=0)
+    err = np.abs(sp.distance_to_boundary(domain, w) - exact)
+    assert err.max() <= 1e-10 * sp.domain_diameter(domain)

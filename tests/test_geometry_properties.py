@@ -1,0 +1,25 @@
+"""Property tests of the boundary oracle against closed-form distances."""
+
+import numpy as np
+import pytest
+
+import symprod as sp
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_DOMAINS = {(1.0,): sp.disc(0.2, 1.0), (1.0, 0.3): sp.annulus(0.2, 0.3, 1.0)}
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    radii=st.sampled_from(sorted(_DOMAINS)),
+    r=st.floats(min_value=0.0, max_value=3.0),
+    angle=st.floats(min_value=0.0, max_value=2 * np.pi),
+)
+def test_distance_is_the_closed_form(radii, r, angle):
+    domain = _DOMAINS[radii]
+    w = 0.2 + r * np.exp(1j * angle)
+    exact = min(abs(abs(w - 0.2) - rho) for rho in radii)
+    got = float(sp.distance_to_boundary(domain, w))
+    assert abs(got - exact) <= 1e-10 * sp.domain_diameter(domain)
