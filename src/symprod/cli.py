@@ -279,7 +279,8 @@ def _cmd_holder(cfg: dict, out: Path) -> int:
     results = {}
     failures = []
     for name, truth, fld in fields:
-        fit = holder.estimate_exponent(fld)
+        edges, counts, maxima, argdist = holder._pair_table(fld)   # one pass per field
+        fit = holder._fit_table(edges, counts, maxima, argdist)
         results[name] = {
             "true_exponent": truth,
             "alpha_hat": fit.alpha_hat,
@@ -289,10 +290,9 @@ def _cmd_holder(cfg: dict, out: Path) -> int:
         }
         if abs(fit.alpha_hat - truth) > 0.07 * cfg["tol_scale"]:
             failures.append(name)
-        bin_lo, bin_hi, counts, maxima = holder.pair_statistics(fld)
         _write_csv(out / f"pairs_{name}.csv",
                    ["bin_lo", "bin_hi", "pair_count", "max_diff"],
-                   [[lo, hi, c, m] for lo, hi, c, m in zip(bin_lo, bin_hi, counts, maxima)])
+                   [[lo, hi, c, m] for lo, hi, c, m in zip(edges[:-1], edges[1:], counts, maxima)])
     payload = {"meta": _meta("holder", cfg), "results": results, "failures": failures}
     _write_report(out, payload)
     return 1 if failures else 0

@@ -22,7 +22,13 @@ from .errors import MissingDerivativeFieldError
 MAX_POINTS = 5000
 MIN_POINTS_FOR_FIT = 100
 MIN_PAIRS_PER_BIN = 5
-_BLOCK = 512
+_BLOCK_ENTRIES = 1 << 16        # pair-block size: 512 KiB per float array
+# Pair-table slots: a distance d > 0 with frexp exponent e (2**(e - 1) <= d
+# < 2**e, e in [-1073, 1024]) goes to slot e + _SLOT0; slot _DUMP takes the
+# block entries that are not pairs of their own.
+_SLOT0 = 1073
+_DUMP = _SLOT0 + 1025
+_SLOTS = _DUMP + 1
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,8 @@ class SampledField:
         pts = real_coordinates(self.points)
         if len(pts) != len(self.values):
             raise ValueError("points and values differ in length")
+        if not (np.isfinite(pts).all() and np.isfinite(self.values).all()):
+            raise ValueError("points and values must be finite")
 
     @property
     def coords(self) -> np.ndarray:
@@ -62,31 +70,51 @@ def real_coordinates(points) -> np.ndarray:
     return p
 
 
+def _cloud(fld: SampledField) -> tuple[np.ndarray, np.ndarray]:
+    coords = fld.coords
+    if len(coords) < 2:
+        raise ValueError("need at least two points")
+    if len(coords) > MAX_POINTS:
+        raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
+    return coords, np.asarray(fld.values)
+
+
 def _pair_blocks(coords: np.ndarray, values: np.ndarray):
+    """Upper-triangle pair blocks ``(i0, d, dv)`` of distances and |df|.
+
+    Entry (r, c) of a block is the pair (i0 + r, i0 + 1 + c): a few rows
+    against the columns ``i0 + 1:``, about ``_BLOCK_ENTRIES`` entries in
+    all, with squared distances summed one coordinate at a time.  Entries
+    left of the diagonal (c < r) are not pairs of their own: for c < r - 1
+    they repeat a pair of the same block, and the self pairs c = r - 1 carry
+    the distance of the pair (i0 + r, i0 + r + 1) with |df| = 0.  Maxima and
+    minima over a whole block are therefore those over its pairs; counts
+    must skip c < r.
+    """
     m = len(coords)
-    for i0 in range(0, m, _BLOCK):
-        i1 = min(i0 + _BLOCK, m)
-        rows = coords[i0:i1]
-        d = np.sqrt(((rows[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
-        dv = np.abs(values[i0:i1, None] - values[None, :])
-        mask = np.arange(m)[None, :] > np.arange(i0, i1)[:, None]
-        yield d[mask], dv[mask]
+    cols = np.ascontiguousarray(coords.T)
+    block = max(1, _BLOCK_ENTRIES // (m - 1))
+    for i0 in range(0, m - 1, block):
+        i1 = min(i0 + block, m - 1)
+        d = np.zeros((i1 - i0, m - 1 - i0), dtype=cols.dtype)
+        tmp = np.empty_like(d)
+        for col in cols:
+            np.subtract.outer(col[i0:i1], col[i0 + 1:], out=tmp)
+            d += np.square(tmp, out=tmp)
+        np.sqrt(d, out=d)
+        r = np.arange(1, i1 - i0)
+        d[r, r - 1] = d[r, r]
+        if d.min() == 0:
+            raise ValueError("points must be pairwise distinct")
+        yield i0, d, np.abs(np.subtract.outer(values[i0:i1], values[i0 + 1:]))
 
 
 def holder_seminorm(fld: SampledField, alpha: float) -> float:
     """Exact discrete sup of |df| / |dx|^alpha over all point pairs."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    coords = fld.coords
-    if len(coords) < 2:
-        raise ValueError("need at least two points")
-    if len(coords) > MAX_POINTS:
-        raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
-    values = np.asarray(fld.values)
     worst = 0.0
-    for d, dv in _pair_blocks(coords, values):
-        if (d == 0).any():
-            raise ValueError("points must be pairwise distinct")
+    for _, d, dv in _pair_blocks(*_cloud(fld)):
         worst = max(worst, float((dv / d**alpha).max(initial=0.0)))
     return worst
 
@@ -103,33 +131,59 @@ class ExponentFit:
 
 
 def _pair_table(fld: SampledField):
-    coords = fld.coords
-    if len(coords) > MAX_POINTS:
-        raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
-    values = np.asarray(fld.values)
+    """Dyadic bin table ``(edges, counts, maxima, argdist)`` in one pass.
+
+    The edges are the powers of two from floor(log2 dmin) to
+    ceil(log2 dmax), at least two of them; bin k holds the pairs with
+    edges[k] <= d < edges[k + 1], and pairs beyond either end are clipped
+    into the end bins.  ``maxima`` is the largest |df| in a bin and
+    ``argdist`` the distance of the first pair (i < j, row-major) that
+    attains it; both are 0 where |df| is 0 throughout.  The edges are
+    known only after the pass, so the pass gathers its counts and maxima
+    in fixed slots, one per frexp exponent of d, and folds them at the end.
+    """
+    coords, values = _cloud(fld)
+    m = len(coords)
+    counts = np.zeros(_SLOTS, dtype=int)
+    maxima = np.zeros(_SLOTS)
+    argdist = np.zeros(_SLOTS)
+    rank = np.zeros(_SLOTS, dtype=int)          # i * m + j of the argdist pair
     dmin, dmax = np.inf, 0.0
-    for d, _ in _pair_blocks(coords, values):
-        if (d == 0).any():
-            raise ValueError("points must be pairwise distinct")
-        dmin = min(dmin, float(d.min()))
-        dmax = max(dmax, float(d.max()))
+    for i0, d, dv in _pair_blocks(coords, values):
+        dmin, dmax = min(dmin, float(d.min())), max(dmax, float(d.max()))
+        slot = np.frexp(d)[1].astype(np.intp)
+        slot += _SLOT0
+        slot[:, :len(d)][np.tri(len(d), k=-1, dtype=bool)] = _DUMP
+        slot, d, dv = slot.ravel(), d.ravel(), dv.ravel()
+        counts += np.bincount(slot, minlength=_SLOTS)
+        top = np.zeros(_SLOTS)
+        np.maximum.at(top, slot, dv)
+        top[_DUMP] = 0.0
+        # Only strictly larger maxima replace, so ties keep the earlier
+        # block; in a block the first hit in row-major order is the first pair.
+        target = np.where(top > maxima, top, np.nan)
+        hits = np.flatnonzero(dv == target[slot])
+        won, first = np.unique(slot[hits], return_index=True)
+        row, col = np.divmod(hits[first], m - 1 - i0)
+        maxima[won] = top[won]
+        argdist[won] = d[hits[first]]
+        rank[won] = (i0 + row) * m + i0 + 1 + col
     lo = int(np.floor(np.log2(dmin)))
-    hi = int(np.ceil(np.log2(dmax)))
-    edges = 2.0 ** np.arange(lo, hi + 1)
-    nbins = len(edges) - 1
-    counts = np.zeros(nbins, dtype=int)
-    maxima = np.zeros(nbins)
-    argdist = np.zeros(nbins)
-    for d, dv in _pair_blocks(coords, values):
-        idx = np.clip(np.digitize(d, edges) - 1, 0, nbins - 1)
-        np.add.at(counts, idx, 1)
-        for b in np.unique(idx):
-            sel = idx == b
-            j = int(np.argmax(dv[sel]))
-            if dv[sel][j] > maxima[b]:
-                maxima[b] = dv[sel][j]
-                argdist[b] = d[sel][j]
-    return edges, counts, maxima, argdist
+    hi = max(int(np.ceil(np.log2(dmax))), lo + 1)
+    # Slot s holds 2**(s - _SLOT0 - 1) <= d < 2**(s - _SLOT0).  Per bin the
+    # winning slot has the largest maximum and, among ties, the earliest
+    # pair; it leads its bin's run once the slots are sorted that way.
+    used = np.flatnonzero(counts[:_DUMP])
+    bins = np.clip(used - (_SLOT0 + 1 + lo), 0, hi - lo - 1)
+    order = np.lexsort((rank[used], -maxima[used], bins))
+    used, bins = used[order], bins[order]
+    lead = np.flatnonzero(np.diff(bins, prepend=-1))
+    bin_counts = np.zeros(hi - lo, dtype=int)
+    np.add.at(bin_counts, bins, counts[used])
+    bin_maxima, bin_argdist = np.zeros(hi - lo), np.zeros(hi - lo)
+    bin_maxima[bins[lead]] = maxima[used[lead]]
+    bin_argdist[bins[lead]] = argdist[used[lead]]
+    return 2.0 ** np.arange(lo, hi + 1), bin_counts, bin_maxima, bin_argdist
 
 
 def pair_statistics(fld: SampledField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,8 +201,11 @@ def estimate_exponent(fld: SampledField) -> ExponentFit:
     """
     if len(fld.coords) < MIN_POINTS_FOR_FIT:
         raise ValueError(f"need at least {MIN_POINTS_FOR_FIT} points")
-    edges, counts, maxima, argdist = _pair_table(fld)
-    bin_lo, bin_hi = edges[:-1], edges[1:]
+    return _fit_table(*_pair_table(fld))
+
+
+def _fit_table(edges, counts, maxima, argdist) -> ExponentFit:
+    """The regression of :func:`estimate_exponent` on a built pair table."""
     keep = (counts >= MIN_PAIRS_PER_BIN) & (maxima > 0)
     if keep.sum() < 3:
         raise ValueError("insufficient pairs: fewer than 3 usable distance bins")
@@ -164,7 +221,7 @@ def estimate_exponent(fld: SampledField) -> ExponentFit:
         alpha_hat=alpha_hat,
         confidence_band=(alpha_hat - 2.0 * se, alpha_hat + 2.0 * se),
         pairs_used=int(counts[keep].sum()),
-        bin_edges=tuple(float(e) for e in np.concatenate([bin_lo, bin_hi[-1:]])),
+        bin_edges=tuple(float(e) for e in edges),
         flagged=not (0.0 <= alpha_hat <= 1.5),
     )
 

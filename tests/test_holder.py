@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import symprod as sp
+from symprod import holder
 from symprod.errors import MissingDerivativeFieldError
 from symprod.holder import SampledField
 
@@ -130,3 +133,104 @@ def test_ck_norm_missing_field():
     fld = SampledField(points=x, values=x)
     with pytest.raises(MissingDerivativeFieldError):
         sp.ck_norm({(1,): fld}, 0.5)
+
+
+def _reference_table(fld):
+    """Brute-force pair table: every pair i < j in row-major order, bins by
+    np.digitize with the ends clipped, first pair attaining each maximum."""
+    coords, values = fld.coords, np.asarray(fld.values)
+    i, j = np.triu_indices(len(coords), k=1)
+    d = np.sqrt(((coords[i] - coords[j]) ** 2).sum(axis=1))
+    dv = np.abs(values[i] - values[j])
+    lo = int(np.floor(np.log2(d.min())))
+    hi = max(int(np.ceil(np.log2(d.max()))), lo + 1)
+    edges = 2.0 ** np.arange(lo, hi + 1)
+    idx = np.clip(np.digitize(d, edges) - 1, 0, hi - lo - 1)
+    maxima, argdist = np.zeros(hi - lo), np.zeros(hi - lo)
+    for b in range(hi - lo):
+        sel = np.flatnonzero(idx == b)
+        if len(sel) and dv[sel].max() > 0:
+            k = sel[np.argmax(dv[sel])]
+            maxima[b], argdist[b] = dv[k], d[k]
+    return edges, np.bincount(idx, minlength=hi - lo), maxima, argdist
+
+
+def _assert_same_table(fld):
+    got, want = holder._pair_table(fld), _reference_table(fld)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_pair_table_matches_brute_force_across_blocks(rng):
+    z = rng.normal(size=(1100, 2)) + 1j * rng.normal(size=(1100, 2))
+    z = np.concatenate([z, z[:200] + 1e-6 * rng.normal(size=(200, 2))])
+    fld = SampledField(points=z, values=z[:, 0] * z[:, 1] ** 2)
+    assert len(z) * (len(z) - 1) > 4 * holder._BLOCK_ENTRIES
+    _assert_same_table(fld)
+
+
+def test_pair_table_matches_brute_force_with_ties():
+    _, _, lin = sp.calibration_fields(points=1200)[1]
+    _assert_same_table(lin)
+
+
+def test_pair_table_folds_power_of_two_distance(rng):
+    # The pair at d = 2 joins the last bin [1, 2] and ties its maximum with
+    # the earlier pair at d = 1.5, which keeps the argdist.
+    x = np.concatenate([[0.0, 1.5, 2.0], rng.uniform(0.1, 1.9, 300)])
+    fld = SampledField(points=x, values=np.minimum(x, 1.0))
+    edges, counts, maxima, argdist = holder._pair_table(fld)
+    assert edges[-1] == 2.0 and counts.sum() == 302 * 303 // 2
+    assert maxima[-1] == 1.0 and argdist[-1] == 1.5
+    _assert_same_table(fld)
+
+
+def test_pair_table_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Quarter-integer grids give ties and exact powers of two; tiny blocks
+    # put block boundaries everywhere.
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        grid=st.lists(st.lists(st.integers(-8, 8), min_size=2, max_size=2),
+                      min_size=2, max_size=40, unique_by=tuple),
+        levels=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+        dim=st.integers(1, 2),
+        block=st.integers(1, 50),
+    )
+    def check(grid, levels, dim, block):
+        pts = 0.25 * np.array(grid, dtype=float)[:, :dim]
+        hypothesis.assume(len(np.unique(pts, axis=0)) == len(pts))
+        fld = SampledField(points=pts, values=np.array(levels[:len(pts)], dtype=float))
+        with mock.patch.object(holder, "_BLOCK_ENTRIES", block):
+            _assert_same_table(fld)
+            i, j = np.triu_indices(len(pts), k=1)
+            d = np.sqrt(((fld.coords[i] - fld.coords[j]) ** 2).sum(axis=1))
+            ratio = np.abs(fld.values[i] - fld.values[j]) / d**0.5
+            assert sp.holder_seminorm(fld, 0.5) == ratio.max()
+
+    check()
+
+
+@pytest.mark.parametrize("points, values", [
+    (np.linspace(0, 1, 200), np.where(np.arange(200) == 7, np.nan, 1.0)),
+    (np.where(np.arange(200) == 7, np.nan, np.linspace(0, 1, 200)), np.zeros(200)),
+    (np.where(np.arange(200) == 7, np.inf, np.linspace(0, 1, 200)), np.zeros(200)),
+])
+def test_non_finite_field_rejected(points, values):
+    with pytest.raises(ValueError, match="finite"):
+        SampledField(points=points, values=values)
+
+
+def test_pair_statistics_two_points_one_bin():
+    fld = SampledField(points=np.array([0.0, 1.0]), values=np.array([0.0, 3.0]))
+    bin_lo, bin_hi, counts, maxima = sp.pair_statistics(fld)
+    assert list(bin_lo) == [1.0] and list(bin_hi) == [2.0]
+    assert list(counts) == [1] and list(maxima) == [3.0]
+
+
+def test_pair_statistics_needs_two_points():
+    fld = SampledField(points=np.array([0.5]), values=np.array([1.0]))
+    with pytest.raises(ValueError, match="at least two points"):
+        sp.pair_statistics(fld)
