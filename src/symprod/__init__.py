@@ -50,6 +50,7 @@ from .errors import (
     MissingDerivativeFieldError,
     NonconvergentWindingError,
     RootFindingError,
+    SamplingError,
     SymprodError,
     WrongRegionError,
 )
@@ -58,6 +59,7 @@ from .geometry import (
     Contour,
     DomainBoundary,
     annulus,
+    bounding_box,
     build_domain,
     classify_point,
     classify_points,
@@ -65,7 +67,9 @@ from .geometry import (
     distance_to_boundary,
     domain_diameter,
     ellipse,
+    interior_mask,
     sample_boundary,
+    sample_interior,
     star,
     winding_number,
 )

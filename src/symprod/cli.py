@@ -151,9 +151,10 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
     phi = catalog.parse_phi(cfg["phi"])
     grid = geometry.sample_boundary(domain, cfg["nodes"])
     samples = cauchy.boundary_samples(grid, phi)
+    cfg = dict(cfg, samples=min(cfg["samples"], 500))
     rng = np.random.default_rng(cfg["seed"])
     n = cfg["n"]
-    tuples = suites._separated_tuples(domain, n, min(cfg["samples"], 500), rng,
+    tuples = suites._separated_tuples(domain, n, cfg["samples"], rng,
                                       min_distance=0.1, separation=0.02)
     zs = symmetric.symmetrize(tuples)
     vals = cauchy.symmetrized_transform(samples, zs, check_region=False)
@@ -178,9 +179,10 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
 
 def _cmd_identities(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
+    cfg = dict(cfg, samples=max(10, min(cfg["samples"], 200)))
     results = suites.run_identity_suites(
         domain, nodes=cfg["nodes"], max_arity=cfg["n"], seed=cfg["seed"],
-        points=max(10, min(cfg["samples"], 200)), tol_scale=cfg["tol_scale"],
+        points=cfg["samples"], tol_scale=cfg["tol_scale"],
     )
     failures = [r.name for r in results if not r.passed]
     _write_csv(
@@ -228,7 +230,8 @@ def _binomial(a: int, b: int) -> int:
 
 def _cmd_loja(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
-    report = symmetric.lojasiewicz_check(domain, cfg["n"], max(cfg["samples"], 100), cfg["seed"])
+    cfg = dict(cfg, samples=max(cfg["samples"], 100))
+    report = symmetric.lojasiewicz_check(domain, cfg["n"], cfg["samples"], cfg["seed"])
     failures = []
     if report.violations_at_c_max != 0:
         failures.append("violations_at_c_max")
@@ -302,9 +305,10 @@ def _cmd_propermap(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
     fun = propermap.parse_proper_map(cfg["propermap"])
     spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
+    cfg = dict(cfg, samples=max(cfg["samples"], 1000))
     agreement = propermap.route_agreement(spec, count=100, seed=cfg["seed"], nodes=cfg["nodes"])
     experiment = propermap.boundary_regularity_experiment(
-        spec, num_samples=max(cfg["samples"], 1000), seed=cfg["seed"])
+        spec, num_samples=cfg["samples"], seed=cfg["seed"])
     failures = []
     if agreement > 1e-8 * cfg["tol_scale"]:
         failures.append("route_agreement")
@@ -390,3 +394,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

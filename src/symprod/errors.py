@@ -45,5 +45,9 @@ class MissingDerivativeFieldError(SymprodError):
     """A derivative field required for a norm computation was not supplied."""
 
 
+class SamplingError(SymprodError):
+    """Random sampling could not place the requested points in the domain."""
+
+
 class ConfigError(SymprodError):
     """A CLI flag or config-file entry failed to parse."""

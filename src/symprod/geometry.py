@@ -6,6 +6,8 @@ parametrization.  Geometry checks (simplicity, nesting) run on a dense
 sample grid at construction time.  Point queries (distance, winding,
 classification) project each point onto the analytic parametrization and
 sum a fixed 256-node winding quadrature, in blocks of bounded memory.
+Random interior points come from one rejection sampler built on those
+queries, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
 spectrally accurate for every contour integral built on top of them.
 
@@ -28,6 +30,7 @@ from .errors import (
     BoundaryProximityError,
     InvalidGeometryError,
     NonconvergentWindingError,
+    SamplingError,
 )
 
 # Hard floor for point queries, times the domain diameter.  Kernels of the
@@ -54,6 +57,14 @@ _NEAR_SPACINGS = 2.0
 # takes three to five steps, _PROJECTION_STEPS at most.
 _PROJECTION_TOL = 1e-12
 _PROJECTION_STEPS = 16
+# The interior sampler draws from the bounding box in at most _SAMPLER_ROUNDS
+# rounds.  A round draws 1.25 times the missing count over the acceptance
+# rate so far, (accepted + 1) / (drawn + 1), but at least _SAMPLER_MIN_DRAW
+# points and at most max(_SAMPLER_MAX_DRAW, 16 * missing), or 2 * missing
+# until a point is accepted, which bounds the cost of giving up.
+_SAMPLER_ROUNDS = 5
+_SAMPLER_MIN_DRAW = 64
+_SAMPLER_MAX_DRAW = 8192
 
 TWO_PI = 2.0 * np.pi
 
@@ -117,11 +128,6 @@ def _dense_points(contour: Contour) -> np.ndarray:
 def _dense_tangents(contour: Contour) -> np.ndarray:
     theta = np.linspace(0.0, TWO_PI, VALIDATION_GRID, endpoint=False)
     return np.asarray(contour.tangent(theta), dtype=complex)
-
-
-@functools.lru_cache(maxsize=128)
-def _domain_points(domain: DomainBoundary) -> np.ndarray:
-    return np.concatenate([_dense_points(c) for c in domain.contours])
 
 
 @functools.lru_cache(maxsize=128)
@@ -346,6 +352,59 @@ def classify_points(domain: DomainBoundary, w) -> np.ndarray:
 def classify_point(domain: DomainBoundary, w: complex) -> int:
     """Region label of a single point."""
     return int(classify_points(domain, np.asarray([w]))[0])
+
+
+def bounding_box(domain: DomainBoundary) -> tuple[float, float, float, float]:
+    """(x_min, x_max, y_min, y_max) of the boundary's validation samples; the
+    outer contour's samples give it, since the holes lie inside."""
+    pts = _dense_points(domain.contours[0])
+    return (float(pts.real.min()), float(pts.real.max()),
+            float(pts.imag.min()), float(pts.imag.max()))
+
+
+def interior_mask(domain: DomainBoundary, w, min_distance: float) -> np.ndarray:
+    """True where a point lies in the domain (label 0) and farther than
+    ``min_distance`` from the boundary; same shape as w.
+
+    Only points past the distance test are classified; the distance floor
+    never drops below the classification floor, so no point is refused.
+    """
+    w = np.asarray(w, dtype=complex)
+    flat = w.reshape(-1)
+    keep = distance_to_boundary(domain, flat) > max(min_distance, boundary_tolerance(domain))
+    if keep.any():
+        keep[keep] = classify_points(domain, flat[keep]) == 0
+    return keep.reshape(w.shape)
+
+
+def sample_interior(domain: DomainBoundary, count: int, rng, min_distance: float) -> np.ndarray:
+    """``count`` uniform points of the domain farther than ``min_distance``
+    from the boundary, by rejection from the boundary's bounding box.
+
+    Raises SamplingError when ``_SAMPLER_ROUNDS`` rounds of draws leave
+    points missing.
+    """
+    x0, x1, y0, y1 = bounding_box(domain)
+    out = np.empty(count, dtype=complex)
+    filled = drawn = 0
+    for _ in range(_SAMPLER_ROUNDS):
+        need = count - filled
+        if need <= 0:
+            break
+        draw = 1.25 * need * (drawn + 1) / (filled + 1)
+        ceiling = max(_SAMPLER_MAX_DRAW, (16 if filled else 2) * need)
+        draw = int(np.clip(draw, _SAMPLER_MIN_DRAW, ceiling))
+        cand = rng.uniform(x0, x1, draw) + 1j * rng.uniform(y0, y1, draw)
+        cand = cand[interior_mask(domain, cand, min_distance)][:need]
+        out[filled : filled + len(cand)] = cand
+        filled += len(cand)
+        drawn += draw
+    if filled < count:
+        raise SamplingError(
+            f"placed {filled} of {count} points farther than {min_distance:.3g} from the "
+            f"boundary in {drawn} draws"
+        )
+    return out
 
 
 def sample_boundary(domain: DomainBoundary, nodes_per_contour: int) -> BoundaryGrid:

@@ -26,7 +26,7 @@ import numpy as np
 from .catalog import AnalyticFunction, blaschke_function, identity_function, monomial_function
 from .cauchy import BoundarySamples, boundary_samples
 from .errors import ConfigError
-from .geometry import DomainBoundary, sample_boundary
+from .geometry import DomainBoundary, domain_diameter, sample_boundary, sample_interior
 from .holder import ExponentFit, SampledField, estimate_exponent
 from .symmetric import desymmetrize, lojasiewicz_exponent, symmetric_power_map, symmetrize
 
@@ -84,28 +84,20 @@ def evaluate_proper_map(spec: ProperMapSpec, z, route: str = "roots",
     raise ValueError(f"unknown route {route!r}")
 
 
-def route_agreement(spec: ProperMapSpec, count: int = 100, seed: int = 0, nodes: int = 256,
-                    radius_factor: float = 0.8) -> float:
-    """Max deviation between the two routes on random interior points."""
+def route_agreement(spec: ProperMapSpec, count: int = 100, seed: int = 0, nodes: int = 256) -> float:
+    """Max deviation between the two routes on ``count`` random tuples of
+    source-domain points farther than a tenth of its diameter from the boundary."""
     rng = np.random.default_rng(seed)
     samples = map_boundary_samples(spec, nodes)
+    margin = 0.1 * domain_diameter(spec.source)
+    tuples = sample_interior(spec.source, count * spec.arity, rng, margin).reshape(count, spec.arity)
     worst = 0.0
-    for _ in range(count):
-        w = _uniform_disc_tuple(rng, spec.arity, radius_factor)
+    for w in tuples:
         z = symmetrize(w)
         a = evaluate_proper_map(spec, z, route="integral", samples=samples)
         b = evaluate_proper_map(spec, z, route="roots")
         worst = max(worst, float(np.abs(a - b).max()))
     return worst
-
-
-def _uniform_disc_tuple(rng, n: int, radius: float) -> np.ndarray:
-    pts = []
-    while len(pts) < n:
-        c = rng.uniform(-radius, radius) + 1j * rng.uniform(-radius, radius)
-        if abs(c) < radius:
-            pts.append(c)
-    return np.asarray(pts)
 
 
 @dataclass(frozen=True)

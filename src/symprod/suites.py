@@ -12,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, cauchy, divdiff, geometry, holder, symmetric
+from .errors import KernelProximityError, SamplingError
 
 DEFAULT_NODES = 256
+# Rounds of twice the missing rows that _separated_tuples draws before it gives up.
+_TUPLE_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -30,51 +33,21 @@ class SuiteResult:
         return self.comparisons > 0 and self.max_residual <= self.tolerance
 
 
-def _interior_points(domain, count, rng, min_distance=0.1, max_attempts=2000):
-    """Random points of the domain at the given distance from the boundary."""
-    pts = np.empty(count, dtype=complex)
-    filled = 0
-    from .geometry import _domain_points
-
-    boundary = _domain_points(domain)
-    lo_x, hi_x = boundary.real.min(), boundary.real.max()
-    lo_y, hi_y = boundary.imag.min(), boundary.imag.max()
-    for _ in range(max_attempts):
-        if filled >= count:
+def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15):
+    """``count`` tuples of ``n`` interior points with pairwise gaps of at least
+    ``separation``: interior draws in rows of n, filtered by their smallest gap."""
+    rows = np.empty((0, n), dtype=complex)
+    for _ in range(_TUPLE_ROUNDS):
+        need = count - len(rows)
+        if need <= 0:
             break
-        draw = max(count - filled, 64)
-        cand = rng.uniform(lo_x, hi_x, draw) + 1j * rng.uniform(lo_y, hi_y, draw)
-        cand = cand[geometry.distance_to_boundary(domain, cand) >= min_distance]
-        if len(cand) == 0:
-            continue
-        cand = cand[geometry.classify_points(domain, cand) == 0]
-        take = min(len(cand), count - filled)
-        pts[filled : filled + take] = cand[:take]
-        filled += take
-    if filled < count:
-        raise RuntimeError(
-            f"could not place {count} points at distance {min_distance} inside the domain"
-        )
-    return pts
-
-
-def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15,
-                      max_attempts=20000):
-    """Well-separated coordinate tuples inside the domain."""
-    out = np.empty((count, n), dtype=complex)
-    made = 0
-    for _ in range(max_attempts):
-        if made >= count:
-            break
-        cand = _interior_points(domain, n, rng, min_distance)
-        d = np.abs(cand[:, None] - cand[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() >= separation:
-            out[made] = cand
-            made += 1
-    if made < count:
-        raise RuntimeError("could not place enough separated tuples")
-    return out
+        cand = geometry.sample_interior(domain, 2 * need * n, rng, min_distance).reshape(-1, n)
+        gaps = np.abs(cand[:, :, None] - cand[:, None, :])
+        gaps[:, np.arange(n), np.arange(n)] = np.inf
+        rows = np.concatenate([rows, cand[gaps.min(axis=(1, 2)) >= separation][:need]])
+    if len(rows) < count:
+        raise SamplingError(f"placed {len(rows)} of {count} tuples with gaps >= {separation}")
+    return rows
 
 
 def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
@@ -84,7 +57,7 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     grid = geometry.sample_boundary(domain, nodes)
     if phis is None:
         phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
-    zs = _interior_points(domain, points, rng, min_distance)
+    zs = geometry.sample_interior(domain, points, rng, min_distance)
     worst = 0.0
     comparisons = 0
     for phi in phis:
@@ -181,8 +154,6 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     points the floor still refuses are skipped (they appear on domains too
     thin for the floor, such as narrow annuli).
     """
-    from .errors import KernelProximityError
-
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.pole_phi(3.0), catalog.monomial_phi(6)]
@@ -194,7 +165,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         try:
             tuples = _separated_tuples(domain, n, points, rng, min_distance=depth,
                                        separation=0.08)
-        except RuntimeError:
+        except SamplingError:
             continue
         zs = symmetric.symmetrize(tuples)
         gammas = holder._multi_indices(n, max_order)

@@ -30,9 +30,12 @@ from .errors import AsymmetryError, BoundaryProximityError, RootFindingError
 from .geometry import (
     DomainBoundary,
     boundary_tolerance,
+    bounding_box,
     classify_points,
     distance_to_boundary,
     domain_diameter,
+    interior_mask,
+    sample_interior,
 )
 from .quadrature import periodic_trapezoid
 
@@ -43,6 +46,9 @@ _CLUSTER_DISTANCE = 1e-4   # times (1 + max |root|): declares a cluster
 _ROUNDTRIP_RTOL = 1e-8
 _CLUSTER_ROUNDTRIP_RTOL = 1e-5
 MAX_PERMUTATION_ARITY = 8
+# signature_census draws root tuples from the bounding box scaled by this
+# factor about its centre, so every region of the complement is sampled.
+_CENSUS_BOX_MARGIN = 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -209,36 +215,6 @@ class LojasiewiczReport:
     seed: int
 
 
-def _sample_in_domain(domain: DomainBoundary, count: int, rng, margin: float = 5e-3) -> np.ndarray:
-    """Uniform points of the domain, at distance >= margin*diameter from the
-    boundary (rejection sampling from the bounding box)."""
-    pts = _domain_bbox_samples(domain, count, rng, margin)
-    return pts
-
-
-def _domain_bbox_samples(domain, count, rng, margin):
-    from .geometry import _domain_points  # module-private on purpose
-
-    boundary = _domain_points(domain)
-    lo_x, hi_x = boundary.real.min(), boundary.real.max()
-    lo_y, hi_y = boundary.imag.min(), boundary.imag.max()
-    floor = margin * domain_diameter(domain)
-    out = np.empty(count, dtype=complex)
-    filled = 0
-    while filled < count:
-        draw = max(count - filled, 32)
-        cand = rng.uniform(lo_x, hi_x, draw) + 1j * rng.uniform(lo_y, hi_y, draw)
-        cand = cand[distance_to_boundary(domain, cand) > floor]
-        if len(cand) == 0:
-            continue
-        labels = classify_points(domain, cand)
-        cand = cand[labels == 0]
-        take = min(len(cand), count - filled)
-        out[filled : filled + take] = cand[:take]
-        filled += take
-    return out
-
-
 def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int = 0) -> LojasiewiczReport:
     """Sample tuple pairs and compare the quotient metric against the
     coefficient distance.
@@ -256,17 +232,12 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     rng = np.random.default_rng(seed)
     lam = lojasiewicz_exponent(n)
     diam = domain_diameter(domain)
+    floor = 5e-3 * diam
 
-    half = num_pairs // 2
-    z_a = _sample_in_domain(domain, half, rng).reshape(-1)
-    w_a = _sample_in_domain(domain, half, rng).reshape(-1)
-    za = z_a[: (half // n) * n].reshape(-1, n)
-    wa = w_a[: (half // n) * n].reshape(-1, n)
-    m = min(len(za), len(wa))
-    za, wa = za[:m], wa[:m]
-
+    m = (num_pairs // 2) // n
     count_b = num_pairs - m
-    zb = _sample_in_domain(domain, count_b * n, rng).reshape(count_b, n)
+    pts = sample_interior(domain, (2 * m + count_b) * n, rng, floor).reshape(-1, n)
+    za, wa, zb = pts[:m], pts[m : 2 * m], pts[2 * m :]
     # Cluster some base tuples near their own diagonal before perturbing.
     cluster = rng.random(count_b) < 0.5
     zb[cluster] = zb[cluster][:, :1] + 0.02 * diam * (
@@ -276,7 +247,7 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     noise = rng.standard_normal((count_b, n)) + 1j * rng.standard_normal((count_b, n))
     noise /= np.maximum(np.abs(noise), 1e-12)
     wb = zb + scales * noise
-    keep = _inside_mask(domain, zb) & _inside_mask(domain, wb)
+    keep = interior_mask(domain, np.concatenate([zb, wb], axis=1), floor).all(axis=1)
     zb, wb = zb[keep], wb[keep]
 
     Z = np.concatenate([za, zb], axis=0)
@@ -307,17 +278,6 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
         empirical_exponent=float(empirical),
         seed=seed,
     )
-
-
-def _inside_mask(domain, tuples):
-    flat = tuples.reshape(-1)
-    floor = 5e-3 * domain_diameter(domain)
-    good = distance_to_boundary(domain, flat) > floor
-    labels = np.ones(len(flat), dtype=int)
-    if good.any():
-        labels[good] = classify_points(domain, flat[good])
-    ok = good & (labels == 0)
-    return ok.reshape(tuples.shape).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +322,20 @@ def classify_symmetric_point(domain: DomainBoundary, z) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0,
-                     box_margin: float = 1.25) -> dict[tuple[int, ...], int]:
+def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0) -> dict[tuple[int, ...], int]:
     """Count component signatures of coefficient tuples built from random
-    root tuples drawn from a box around the domain.
+    root tuples drawn from a box around the domain, ``_CENSUS_BOX_MARGIN``
+    times the boundary's bounding box about its centre.
 
     Points whose roots land too close to the boundary for classification
     are redrawn, so exactly ``samples`` tuples are classified.
     """
     rng = np.random.default_rng(seed)
-    from .geometry import _domain_points
-
-    boundary = _domain_points(domain)
-    cx = (boundary.real.min() + boundary.real.max()) / 2.0
-    cy = (boundary.imag.min() + boundary.imag.max()) / 2.0
-    hx = box_margin * (boundary.real.max() - boundary.real.min()) / 2.0
-    hy = box_margin * (boundary.imag.max() - boundary.imag.min()) / 2.0
+    x0, x1, y0, y1 = bounding_box(domain)
+    cx = (x0 + x1) / 2.0
+    cy = (y0 + y1) / 2.0
+    hx = _CENSUS_BOX_MARGIN * (x1 - x0) / 2.0
+    hy = _CENSUS_BOX_MARGIN * (y1 - y0) / 2.0
     floor = 5e-3 * domain_diameter(domain)
 
     counts: dict[tuple[int, ...], int] = {}
@@ -385,20 +343,14 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
     while done < samples:
         draw = max(samples - done, 64)
         w = (cx + rng.uniform(-hx, hx, (draw, n))) + 1j * (cy + rng.uniform(-hy, hy, (draw, n)))
-        dist_ok = (distance_to_boundary(domain, w.reshape(-1)).reshape(draw, n) > floor).all(axis=1)
-        w = w[dist_ok]
+        w = w[(distance_to_boundary(domain, w) > floor).all(axis=1)]
         if len(w) == 0:
             continue
-        z = symmetrize(w)
-        rts, _ = desymmetrize_batch(z)
-        flat = rts.reshape(-1)
-        if (distance_to_boundary(domain, flat) <= floor).any():
-            keep = (distance_to_boundary(domain, rts.reshape(len(rts), -1)).reshape(len(rts), n) > floor).all(axis=1)
-            rts = rts[keep]
-            if len(rts) == 0:
-                continue
-            flat = rts.reshape(-1)
-        labels = classify_points(domain, flat).reshape(len(rts), n)
+        rts, _ = desymmetrize_batch(symmetrize(w))
+        rts = rts[(distance_to_boundary(domain, rts) > floor).all(axis=1)]
+        if len(rts) == 0:
+            continue
+        labels = classify_points(domain, rts)
         take = min(len(rts), samples - done)
         for row in labels[:take]:
             sig = tuple(int(c) for c in np.bincount(row, minlength=domain.kappa))

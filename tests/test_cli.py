@@ -1,8 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from symprod.cli import run
+
+README_DESCRIPTORS = [
+    "disc 0 0 1",
+    "ellipse 0 0 1.1 0.9",
+    "star 1 0.25 2",
+    "annulus 0 0 0.3 1",
+    "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+]
 
 
 def _read_report(out: Path) -> dict:
@@ -44,6 +57,7 @@ def test_identities_small_run(tmp_path):
     assert rep["failures"] == []
     assert set(rep["meta"]) == {"version", "command", "config", "seed"}
     assert rep["meta"]["seed"] == 42
+    assert rep["meta"]["config"]["samples"] == 12
     assert (out / "identities.csv").exists()
     header = (out / "identities.csv").read_text().splitlines()[0]
     assert header == "identity,max_residual,tolerance,comparisons,passed"
@@ -70,6 +84,7 @@ def test_config_file_and_override(tmp_path):
     assert code == 0
     rep = _read_report(out)
     assert rep["meta"]["config"]["nodes"] == 128   # flag wins
+    assert rep["meta"]["config"]["samples"] == rep["results"]["points"] == 30
     assert rep["meta"]["config"]["phi"] == "monomial 3"
     assert (out / "transform.csv").exists()
 
@@ -103,6 +118,7 @@ def test_loja_run(tmp_path):
     rep = _read_report(out)
     assert rep["results"]["violations_at_c_max"] == 0
     assert rep["results"]["c_max"] > 0
+    assert rep["meta"]["config"]["samples"] == 300
 
 
 def test_holder_run(tmp_path):
@@ -138,9 +154,10 @@ def test_pv_explicit_phi_is_used(tmp_path):
 def test_propermap_run(tmp_path):
     out = tmp_path / "pm"
     code = run(["propermap", "--domain", "disc 0 0 1", "--propermap", "monomial 2",
-                "--n", "2", "--samples", "1000", "--out", str(out)])
+                "--n", "2", "--samples", "500", "--out", str(out)])
     assert code == 0
     rep = _read_report(out)
+    assert rep["meta"]["config"]["samples"] == rep["results"]["samples_used"] == 1000
     assert rep["results"]["route_agreement"] <= 1e-8
     assert min(rep["results"]["alpha_hat_per_component"]) >= rep["results"]["regularity_threshold"]
 
@@ -156,9 +173,38 @@ def test_tolerance_failure_exits_1(tmp_path):
 def test_identities_n3(tmp_path):
     out = tmp_path / "ids3"
     code = run(["identities", "--domain", "disc 0 0 1", "--n", "3", "--nodes", "256",
-                "--samples", "10", "--out", str(out)])
+                "--samples", "5", "--out", str(out)])
     assert code == 0
     rep = _read_report(out)
+    assert rep["meta"]["config"]["samples"] == 10   # raised to the suite minimum
     assert rep["failures"] == []
     for entry in rep["results"].values():
         assert entry["passed"]
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor):
+    # The check tuples are drawn inside the source domain, whatever its shape.
+    out = tmp_path / "pm"
+    code = run(["propermap", "--domain", descriptor, "--n", "2", "--samples", "1000",
+                "--out", str(out)])
+    assert code == 0
+    assert _read_report(out)["results"]["route_agreement"] <= 1e-8
+
+
+def test_sampling_failure_exits_1(tmp_path, capsys):
+    # No point of this ring is 0.1 from both circles, so the sampler gives up.
+    code = run(["transform", "--domain", "annulus 0 0 0.9 1", "--out", str(tmp_path / "t")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_python_m_symprod(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "holder"
+    proc = subprocess.run([sys.executable, "-m", "symprod", "holder", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "report.json").exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod.errors import BoundaryProximityError, InvalidGeometryError
+from symprod.errors import BoundaryProximityError, InvalidGeometryError, SamplingError
+from symprod.suites import _separated_tuples
 
 
 def test_disc_structure(unit_disc):
@@ -194,3 +195,34 @@ def test_distance_matches_closed_form(radii, rng):
     exact = np.min([np.abs(np.abs(w - 0.2) - rho) for rho in radii], axis=0)
     err = np.abs(sp.distance_to_boundary(domain, w) - exact)
     assert err.max() <= 1e-10 * sp.domain_diameter(domain)
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_sample_interior(descriptor):
+    domain = sp.build_domain(descriptor)
+    margin = 0.05 * sp.domain_diameter(domain)
+    pts = sp.sample_interior(domain, 500, np.random.default_rng(3), margin)
+    assert pts.shape == (500,)
+    assert (sp.classify_points(domain, pts) == 0).all()
+    assert (sp.distance_to_boundary(domain, pts) > margin).all()
+    assert sp.interior_mask(domain, pts.reshape(20, 25), margin).all()
+    assert not sp.interior_mask(domain, [10.0], margin).any()
+    assert np.array_equal(pts, sp.sample_interior(domain, 500, np.random.default_rng(3), margin))
+
+    tuples = _separated_tuples(domain, 3, 50, np.random.default_rng(4), margin, separation=margin)
+    assert tuples.shape == (50, 3)
+    gaps = np.abs(tuples[:, :, None] - tuples[:, None, :])[:, [0, 0, 1], [1, 2, 2]]
+    assert (gaps >= margin).all()
+    assert (sp.classify_points(domain, tuples) == 0).all()
+
+
+def test_sample_interior_gives_up(unit_disc):
+    # No point of the unit disc is farther than 1 from its boundary.
+    with pytest.raises(SamplingError):
+        sp.sample_interior(unit_disc, 10, np.random.default_rng(0), 1.0)
+
+
+def test_interior_mask_below_the_floor(unit_disc):
+    # A point under the classification floor is masked out, not refused.
+    w = np.array([0.0, 1.0 - 1e-8, 2.0])
+    assert sp.interior_mask(unit_disc, w, 0.0).tolist() == [True, False, False]
