@@ -20,12 +20,10 @@ from .catalog import (
 )
 from .cauchy import (
     BoundarySamples,
-    apply_multiplier,
     boundary_samples,
     cauchy_transform,
     coincidence_order,
     derivative_symmetrized,
-    generic_transform,
     norlund_transform,
     symmetrized_transform,
     truncated_pv,
@@ -92,7 +90,6 @@ from .propermap import (
 from .quadrature import (
     SimplexRule,
     gauss_legendre,
-    periodic_trapezoid,
     simplex_integrate,
     simplex_moment,
     simplex_rule,

@@ -4,7 +4,10 @@ Everything here evaluates integrals of the form
 
     (2*pi*i)^{-1} * integral over Gamma of phi(t) / p(z, t) dt
 
-by the periodic trapezoid rule on an equispaced boundary grid.  Three named
+by the periodic trapezoid rule on an equispaced boundary grid.  Every
+transform only builds its kernel values p(z, t_j) (and, for the derivative
+and power-sum variants, a numerator in place of phi); the one sum and the
+one kernel-magnitude floor are :func:`_kernel_integral`.  Three named
 kernels matter downstream:
 
 * ``t - z``                       the classical Cauchy transform,
@@ -14,15 +17,16 @@ kernels matter downstream:
 * ``t^n - z_1 t^(n-1) + ...``     the coefficient-form kernel whose
                                   evaluation domain is the symmetric product.
 
-The module also provides the pointwise boundary multiplier used by the
-derivative factorization of the symmetrized transform, and the truncated
-near-singular integral whose growth rate in the truncation radius is the
-subject of one of the experiments.
+The module also provides the boundary weight used by the derivative
+factorization of the symmetrized transform, and the truncated near-singular
+integral whose growth rate in the truncation radius is the subject of one of
+the experiments; that integral keeps its own masked sum, since the floor
+would refuse the deliberately near-singular evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .errors import (
     WrongRegionError,
 )
 from .geometry import BoundaryGrid, classify_points, domain_diameter
-from .quadrature import periodic_trapezoid
 from .roots import derivative_coefficients, horner, monic_coefficients
 
 # Reject kernel evaluation when min_j |p(z, t_j)| falls below this factor
@@ -102,17 +105,22 @@ def product_eval(nodes, t) -> np.ndarray:
     return np.prod(t - w[..., None], axis=-2)
 
 
-def _kernel_floor(domain, degree: int) -> float:
-    return KERNEL_FLOOR * domain_diameter(domain) ** degree
+def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
+    """(2*pi*i)^{-1} * sum_j numerator_j * w_j / kern_j over the last axis.
 
-
-def _check_kernel(kernel_values: np.ndarray, domain, degree: int) -> None:
-    floor = _kernel_floor(domain, degree)
-    mins = np.abs(kernel_values).min(axis=-1)
+    ``kern`` holds the kernel values p(z, t_j), shape (..., M); ``numerator``
+    defaults to the boundary data.  Refuses with :class:`KernelProximityError`
+    when min_j |p(z, t_j)| of any row is at most
+    ``KERNEL_FLOOR * diameter^degree``.
+    """
+    floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
+    mins = np.abs(kern).min(axis=-1)
     if (mins <= floor).any():
         raise KernelProximityError(
             f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
         )
+    values = samples.values if numerator is None else numerator
+    return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
 
 
 def _require_roots_inside(domain, z) -> np.ndarray:
@@ -133,13 +141,6 @@ def _require_roots_inside(domain, z) -> np.ndarray:
 # Transforms
 # ---------------------------------------------------------------------------
 
-def generic_transform(kernel, samples: BoundarySamples, z, degree: int) -> complex:
-    """Transform with an arbitrary kernel callable ``kernel(z, t_nodes)``."""
-    kv = np.asarray(kernel(z, samples.grid.nodes), dtype=complex)
-    _check_kernel(kv, samples.grid.domain, degree)
-    return periodic_trapezoid(samples.values / kv, samples.grid.weights)
-
-
 def cauchy_transform(samples: BoundarySamples, z):
     """Cauchy transform at interior point(s) z.
 
@@ -153,8 +154,7 @@ def cauchy_transform(samples: BoundarySamples, z):
     labels = classify_points(domain, zs)   # also enforces the distance floor
     if (labels != 0).any():
         raise WrongRegionError(f"points not inside the domain: {zs[labels != 0][:3]}")
-    kern = samples.grid.nodes - zs[..., None]
-    out = (samples.values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
+    out = _kernel_integral(samples, samples.grid.nodes - zs[..., None], 1)
     return out if np.ndim(z) else complex(out[0])
 
 
@@ -174,9 +174,7 @@ def norlund_transform(samples: BoundarySamples, w):
     labels = classify_points(domain, flat)
     if (labels != 0).any():
         raise WrongRegionError(f"node coordinates outside the domain: {flat[labels != 0][:3]}")
-    kern = product_eval(ws, samples.grid.nodes)
-    _check_kernel(kern, domain, ws.shape[-1])
-    out = (samples.values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
+    out = _kernel_integral(samples, product_eval(ws, samples.grid.nodes), ws.shape[-1])
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -188,49 +186,31 @@ def symmetrized_transform(samples: BoundarySamples, z, check_region: bool = True
     the roots of the kernel polynomial are found and classified; evaluation
     is refused unless all of them lie inside the domain.
     """
-    domain = samples.grid.domain
     zs = np.asarray(z, dtype=complex)
-    single = zs.ndim == 1
-    zb = zs[None, :] if single else zs.reshape(-1, zs.shape[-1])
     if check_region:
-        _require_roots_inside(domain, zb)
-    kern = monic_eval(zb, samples.grid.nodes)
-    _check_kernel(kern, domain, zb.shape[-1])
-    out = (samples.values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
-    out = out.reshape(zs.shape[:-1])
-    return complex(out) if single else out
+        _require_roots_inside(samples.grid.domain, zs)
+    out = _kernel_integral(samples, monic_eval(zs, samples.grid.nodes), zs.shape[-1])
+    return complex(out) if zs.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
-# Boundary multiplier and the derivative factorization
+# The derivative factorization
 # ---------------------------------------------------------------------------
-
-def multiplier_values(gamma, arity: int, t) -> np.ndarray:
-    """Pointwise boundary multiplier (-1)^|g| * |g|! * t^(sum g_j (n-j)).
-
-    This is the multiplier in the stated form of the derivative
-    factorization; see :func:`derivative_weight_values` for the variant that
-    actually matches differentiation of the reciprocal kernel.
-    """
-    g = _validated_multiindex(gamma, arity)
-    order = int(g.sum())
-    expo = int((g * (arity - np.arange(1, arity + 1))).sum())
-    coeff = (-1.0) ** order * float(np.prod(np.arange(1, order + 1), initial=1.0))
-    return coeff * np.asarray(t, dtype=complex) ** expo
-
 
 def derivative_weight_values(gamma, arity: int, t) -> np.ndarray:
     """Numerator of the gamma-derivative of the reciprocal coefficient kernel.
 
     Differentiating 1/(t^n - z_1 t^(n-1) + ... ) in the coefficients gives
     (-1)^(|g| + sum j*g_j) * |g|! * t^(sum g_j (n-j)) over the kernel raised
-    to |g|+1; the extra (-1)^(sum j*g_j) relative to
-    :func:`multiplier_values` comes from the alternating signs in front of
-    the coefficients.
+    to |g|+1; the factor (-1)^(sum j*g_j) comes from the alternating signs
+    in front of the coefficients.
     """
     g = _validated_multiindex(gamma, arity)
+    order = int(g.sum())
+    expo = int((g * (arity - np.arange(1, arity + 1))).sum())
+    coeff = (-1.0) ** order * float(np.prod(np.arange(1, order + 1), initial=1.0))
     sign = (-1.0) ** int((np.arange(1, arity + 1) * g).sum())
-    return sign * multiplier_values(gamma, arity, t)
+    return sign * (coeff * np.asarray(t, dtype=complex) ** expo)
 
 
 def _validated_multiindex(gamma, arity: int) -> np.ndarray:
@@ -240,13 +220,6 @@ def _validated_multiindex(gamma, arity: int) -> np.ndarray:
     if (g < 0).any():
         raise ValueError("multi-index entries must be nonnegative")
     return g
-
-
-def apply_multiplier(samples: BoundarySamples, gamma, arity: int) -> BoundarySamples:
-    """Multiply boundary data pointwise by the stated multiplier."""
-    u = multiplier_values(gamma, arity, samples.grid.nodes)
-    return replace(samples, values=samples.values * u,
-                   description=f"{samples.description} * u{tuple(int(x) for x in gamma)}")
 
 
 def derivative_symmetrized(gamma, samples: BoundarySamples, z) -> complex:
@@ -268,8 +241,7 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z) -> complex:
         return symmetrized_transform(samples, z, check_region=False)
     values = samples.values * derivative_weight_values(g, n, samples.grid.nodes)
     kern = product_eval(roots, samples.grid.nodes) ** (order + 1)
-    _check_kernel(kern, domain, n * (order + 1))
-    return complex(periodic_trapezoid(values / kern, samples.grid.weights))
+    return complex(_kernel_integral(samples, kern, n * (order + 1), numerator=values))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +276,7 @@ def truncated_pv(samples: BoundarySamples, boundary_points, radius: float) -> co
     if not keep.any():
         raise DegenerateTruncationError("truncation removed every quadrature node")
     kern = product_eval(pts, grid.nodes[keep])
-    return complex(periodic_trapezoid(samples.values[keep] / kern, grid.weights[keep]))
+    return complex((samples.values[keep] / kern * grid.weights[keep]).sum(axis=-1) / (2.0j * np.pi))
 
 
 @dataclass(frozen=True)

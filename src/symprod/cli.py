@@ -88,6 +88,15 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["tol_scale"] = float(cfg["tol_scale"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric config value: {exc}") from exc
+    max_n = symmetric.MAX_PERMUTATION_ARITY if args.command == "loja" else symmetric.MAX_ROOT_ARITY
+    if not 1 <= cfg["n"] <= max_n:
+        raise ConfigError(f"n = {cfg['n']} outside 1..{max_n}")
+    if cfg["nodes"] < 16 or cfg["nodes"] % 2:
+        raise ConfigError(f"nodes = {cfg['nodes']} must be even and at least 16")
+    if cfg["samples"] < 1:
+        raise ConfigError(f"samples = {cfg['samples']} must be at least 1")
+    if not (np.isfinite(cfg["tol_scale"]) and cfg["tol_scale"] > 0):
+        raise ConfigError(f"tol_scale = {cfg['tol_scale']} must be finite and above 0")
     return cfg
 
 

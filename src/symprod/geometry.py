@@ -118,19 +118,24 @@ class BoundaryGrid:
     nodes_per_contour: int
 
 
-@functools.lru_cache(maxsize=256)
+# The per-contour caches are keyed by contour identity and every build_domain
+# makes new contours, so they keep only the last few (about 90 KB each).
+_CONTOUR_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def _dense_points(contour: Contour) -> np.ndarray:
     theta = np.linspace(0.0, TWO_PI, VALIDATION_GRID, endpoint=False)
     return np.asarray(contour.point(theta), dtype=complex)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def _dense_tangents(contour: Contour) -> np.ndarray:
     theta = np.linspace(0.0, TWO_PI, VALIDATION_GRID, endpoint=False)
     return np.asarray(contour.tangent(theta), dtype=complex)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def _diameter(contours: tuple[Contour, ...]) -> float:
     pts = np.concatenate([_dense_points(c) for c in contours])
     # The diameter is attained on the outer contour; a coarse subsample is
@@ -174,7 +179,7 @@ class _WindingGrid:
     sense: int
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def _winding_grid(contour: Contour) -> _WindingGrid:
     theta = np.linspace(0.0, TWO_PI, _WINDING_NODES, endpoint=False)
     nodes = np.asarray(contour.point(theta), dtype=complex)

@@ -1,9 +1,10 @@
 """Numerical integration kernels.
 
-Three pieces: the periodic trapezoid sum used for every contour integral,
-Gauss-Legendre rules on [0, 1], and tensor-product rules for the solid
-simplex obtained by an iterated Duffy-type change of variables from the
-unit cube.
+Two pieces: Gauss-Legendre rules on [0, 1], and tensor-product rules for
+the solid simplex obtained by an iterated Duffy-type change of variables
+from the unit cube.  The periodic trapezoid sum of the contour integrals
+lives with the kernels, as ``cauchy._kernel_integral``: the one sum and the
+one kernel-magnitude floor of every contour transform.
 
 A note on the simplex rules: the surface integral over the standard
 simplex {x >= 0, sum x = 1} in R^{d+1}, taken with d-dimensional surface
@@ -22,15 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SIMPLEX_ORDER = 16
-
-
-def periodic_trapezoid(values, weights) -> complex:
-    """(2*pi*i)^{-1} * sum(values * weights) for an oriented contour grid."""
-    values = np.asarray(values)
-    weights = np.asarray(weights)
-    if values.size == 0:
-        raise ValueError("empty sample list")
-    return complex((values * weights).sum(axis=-1) / (2.0j * np.pi))
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:

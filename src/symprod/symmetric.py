@@ -21,7 +21,7 @@ import numpy as np
 from . import roots as _roots
 from .cauchy import (
     BoundarySamples,
-    _check_kernel,
+    _kernel_integral,
     _require_roots_inside,
     monic_derivative_eval,
     monic_eval,
@@ -37,7 +37,6 @@ from .geometry import (
     interior_mask,
     sample_interior,
 )
-from .quadrature import periodic_trapezoid
 
 MAX_ROOT_ARITY = 12
 ROOT_TOL = 1e-10           # times (1 + max |coefficient|)
@@ -219,9 +218,11 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     """Sample tuple pairs and compare the quotient metric against the
     coefficient distance.
 
-    Half the pairs are independent uniform tuples; the other half perturb
-    one tuple at logarithmically spaced scales (these populate the
-    near-diagonal regime where the power law degenerates).  Reports the
+    ``(num_pairs // 2) // n`` pairs are independent uniform tuples (166 of
+    1000 at n = 3); the other ``num_pairs`` minus that many perturb one
+    tuple at logarithmically spaced scales (these populate the
+    near-diagonal regime where the power law degenerates), and perturbed
+    pairs that leave the domain are dropped.  Reports the
     largest ratio delta^exponent / |coefficient difference| (an empirical
     constant for the inequality), the violation count at that constant
     (zero by construction), and a log-log regression restricted to
@@ -386,31 +387,34 @@ def newton_map(p) -> np.ndarray:
     return e[..., 1:]
 
 
-def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: bool = True) -> complex:
+def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: bool = True):
     """Boundary integral of f^ell times the logarithmic derivative of the
     coefficient-form kernel; equals the ell-th power sum of f over the
-    kernel roots by residue calculus."""
+    kernel roots by residue calculus.
+
+    ``z`` has shape (..., n); a single tuple gives a complex scalar, a batch
+    an array of shape ``z.shape[:-1]``.
+    """
     if ell < 1:
         raise ValueError("power must be >= 1")
     z = np.asarray(z, dtype=complex)
-    domain = f_samples.grid.domain
     if check_region:
-        _require_roots_inside(domain, z)
+        _require_roots_inside(f_samples.grid.domain, z)
     t = f_samples.grid.nodes
-    q = monic_eval(z, t)
-    _check_kernel(q, domain, z.shape[-1])
-    qp = monic_derivative_eval(z, t)
-    integrand = (f_samples.values**ell) * qp / q
-    return complex(periodic_trapezoid(integrand, f_samples.grid.weights))
+    numerator = (f_samples.values**ell) * monic_derivative_eval(z, t)
+    out = _kernel_integral(f_samples, monic_eval(z, t), z.shape[-1], numerator=numerator)
+    return complex(out) if z.ndim == 1 else out
 
 
 def symmetric_power_map(f_samples: BoundarySamples, z, check_region: bool = True) -> np.ndarray:
     """Induced map on the symmetric product through boundary integrals:
     power sums of f over the kernel roots, pushed through Newton's
-    identities back to coefficient coordinates."""
+    identities back to coefficient coordinates.  ``z`` has shape (..., n)
+    and so has the result."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
     if check_region:
         _require_roots_inside(f_samples.grid.domain, z)
-    ps = np.array([power_sum_transform(f_samples, ell, z, check_region=False) for ell in range(1, n + 1)])
+    ps = np.stack([power_sum_transform(f_samples, ell, z, check_region=False)
+                   for ell in range(1, n + 1)], axis=-1)
     return newton_map(ps)

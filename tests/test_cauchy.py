@@ -28,32 +28,14 @@ def test_boundary_samples_length_checked(grids):
         sp.BoundarySamples(grid=grid, values=np.zeros(3, dtype=complex))
 
 
-def test_generic_transform_cauchy_kernel(grids):
-    _, grid = grids
-    ones = phi_samples(grid, catalog.monomial_phi(0))
-    val = sp.generic_transform(lambda z, t: t - z, ones, 0.0, degree=1)
-    assert abs(val - 1.0) < 1e-12
-
-
-def test_generic_transform_two_node_kernel(grids):
-    _, grid = grids
-    ones = phi_samples(grid, catalog.monomial_phi(0))
-    val = sp.generic_transform(lambda z, t: (t - z[0]) * (t - z[1]), ones, (0.0, 0.5), degree=2)
-    # residues 1/(z1-z2) + 1/(z2-z1) cancel
-    assert abs(val) < 1e-12
-
-
-def test_generic_transform_pole_data(grids):
-    _, grid = grids
-    inv = phi_samples(grid, catalog.pole_phi(0.0))  # phi(t) = 1/t
-    val = sp.generic_transform(lambda z, t: t - z, inv, 0.5, degree=1)
-    assert abs(val) < 1e-12
-
-
 def test_cauchy_transform_reproduces_cube(grids):
     _, grid = grids
     cube = phi_samples(grid, catalog.monomial_phi(3))
     assert abs(sp.cauchy_transform(cube, 0.2) - 0.008) < 1e-12
+    # the contour integrals of 1/t and of t: the constant 1 and t^2 at 0
+    ones = phi_samples(grid, catalog.monomial_phi(0))
+    assert abs(sp.cauchy_transform(ones, 0.0) - 1.0) < 1e-12
+    assert abs(sp.cauchy_transform(phi_samples(grid, catalog.monomial_phi(2)), 0.0)) < 1e-12
 
 
 def test_cauchy_transform_pole(grids):
@@ -66,6 +48,9 @@ def test_cauchy_transform_conj_trace(grids):
     _, grid = grids
     conj = phi_samples(grid, catalog.conj_phi())
     assert abs(sp.cauchy_transform(conj, 0.5)) < 1e-12
+    # 1/t, the same trace written as pole data, has no interior part either
+    inv = phi_samples(grid, catalog.pole_phi(0.0))
+    assert abs(sp.cauchy_transform(inv, 0.5)) < 1e-12
 
 
 def test_cauchy_transform_rejects_exterior(grids):
@@ -89,6 +74,9 @@ def test_norlund_square_data(grids):
     _, grid = grids
     sq = phi_samples(grid, catalog.monomial_phi(2))
     assert abs(sp.norlund_transform(sq, np.array([0.1, 0.2])) - 0.3) < 1e-12
+    # constant data: the residues 1/(w1-w2) and 1/(w2-w1) cancel
+    ones = phi_samples(grid, catalog.monomial_phi(0))
+    assert abs(sp.norlund_transform(ones, np.array([0.0, 0.5]))) < 1e-12
 
 
 def test_norlund_pole_data(grids):
@@ -144,27 +132,6 @@ def test_factorization_identity_batch(grids, rng):
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
-def test_apply_multiplier_identity(grids):
-    _, grid = grids
-    sq = phi_samples(grid, catalog.monomial_phi(2))
-    out = sp.apply_multiplier(sq, (0, 0), 2)
-    assert np.array_equal(out.values, sq.values)
-
-
-def test_apply_multiplier_first_coefficient(grids):
-    _, grid = grids
-    sq = phi_samples(grid, catalog.monomial_phi(2))
-    out = sp.apply_multiplier(sq, (1, 0), 2)
-    assert np.allclose(out.values, -grid.nodes * sq.values)
-
-
-def test_apply_multiplier_second_coefficient(grids):
-    _, grid = grids
-    sq = phi_samples(grid, catalog.monomial_phi(2))
-    out = sp.apply_multiplier(sq, (0, 1), 2)
-    assert np.allclose(out.values, -sq.values)
-
-
 def test_derivative_zeroth_order(grids):
     _, grid = grids
     sq = phi_samples(grid, catalog.monomial_phi(2))
@@ -179,6 +146,10 @@ def test_derivative_classical(grids):
     sq = phi_samples(grid, catalog.monomial_phi(2))
     got = sp.derivative_symmetrized((1,), sq, np.array([0.3]))
     assert abs(got - 0.6) < 1e-12
+    # constant data on 128 nodes: the contour integral of (t - 1/2)^-2 vanishes
+    coarse = sp.sample_boundary(sp.disc(0, 1), 128)
+    ones = phi_samples(coarse, catalog.monomial_phi(0))
+    assert abs(sp.derivative_symmetrized((1,), ones, np.array([0.5]))) < 1e-10
 
 
 def test_derivative_matches_finite_difference(grids):
@@ -236,6 +207,10 @@ def test_kernel_floor_rejection(grids):
     z = sp.symmetrize(np.array([0.99995, 0.1]))
     with pytest.raises(KernelProximityError):
         sp.symmetrized_transform(sq, z, check_region=False)
+    # the Cauchy kernel has the same floor (degree 1): 1e-4 from the circle
+    # its quadrature error would be about 40
+    with pytest.raises(KernelProximityError):
+        sp.cauchy_transform(sq, 1.0 - 1e-4)
 
 
 def test_reproduction_on_annulus(annulus_domain):
@@ -273,3 +248,42 @@ def test_pole_range_identity(grids, rng):
             inv = 1.0 / (w - a)
             expected = (-1.0) ** (n - 1) * np.prod(inv) * sp.complete_symmetric(r - 1, n, inv)
             assert abs(got - expected) < 1e-10, (n, r)
+
+
+_ORACLE_TUPLES = (np.array([0.1 + 0.2j, -0.3 + 0.05j]), np.array([0.45 - 0.3j, -0.2 - 0.4j]))
+
+
+@pytest.mark.parametrize("transform", ["cauchy", "norlund", "symmetrized", "derivative", "power_sum"])
+@pytest.mark.parametrize("w", _ORACLE_TUPLES, ids=["near-centre", "off-centre"])
+def test_transform_sum_matches_mpmath(grids, transform, w):
+    # The same 256-term trapezoid sum, each term built from the float nodes,
+    # weights and data but evaluated at 30 digits: the float result may
+    # differ from it by rounding only.
+    mpmath = pytest.importorskip("mpmath")
+    _, grid = grids
+    pole = phi_samples(grid, catalog.pole_phi(3.0))
+    z = sp.symmetrize(w)
+    with mpmath.workdps(30):
+        t = [mpmath.mpc(x) for x in grid.nodes]
+        phi = [mpmath.mpc(x) for x in pole.values]
+        w0, w1 = (mpmath.mpc(x) for x in w)
+        z1, z2 = (mpmath.mpc(x) for x in z)
+        if transform == "cauchy":
+            got = sp.cauchy_transform(pole, w[0])
+            terms = [p / (tj - w0) for p, tj in zip(phi, t)]
+        elif transform == "norlund":
+            got = sp.norlund_transform(pole, w)
+            terms = [p / ((tj - w0) * (tj - w1)) for p, tj in zip(phi, t)]
+        elif transform == "symmetrized":
+            got = sp.symmetrized_transform(pole, z)
+            terms = [p / (tj**2 - z1 * tj + z2) for p, tj in zip(phi, t)]
+        elif transform == "derivative":
+            # d^2/dz1 dz2 of 1/(t^2 - z1 t + z2) is -2t / (t^2 - z1 t + z2)^3
+            got = sp.derivative_symmetrized((1, 1), pole, z)
+            terms = [-2 * p * tj / ((tj - w0) * (tj - w1)) ** 3 for p, tj in zip(phi, t)]
+        else:
+            got = sp.power_sum_transform(pole, 2, z)
+            terms = [p**2 * (2 * tj - z1) / (tj**2 - z1 * tj + z2) for p, tj in zip(phi, t)]
+        ref = mpmath.fsum(term * mpmath.mpc(wt) for term, wt in zip(terms, grid.weights))
+        ref = complex(ref / (2j * mpmath.pi))
+    assert abs(got - ref) <= 1e-13 * abs(ref)

@@ -182,14 +182,33 @@ def test_identities_n3(tmp_path):
         assert entry["passed"]
 
 
-@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
-def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor):
+@pytest.mark.parametrize(
+    "descriptor, n",
+    [pytest.param(d, 2, id=d) for d in README_DESCRIPTORS]
+    + [pytest.param("disc 5 5 1", 3, id="disc 5 5 1-3")],
+)
+def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor, n):
     # The check tuples are drawn inside the source domain, whatever its shape.
+    # Off the origin the image coefficients reach |w|^(2n) (~3e5 for the
+    # shifted disc at n = 3), so the agreement is relative to their size.
     out = tmp_path / "pm"
-    code = run(["propermap", "--domain", descriptor, "--n", "2", "--samples", "1000",
+    code = run(["propermap", "--domain", descriptor, "--n", str(n), "--samples", "1000",
                 "--out", str(out)])
     assert code == 0
     assert _read_report(out)["results"]["route_agreement"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--n", "0"],
+    ["transform", "--nodes", "3"],
+    ["loja", "--n", "9"],
+    ["components", "--samples", "0"],
+    ["identities", "--tol-scale", "nan"],
+])
+def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 def test_sampling_failure_exits_1(tmp_path, capsys):

@@ -28,9 +28,15 @@ def test_identity_map_fixed_points(disc, rng):
     spec = ProperMapSpec(source=disc, fun=catalog.identity_function(), arity=2)
     w = 0.8 * (rng.random(2) - 0.5) + 0.8j * (rng.random(2) - 0.5)
     z = sp.symmetrize(w)
+    zb = sp.symmetrize(0.8 * (rng.random((3, 5, 2)) - 0.5) + 0.8j * (rng.random((3, 5, 2)) - 0.5))
     for route in ("roots", "integral"):
         got = sp.evaluate_proper_map(spec, z, route=route)
         assert np.abs(got - z).max() < 1e-9
+        # a (3, 5, 2) batch gives the row-by-row images in the input's shape
+        got = sp.evaluate_proper_map(spec, zb, route=route)
+        rows = [sp.evaluate_proper_map(spec, row, route=route) for row in zb.reshape(-1, 2)]
+        assert got.shape == zb.shape
+        assert np.abs(got.reshape(-1, 2) - rows).max() <= 1e-14
 
 
 def test_square_map_by_hand(disc):

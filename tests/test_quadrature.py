@@ -8,26 +8,6 @@ import symprod as sp
 from symprod.quadrature import simplex_moment
 
 
-def test_periodic_trapezoid_cauchy_formula(disc_grid):
-    val = sp.periodic_trapezoid(1.0 / disc_grid.nodes, disc_grid.weights)
-    assert abs(val - 1.0) < 1e-12
-
-
-def test_periodic_trapezoid_entire(disc_grid):
-    assert abs(sp.periodic_trapezoid(disc_grid.nodes, disc_grid.weights)) < 1e-12
-
-
-def test_periodic_trapezoid_derivative_kernel():
-    grid = sp.sample_boundary(sp.disc(0, 1), 128)
-    val = sp.periodic_trapezoid(1.0 / (grid.nodes - 0.5) ** 2, grid.weights)
-    assert abs(val) < 1e-10
-
-
-def test_periodic_trapezoid_empty():
-    with pytest.raises(ValueError):
-        sp.periodic_trapezoid(np.array([]), np.array([]))
-
-
 def test_gauss_legendre_order_one():
     x, w = sp.gauss_legendre(1)
     assert np.allclose(x, [0.5]) and np.allclose(w, [1.0])
@@ -87,11 +67,10 @@ def test_simplex_monomial_moments(d):
 def test_trapezoid_spectral_convergence():
     # error on an analytic integrand at least halves as N doubles
     domain = sp.disc(0, 1)
-    exact = 1.0 / (0.3 - 0.5)  # Cauchy formula for phi(t) = 1/(t - 0.5)... poles
     errors = []
     for n in (16, 32, 64, 128, 256):
-        grid = sp.sample_boundary(domain, n)
-        val = sp.periodic_trapezoid(1.0 / ((grid.nodes - 0.5) * (grid.nodes - 0.3)), grid.weights)
+        ones = sp.boundary_samples(sp.sample_boundary(domain, n), lambda t, theta: np.ones_like(t))
+        val = sp.norlund_transform(ones, np.array([0.5, 0.3]))
         # residues at 0.5 and 0.3 give 1/(0.5-0.3) + 1/(0.3-0.5) = 0
         errors.append(abs(val))
     for a, b in zip(errors, errors[1:]):

@@ -210,6 +210,14 @@ def test_power_sum_matches_roots(disc_grid, rng):
             got = sp.power_sum_transform(samples, ell, z, check_region=False)
             ref = (fun(w) ** ell).sum()
             assert abs(got - ref) <= 1e-9
+        # a (2, 4, n) batch gives the row-by-row values in the leading shape
+        wb = 0.6 * (rng.random((2, 4, n)) - 0.5) + 0.6j * (rng.random((2, 4, n)) - 0.5)
+        zb = sp.symmetrize(wb)
+        for ell in range(1, n + 1):
+            got = sp.power_sum_transform(samples, ell, zb)
+            rows = [sp.power_sum_transform(samples, ell, row) for row in zb.reshape(-1, n)]
+            assert got.shape == (2, 4)
+            assert np.abs(got.reshape(-1) - rows).max() <= 1e-14
 
 
 def test_symmetric_power_map_identity(disc_grid, rng):
@@ -218,6 +226,11 @@ def test_symmetric_power_map_identity(disc_grid, rng):
     z = sp.symmetrize(w)
     got = sp.symmetric_power_map(ident, z, check_region=False)
     assert np.abs(got - z).max() < 1e-10
+    zb = sp.symmetrize(0.7 * (rng.random((2, 4, 3)) - 0.5) + 0.7j * (rng.random((2, 4, 3)) - 0.5))
+    got = sp.symmetric_power_map(ident, zb)
+    rows = [sp.symmetric_power_map(ident, row) for row in zb.reshape(-1, 3)]
+    assert got.shape == zb.shape
+    assert np.abs(got.reshape(-1, 3) - rows).max() <= 1e-14
 
 
 def test_symmetric_power_map_square(disc_grid):
