@@ -8,6 +8,32 @@ import symprod as sp
 from symprod.quadrature import simplex_moment
 
 
+# The periodic trapezoid rule is the sum of every contour transform.
+
+
+def _ones(grid):
+    return sp.boundary_samples(grid, lambda t, theta: np.ones_like(t))
+
+
+def test_periodic_trapezoid_cauchy_formula(disc_grid):
+    # the contour integral of 1/t
+    val = sp.cauchy_transform(_ones(disc_grid), 0.0)
+    assert abs(val - 1.0) < 1e-12
+
+
+def test_periodic_trapezoid_entire(disc_grid):
+    # the contour integral of t, written as t^2 / (t - 0)
+    sq = sp.boundary_samples(disc_grid, lambda t, theta: t**2)
+    assert abs(sp.cauchy_transform(sq, 0.0)) < 1e-12
+
+
+def test_periodic_trapezoid_derivative_kernel():
+    # the contour integral of (t - 1/2)^-2 on 128 nodes
+    grid = sp.sample_boundary(sp.disc(0, 1), 128)
+    val = sp.derivative_symmetrized((1,), _ones(grid), np.array([0.5]))
+    assert abs(val) < 1e-10
+
+
 def test_gauss_legendre_order_one():
     x, w = sp.gauss_legendre(1)
     assert np.allclose(x, [0.5]) and np.allclose(w, [1.0])
@@ -69,7 +95,7 @@ def test_trapezoid_spectral_convergence():
     domain = sp.disc(0, 1)
     errors = []
     for n in (16, 32, 64, 128, 256):
-        ones = sp.boundary_samples(sp.sample_boundary(domain, n), lambda t, theta: np.ones_like(t))
+        ones = _ones(sp.sample_boundary(domain, n))
         val = sp.norlund_transform(ones, np.array([0.5, 0.3]))
         # residues at 0.5 and 0.3 give 1/(0.5-0.3) + 1/(0.3-0.5) = 0
         errors.append(abs(val))
