@@ -400,10 +400,19 @@ def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: b
     z = np.asarray(z, dtype=complex)
     if check_region:
         _require_roots_inside(f_samples.grid.domain, z)
-    t = f_samples.grid.nodes
-    numerator = (f_samples.values**ell) * monic_derivative_eval(z, t)
-    out = _kernel_integral(f_samples, monic_eval(z, t), z.shape[-1], numerator=numerator)
+    out = _power_sum_integrals(f_samples, z, [ell])[..., 0]
     return complex(out) if z.ndim == 1 else out
+
+
+def _power_sum_integrals(f_samples: BoundarySamples, z: np.ndarray, ells) -> np.ndarray:
+    """The power-sum integrals of ``z`` (..., n) for every power in ``ells``,
+    stacked on a last axis: one kernel evaluation, one checked sum over a
+    numerator f^ell * q' of shape (..., len(ells), M)."""
+    t = f_samples.grid.nodes
+    powers = np.stack([f_samples.values**ell for ell in ells])
+    numerator = powers * monic_derivative_eval(z, t)[..., None, :]
+    return _kernel_integral(f_samples, monic_eval(z, t)[..., None, :], z.shape[-1],
+                            numerator=numerator)
 
 
 def symmetric_power_map(f_samples: BoundarySamples, z, check_region: bool = True) -> np.ndarray:
@@ -415,6 +424,4 @@ def symmetric_power_map(f_samples: BoundarySamples, z, check_region: bool = True
     n = z.shape[-1]
     if check_region:
         _require_roots_inside(f_samples.grid.domain, z)
-    ps = np.stack([power_sum_transform(f_samples, ell, z, check_region=False)
-                   for ell in range(1, n + 1)], axis=-1)
-    return newton_map(ps)
+    return newton_map(_power_sum_integrals(f_samples, z, range(1, n + 1)))

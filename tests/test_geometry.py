@@ -138,13 +138,14 @@ def test_nonconvergent_for_wild_point(unit_disc):
         sp.classify_point(unit_disc, 1.0 + 5e-7j)
 
 
-def test_figure_eight_rejected():
+def test_figure_eight_rejected(simple_verdict):
     crossing = sp.geometry.Contour(
         point=lambda t: np.sin(t) + 0.5j * np.sin(2 * t),
         tangent=lambda t: np.cos(t) + 1j * np.cos(2 * t),
     )
     with pytest.raises(InvalidGeometryError, match="self-intersects"):
         sp.geometry.composite(crossing)
+    assert "self-intersects" in simple_verdict(crossing)
 
 
 README_DESCRIPTORS = [
@@ -226,3 +227,78 @@ def test_interior_mask_below_the_floor(unit_disc):
     # A point under the classification floor is masked out, not refused.
     w = np.array([0.0, 1.0 - 1e-8, 2.0])
     assert sp.interior_mask(unit_disc, w, 0.0).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_check_simple_matches_reference_on_readme_contours(descriptor, simple_verdict):
+    for contour in sp.build_domain(descriptor).contours:
+        assert simple_verdict(contour) is None
+
+
+def _radial(c, arms):
+    """r(theta) = 1 + c * cos(arms * theta), with no regularity check."""
+    def point(th):
+        return (1.0 + c * np.cos(arms * th)) * np.exp(1j * th)
+
+    def tangent(th):
+        return (-c * arms * np.sin(arms * th) + 1j * (1.0 + c * np.cos(arms * th))) * np.exp(1j * th)
+
+    return sp.geometry.Contour(point, tangent)
+
+
+def _neck(delta):
+    """Peanut x = cos t, y = sin t * (delta + (1 - delta) cos^2 t): its neck
+    is 2 * delta wide while the parametrization speed stays near 1."""
+    def point(t):
+        return np.cos(t) + 1j * np.sin(t) * (delta + (1 - delta) * np.cos(t) ** 2)
+
+    def tangent(t):
+        c, s = np.cos(t), np.sin(t)
+        return -s + 1j * (c * (delta + (1 - delta) * c**2) - 2 * (1 - delta) * s**2 * c)
+
+    return sp.geometry.Contour(point, tangent)
+
+
+_CONTOUR_FAMILIES = {
+    # The band of 8 samples spans too little arc at the tips of thin
+    # ellipses, so the check refuses b/a below about 0.25.
+    "ellipse": [sp.geometry.ellipse_contour(0, 1, b) for b in np.geomspace(1e-3, 0.5, 25)],
+    "star": [sp.geometry.star_contour(1, 0.999 / (m * m - 1), m) for m in (2, 3, 5, 8)],
+    "radial": [_radial(c, 2) for c in np.linspace(0.1, 0.95, 10)],
+    "neck": [_neck(d) for d in np.geomspace(1e-4, 0.1, 16)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CONTOUR_FAMILIES))
+def test_check_simple_matches_reference_on_families(family, simple_verdict):
+    accepted = {simple_verdict(c) is None for c in _CONTOUR_FAMILIES[family]}
+    # Every family but the stars crosses from rejected to accepted.
+    assert accepted == ({True} if family == "star" else {True, False})
+
+
+def _lattice_walk(moves: str):
+    """Closed polygon with one validation sample per lattice point of a walk
+    of unit steps (R, L, U, D) of length 2**-9, so every sample spacing and
+    every axis-aligned distance is exact."""
+    assert len(moves) == sp.geometry.VALIDATION_GRID
+    step = {"R": 1, "L": -1, "U": 1j, "D": -1j}
+    walk = np.array([step[c] for c in moves])
+    assert walk.sum() == 0
+    table = np.concatenate([[0], np.cumsum(walk[:-1])]) * 2.0**-9
+    forward = walk * 2.0**-9 * len(moves) / (2 * np.pi)
+
+    def at(theta):
+        return np.rint(np.asarray(theta) * len(moves) / (2 * np.pi)).astype(int) % len(moves)
+
+    return sp.geometry.Contour(lambda th: table[at(th)], lambda th: forward[at(th)])
+
+
+def test_check_simple_threshold_and_band_edges(simple_verdict):
+    # floor = 2 * step exactly.  An L shape whose lower arm is two steps
+    # thick puts many far pairs exactly at the floor: not closer than it.
+    ell = _lattice_walk("R" * 600 + "U" * 2 + "L" * 300 + "U" * 422 + "L" * 300 + "D" * 424)
+    assert simple_verdict(ell) is None
+    # A one-step tab at a corner puts one pair 8 samples apart (the first
+    # index gap outside the band) sqrt(2) steps apart.
+    tab = _lattice_walk("R" * 600 + "U" + "L" * 3 + "U" * 423 + "L" * 597 + "D" * 424)
+    assert "self-intersects" in simple_verdict(tab)
