@@ -314,7 +314,7 @@ def _cmd_propermap(cfg: dict, out: Path) -> int:
     domain = geometry.build_domain(cfg["domain"])
     fun = propermap.parse_proper_map(cfg["propermap"])
     spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
-    cfg = dict(cfg, samples=max(cfg["samples"], 1000))
+    cfg = dict(cfg, samples=min(max(cfg["samples"], 1000), propermap.MAX_REGULARITY_SAMPLES))
     agreement = propermap.route_agreement(spec, count=100, seed=cfg["seed"], nodes=cfg["nodes"])
     experiment = propermap.boundary_regularity_experiment(
         spec, num_samples=cfg["samples"], seed=cfg["seed"])

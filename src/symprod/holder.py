@@ -7,6 +7,11 @@ per-bin means systematically underestimate roughness) and regresses the log
 of those maxima on the log bin center.  Estimates are lower-bound flavored:
 theory gives lower bounds on regularity, so "observed exponent at or above
 the predicted one" is the pass direction.
+
+A field may carry k value columns over one point cloud, values of shape
+(m, k), as the components of a map do.  One pass over the pairs then
+serves every column: distances, bins and pair counts are computed once per
+block, and only |df| and the per-bin maxima are kept per column.
 """
 
 from __future__ import annotations
@@ -37,7 +42,9 @@ class SampledField:
 
     ``points`` may be a real array of shape (m, d), a complex vector of
     shape (m,), or a complex array of shape (m, k); complex data is viewed
-    as pairs of real coordinates.  ``metadata`` records provenance.
+    as pairs of real coordinates.  ``values`` has shape (m,), or (m, k) for
+    k value columns (real or complex) over the same points.  ``metadata``
+    records provenance.
     """
 
     points: np.ndarray
@@ -46,9 +53,13 @@ class SampledField:
 
     def __post_init__(self):
         pts = real_coordinates(self.points)
-        if len(pts) != len(self.values):
+        values = np.asarray(self.values)
+        if values.ndim not in (1, 2) or values.shape[1:] == (0,):
+            raise ValueError(f"values must have shape (m,) or (m, k) with k >= 1, "
+                             f"not {values.shape}")
+        if len(pts) != len(values):
             raise ValueError("points and values differ in length")
-        if not (np.isfinite(pts).all() and np.isfinite(self.values).all()):
+        if not (np.isfinite(pts).all() and np.isfinite(values).all()):
             raise ValueError("points and values must be finite")
 
     @property
@@ -71,16 +82,17 @@ def real_coordinates(points) -> np.ndarray:
 
 
 def _cloud(fld: SampledField) -> tuple[np.ndarray, np.ndarray]:
+    """Real coordinates (m, d) and the value columns (k, m) of a field."""
     coords = fld.coords
     if len(coords) < 2:
         raise ValueError("need at least two points")
     if len(coords) > MAX_POINTS:
         raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
-    return coords, np.asarray(fld.values)
+    return coords, np.asarray(fld.values).reshape(len(coords), -1).T
 
 
-def _pair_blocks(coords: np.ndarray, values: np.ndarray):
-    """Upper-triangle pair blocks ``(i0, d, dv)`` of distances and |df|.
+def _pair_blocks(coords: np.ndarray, columns: np.ndarray):
+    """Upper-triangle pair blocks ``(i0, d, dvs)`` of distances and |df|.
 
     Entry (r, c) of a block is the pair (i0 + r, i0 + 1 + c): a few rows
     against the columns ``i0 + 1:``, about ``_BLOCK_ENTRIES`` entries in
@@ -90,6 +102,10 @@ def _pair_blocks(coords: np.ndarray, values: np.ndarray):
     the distance of the pair (i0 + r, i0 + r + 1) with |df| = 0.  Maxima and
     minima over a whole block are therefore those over its pairs; counts
     must skip c < r.
+
+    ``columns`` holds k value columns, shape (k, m); ``dvs`` yields the |df|
+    block of each column in turn, on the entries of ``d``, so one column's
+    block is alive at a time.
     """
     m = len(coords)
     cols = np.ascontiguousarray(coords.T)
@@ -106,16 +122,27 @@ def _pair_blocks(coords: np.ndarray, values: np.ndarray):
         d[r, r - 1] = d[r, r]
         if d.min() == 0:
             raise ValueError("points must be pairwise distinct")
-        yield i0, d, np.abs(np.subtract.outer(values[i0:i1], values[i0 + 1:]))
+        yield i0, d, _column_diffs(columns, i0, i1)
+
+
+def _column_diffs(columns: np.ndarray, i0: int, i1: int):
+    """|df| blocks, rows ``i0:i1`` against ``i0 + 1:``, one column at a time."""
+    for v in columns:
+        yield np.abs(np.subtract.outer(v[i0:i1], v[i0 + 1:]))
 
 
 def holder_seminorm(fld: SampledField, alpha: float) -> float:
-    """Exact discrete sup of |df| / |dx|^alpha over all point pairs."""
+    """Exact discrete sup of |df| / |dx|^alpha over all point pairs.
+
+    For (m, k) values |df| is the largest change of any one column.
+    """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     worst = 0.0
-    for _, d, dv in _pair_blocks(*_cloud(fld)):
-        worst = max(worst, float((dv / d**alpha).max(initial=0.0)))
+    for _, d, dvs in _pair_blocks(*_cloud(fld)):
+        scale = d**alpha
+        for dv in dvs:
+            worst = max(worst, float((dv / scale).max(initial=0.0)))
     return worst
 
 
@@ -141,33 +168,40 @@ def _pair_table(fld: SampledField):
     attains it; both are 0 where |df| is 0 throughout.  The edges are
     known only after the pass, so the pass gathers its counts and maxima
     in fixed slots, one per frexp exponent of d, and folds them at the end.
+
+    For (m, k) values the one pass serves all k columns: edges and counts
+    are shared, and ``maxima`` and ``argdist`` have one row per column,
+    shape (k, bins); each row equals the table of that column alone.
     """
-    coords, values = _cloud(fld)
-    m = len(coords)
+    coords, columns = _cloud(fld)
+    m, k = len(coords), len(columns)
     counts = np.zeros(_SLOTS, dtype=int)
-    maxima = np.zeros(_SLOTS)
-    argdist = np.zeros(_SLOTS)
-    rank = np.zeros(_SLOTS, dtype=int)          # i * m + j of the argdist pair
+    maxima = np.zeros((k, _SLOTS))
+    argdist = np.zeros((k, _SLOTS))
+    rank = np.zeros((k, _SLOTS), dtype=int)     # i * m + j of the argdist pair
     dmin, dmax = np.inf, 0.0
-    for i0, d, dv in _pair_blocks(coords, values):
+    for i0, d, dvs in _pair_blocks(coords, columns):
         dmin, dmax = min(dmin, float(d.min())), max(dmax, float(d.max()))
         slot = np.frexp(d)[1].astype(np.intp)
         slot += _SLOT0
         slot[:, :len(d)][np.tri(len(d), k=-1, dtype=bool)] = _DUMP
-        slot, d, dv = slot.ravel(), d.ravel(), dv.ravel()
+        slot, d = slot.ravel(), d.ravel()
         counts += np.bincount(slot, minlength=_SLOTS)
-        top = np.zeros(_SLOTS)
-        np.maximum.at(top, slot, dv)
-        top[_DUMP] = 0.0
-        # Only strictly larger maxima replace, so ties keep the earlier
-        # block; in a block the first hit in row-major order is the first pair.
-        target = np.where(top > maxima, top, np.nan)
-        hits = np.flatnonzero(dv == target[slot])
-        won, first = np.unique(slot[hits], return_index=True)
-        row, col = np.divmod(hits[first], m - 1 - i0)
-        maxima[won] = top[won]
-        argdist[won] = d[hits[first]]
-        rank[won] = (i0 + row) * m + i0 + 1 + col
+        for dv, mx, ad, rk in zip(dvs, maxima, argdist, rank):
+            dv = dv.ravel()
+            top = np.zeros(_SLOTS)
+            np.maximum.at(top, slot, dv)
+            top[_DUMP] = 0.0
+            # Only strictly larger maxima replace, so ties keep the earlier
+            # block; in a block the first hit in row-major order is the
+            # first pair.
+            target = np.where(top > mx, top, np.nan)
+            hits = np.flatnonzero(dv == target[slot])
+            won, first = np.unique(slot[hits], return_index=True)
+            row, col = np.divmod(hits[first], m - 1 - i0)
+            mx[won] = top[won]
+            ad[won] = d[hits[first]]
+            rk[won] = (i0 + row) * m + i0 + 1 + col
     lo = int(np.floor(np.log2(dmin)))
     hi = max(int(np.ceil(np.log2(dmax))), lo + 1)
     # Slot s holds 2**(s - _SLOT0 - 1) <= d < 2**(s - _SLOT0).  Per bin the
@@ -175,33 +209,41 @@ def _pair_table(fld: SampledField):
     # pair; it leads its bin's run once the slots are sorted that way.
     used = np.flatnonzero(counts[:_DUMP])
     bins = np.clip(used - (_SLOT0 + 1 + lo), 0, hi - lo - 1)
-    order = np.lexsort((rank[used], -maxima[used], bins))
-    used, bins = used[order], bins[order]
-    lead = np.flatnonzero(np.diff(bins, prepend=-1))
     bin_counts = np.zeros(hi - lo, dtype=int)
     np.add.at(bin_counts, bins, counts[used])
-    bin_maxima, bin_argdist = np.zeros(hi - lo), np.zeros(hi - lo)
-    bin_maxima[bins[lead]] = maxima[used[lead]]
-    bin_argdist[bins[lead]] = argdist[used[lead]]
+    bin_maxima, bin_argdist = np.zeros((k, hi - lo)), np.zeros((k, hi - lo))
+    for mx, ad, rk, bmx, bad in zip(maxima, argdist, rank, bin_maxima, bin_argdist):
+        order = np.lexsort((rk[used], -mx[used], bins))
+        lead = order[np.flatnonzero(np.diff(bins[order], prepend=-1))]
+        bmx[bins[lead]] = mx[used[lead]]
+        bad[bins[lead]] = ad[used[lead]]
+    if np.ndim(fld.values) == 1:
+        bin_maxima, bin_argdist = bin_maxima[0], bin_argdist[0]
     return 2.0 ** np.arange(lo, hi + 1), bin_counts, bin_maxima, bin_argdist
 
 
 def pair_statistics(fld: SampledField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dyadic bin table: (bin_lo, bin_hi, pair_count, max_diff)."""
+    """Dyadic bin table: (bin_lo, bin_hi, pair_count, max_diff); for (m, k)
+    values ``max_diff`` has one row per column."""
     edges, counts, maxima, _ = _pair_table(fld)
     return edges[:-1], edges[1:], counts, maxima
 
 
-def estimate_exponent(fld: SampledField) -> ExponentFit:
+def estimate_exponent(fld: SampledField) -> ExponentFit | tuple[ExponentFit, ...]:
     """Empirical Holder exponent from per-bin maxima of |df|.
 
     The regression abscissa for each bin is the distance of the pair that
     attains the bin maximum, which removes the bias of partially covered
-    edge bins.
+    edge bins.  For (m, k) values the k columns share one pass over the
+    pairs, and the result is a tuple of k fits, one per column, each equal
+    to the fit of that column alone.
     """
     if len(fld.coords) < MIN_POINTS_FOR_FIT:
         raise ValueError(f"need at least {MIN_POINTS_FOR_FIT} points")
-    return _fit_table(*_pair_table(fld))
+    edges, counts, maxima, argdist = _pair_table(fld)
+    if np.ndim(fld.values) == 1:
+        return _fit_table(edges, counts, maxima, argdist)
+    return tuple(_fit_table(edges, counts, mx, ad) for mx, ad in zip(maxima, argdist))
 
 
 def _fit_table(edges, counts, maxima, argdist) -> ExponentFit:

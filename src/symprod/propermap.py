@@ -30,6 +30,10 @@ from .geometry import DomainBoundary, domain_diameter, sample_boundary, sample_i
 from .holder import ExponentFit, SampledField, estimate_exponent
 from .symmetric import desymmetrize_batch, lojasiewicz_exponent, symmetric_power_map, symmetrize
 
+# The boundary-regularity experiment fits on at most this many coefficient
+# points; the pair table is O(m^2) and takes at most holder.MAX_POINTS.
+MAX_REGULARITY_SAMPLES = 4500
+
 
 @dataclass(frozen=True)
 class ProperMapSpec:
@@ -160,6 +164,7 @@ def boundary_regularity_experiment(spec: ProperMapSpec, num_samples: int, seed: 
     """Empirical exponent fits for each component of the induced map near
     the boundary of the symmetric product.
 
+    The fit uses the first ``MAX_REGULARITY_SAMPLES`` distinct points.
     Pass bar: every component's fitted exponent is at least
     theta / exponent(n) - 0.05.  The bound is expected to be slack for the
     catalog maps; exceeding it is the point, not a discrepancy.
@@ -174,17 +179,13 @@ def boundary_regularity_experiment(spec: ProperMapSpec, num_samples: int, seed: 
 
     # Pairwise-distinct points are required downstream; drop duplicates.
     _, unique_idx = np.unique(np.round(z, 14), axis=0, return_index=True)
-    z, fz = z[np.sort(unique_idx)], fz[np.sort(unique_idx)]
-    cap = 4500
-    if len(z) > cap:
-        z, fz = z[:cap], fz[:cap]
+    keep = np.sort(unique_idx)[:MAX_REGULARITY_SAMPLES]
+    z, fz = z[keep], fz[keep]
 
-    fits = []
-    for comp in range(n):
-        fld = SampledField(points=z, values=fz[:, comp],
-                           metadata={"component": comp, "map": spec.fun.label, "n": n})
-        fits.append(estimate_exponent(fld))
+    # One pass over the pairs fits every component.
+    fits = estimate_exponent(SampledField(points=z, values=fz,
+                                          metadata={"map": spec.fun.label, "n": n}))
     threshold = theta / lojasiewicz_exponent(n) - 0.05
     passed = all(f.alpha_hat >= threshold for f in fits)
-    return RegularityResult(fits=tuple(fits), threshold=threshold, passed=passed,
+    return RegularityResult(fits=fits, threshold=threshold, passed=passed,
                             samples_used=len(z))

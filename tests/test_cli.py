@@ -162,6 +162,20 @@ def test_propermap_run(tmp_path):
     assert min(rep["results"]["alpha_hat_per_component"]) >= rep["results"]["regularity_threshold"]
 
 
+def test_propermap_samples_clamped_to_cap(tmp_path):
+    # Beyond the fit's cap more samples change nothing, so the request is
+    # clamped to the cap and the run is the run at the cap.
+    runs = {}
+    for samples in ("100000", "4500"):
+        out = tmp_path / samples
+        assert run(["propermap", "--n", "1", "--samples", samples, "--out", str(out)]) == 0
+        runs[samples] = out
+    rep = _read_report(runs["100000"])
+    assert rep["meta"]["config"]["samples"] == 4500
+    assert rep["results"]["samples_used"] <= 4500
+    assert _tree_hash(runs["100000"]) == _tree_hash(runs["4500"])
+
+
 def test_tolerance_failure_exits_1(tmp_path):
     out = tmp_path / "tight"
     code = run(["holder", "--tol-scale", "0.0001", "--out", str(out)])

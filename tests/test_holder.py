@@ -161,12 +161,74 @@ def _assert_same_table(fld):
         assert np.array_equal(g, w)
 
 
-def test_pair_table_matches_brute_force_across_blocks(rng):
+def _assert_columns_match(fld):
+    """Each column of an (m, k) table equals the table of that column alone,
+    both as built by ``_pair_table`` and by the brute-force reference."""
+    edges, counts, maxima, argdist = holder._pair_table(fld)
+    values = np.asarray(fld.values)
+    assert maxima.shape == argdist.shape == (values.shape[1], len(counts))
+    for c in range(values.shape[1]):
+        one = SampledField(points=fld.points, values=values[:, c])
+        for want in (holder._pair_table(one), _reference_table(one)):
+            for g, w in zip((edges, counts, maxima[c], argdist[c]), want):
+                assert np.array_equal(g, w)
+
+
+def _cloud_across_blocks(rng):
+    """1300 complex 2-D points, 200 of them 1e-6 from another one."""
     z = rng.normal(size=(1100, 2)) + 1j * rng.normal(size=(1100, 2))
-    z = np.concatenate([z, z[:200] + 1e-6 * rng.normal(size=(200, 2))])
+    return np.concatenate([z, z[:200] + 1e-6 * rng.normal(size=(200, 2))])
+
+
+def test_pair_table_matches_brute_force_across_blocks(rng):
+    z = _cloud_across_blocks(rng)
     fld = SampledField(points=z, values=z[:, 0] * z[:, 1] ** 2)
     assert len(z) * (len(z) - 1) > 4 * holder._BLOCK_ENTRIES
     _assert_same_table(fld)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_tables_match_across_blocks(rng, k):
+    z = _cloud_across_blocks(rng)
+    columns = [z[:, 0] * z[:, 1] ** 2, np.abs(z[:, 0]), np.conj(z[:, 1])]
+    _assert_columns_match(SampledField(points=z, values=np.stack(columns[:k], axis=1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_tables_match_with_ties(k):
+    # The linear and staircase columns tie their bin maxima many times over.
+    _, _, lin = sp.calibration_fields(points=1200)[1]
+    x = lin.points
+    columns = [lin.values, np.floor(4.0 * x), np.sqrt(np.abs(x))]
+    _assert_columns_match(SampledField(points=x, values=np.stack(columns[:k], axis=1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_column_tables_fold_power_of_two_distance(rng, k):
+    x = np.concatenate([[0.0, 1.5, 2.0], rng.uniform(0.1, 1.9, 300)])
+    columns = [np.minimum(x, 1.0), np.maximum(x, 1.0), -2.0 * np.minimum(x, 1.0)]
+    fld = SampledField(points=x, values=np.stack(columns[:k], axis=1))
+    edges, counts, maxima, argdist = holder._pair_table(fld)
+    assert edges[-1] == 2.0 and counts.sum() == 302 * 303 // 2
+    assert argdist[0, -1] == 1.5
+    _assert_columns_match(fld)
+
+
+def test_estimate_exponent_per_column():
+    # abs_sqrt and linear sample the same grid, so they stack as two columns.
+    (_, _, sqrt_fld), (_, _, lin_fld), _ = sp.calibration_fields()
+    both = SampledField(points=sqrt_fld.points,
+                        values=np.stack([sqrt_fld.values, lin_fld.values], axis=1))
+    assert sp.estimate_exponent(both) == (sp.estimate_exponent(sqrt_fld),
+                                          sp.estimate_exponent(lin_fld))
+    one = SampledField(points=lin_fld.points, values=lin_fld.values[:, None])
+    assert sp.estimate_exponent(one) == (sp.estimate_exponent(lin_fld),)
+
+
+@pytest.mark.parametrize("values", [np.zeros((4, 2, 2)), np.zeros((4, 0)), np.float64(1.0)])
+def test_values_shape_rejected(values):
+    with pytest.raises(ValueError, match="shape"):
+        SampledField(points=np.arange(4.0), values=values)
 
 
 def test_pair_table_matches_brute_force_with_ties():
@@ -190,25 +252,32 @@ def test_pair_table_property():
     st = hypothesis.strategies
 
     # Quarter-integer grids give ties and exact powers of two; tiny blocks
-    # put block boundaries everywhere.
+    # put block boundaries everywhere.  k = 0 stands for (m,) values, k >= 1
+    # for (m, k) values.
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(
         grid=st.lists(st.lists(st.integers(-8, 8), min_size=2, max_size=2),
                       min_size=2, max_size=40, unique_by=tuple),
-        levels=st.lists(st.integers(0, 3), min_size=40, max_size=40),
+        levels=st.lists(st.integers(0, 3), min_size=120, max_size=120),
         dim=st.integers(1, 2),
         block=st.integers(1, 50),
+        k=st.integers(0, 3),
     )
-    def check(grid, levels, dim, block):
+    def check(grid, levels, dim, block, k):
         pts = 0.25 * np.array(grid, dtype=float)[:, :dim]
         hypothesis.assume(len(np.unique(pts, axis=0)) == len(pts))
-        fld = SampledField(points=pts, values=np.array(levels[:len(pts)], dtype=float))
+        values = np.array(levels, dtype=float).reshape(40, 3)[:len(pts)]
+        values = values[:, 0] if k == 0 else values[:, :k]
+        fld = SampledField(points=pts, values=values)
         with mock.patch.object(holder, "_BLOCK_ENTRIES", block):
-            _assert_same_table(fld)
+            if k == 0:
+                _assert_same_table(fld)
+            else:
+                _assert_columns_match(fld)
             i, j = np.triu_indices(len(pts), k=1)
             d = np.sqrt(((fld.coords[i] - fld.coords[j]) ** 2).sum(axis=1))
-            ratio = np.abs(fld.values[i] - fld.values[j]) / d**0.5
-            assert sp.holder_seminorm(fld, 0.5) == ratio.max()
+            dv = np.abs(fld.values[i] - fld.values[j]).reshape(len(d), -1).max(axis=1)
+            assert sp.holder_seminorm(fld, 0.5) == (dv / d**0.5).max()
 
     check()
 

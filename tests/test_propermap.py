@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog
+from symprod import catalog, holder, propermap
 from symprod.errors import ConfigError
+from symprod.holder import SampledField
 from symprod.propermap import ProperMapSpec, map_boundary_samples
 
 
@@ -114,3 +117,25 @@ def test_map_boundary_samples_description(disc):
     samples = map_boundary_samples(spec, nodes=64)
     assert samples.description == "z^2"
     assert len(samples.values) == 64
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_experiment_fits_match_per_component(disc, n):
+    # One estimate_exponent call fits all components; each fit equals the
+    # fit of that component alone.
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=n)
+    with mock.patch.object(propermap, "estimate_exponent", wraps=holder.estimate_exponent) as est:
+        result = sp.boundary_regularity_experiment(spec, 1500, seed=5)
+    assert est.call_count == 1
+    fld = est.call_args.args[0]
+    values = np.asarray(fld.values)
+    assert values.shape == (result.samples_used, n)
+    assert len(result.fits) == n
+    for comp, fit in enumerate(result.fits):
+        assert fit == holder.estimate_exponent(SampledField(points=fld.points, values=values[:, comp]))
+
+
+def test_boundary_experiment_sample_cap(disc):
+    spec = ProperMapSpec(source=disc, fun=catalog.monomial_function(2), arity=1)
+    result = sp.boundary_regularity_experiment(spec, propermap.MAX_REGULARITY_SAMPLES + 500, seed=0)
+    assert result.samples_used == propermap.MAX_REGULARITY_SAMPLES
