@@ -22,7 +22,6 @@ from .cauchy import (
     BoundarySamples,
     boundary_samples,
     cauchy_transform,
-    coincidence_order,
     derivative_symmetrized,
     norlund_transform,
     symmetrized_transform,
@@ -30,15 +29,11 @@ from .cauchy import (
     truncation_growth_fit,
 )
 from .divdiff import (
-    SymmetryReport,
-    check_symmetry,
-    contour_derivative,
     divdiff_analytic,
     divdiff_gh,
     divdiff_recursive,
 )
 from .errors import (
-    AsymmetryError,
     BoundaryProximityError,
     CoincidentNodesError,
     ConfigError,
@@ -59,7 +54,6 @@ from .geometry import (
     annulus,
     bounding_box,
     build_domain,
-    classify_point,
     classify_points,
     disc,
     distance_to_boundary,
@@ -69,7 +63,6 @@ from .geometry import (
     sample_boundary,
     sample_interior,
     star,
-    winding_number,
 )
 from .holder import (
     ExponentFit,
@@ -97,17 +90,13 @@ from .quadrature import (
 from .symmetric import (
     LojasiewiczReport,
     RootMultiset,
-    classify_symmetric_point,
     complete_symmetric,
-    delta_metric,
     desymmetrize,
-    diagonal_pullback,
     lojasiewicz_check,
     lojasiewicz_exponent,
     newton_map,
     power_sum_transform,
     power_sums,
-    push_forward,
     signature_census,
     symmetric_power_map,
     symmetrize,

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConfigError
 
 DEFAULT_WEIERSTRASS_DEPTH = 12
+# Past 2^52 the phase of cos(2^k * theta) is rounding noise of theta, and
+# 2.0**k overflows beyond k = 1023.
+MAX_WEIERSTRASS_DEPTH = 52
 
 
 def weierstrass(theta, alpha: float, depth: int = DEFAULT_WEIERSTRASS_DEPTH):
@@ -91,6 +94,8 @@ def conj_phi() -> PhiSpec:
 def weierstrass_phi(alpha: float, depth: int = DEFAULT_WEIERSTRASS_DEPTH) -> PhiSpec:
     if not 0 < alpha <= 1:
         raise ConfigError("weierstrass exponent must lie in (0, 1]")
+    if not 0 <= depth <= MAX_WEIERSTRASS_DEPTH:
+        raise ConfigError(f"weierstrass depth {depth} outside 0..{MAX_WEIERSTRASS_DEPTH}")
     return PhiSpec("weierstrass", (float(alpha), int(depth)))
 
 

@@ -248,13 +248,6 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z) -> complex:
 # Truncated principal-value experiment
 # ---------------------------------------------------------------------------
 
-def coincidence_order(coords, tol: float) -> int:
-    """Largest number of coordinates equal to each other within tol."""
-    z = np.atleast_1d(np.asarray(coords, dtype=complex))
-    counts = (np.abs(z[:, None] - z[None, :]) <= tol).sum(axis=1)
-    return int(counts.max())
-
-
 def truncated_pv(samples: BoundarySamples, boundary_points, radius: float) -> complex:
     """Kernel integral over the boundary minus balls around singular points.
 
@@ -287,7 +280,7 @@ class TruncationFit:
     magnitudes: tuple[float, ...]
     slope: float
     intercept: float
-    coincidence: int
+    coincidence: int     # singular points merged at the base point: the arity
 
 
 def truncation_growth_fit(samples: BoundarySamples, base_point: complex, arity: int,
@@ -297,5 +290,4 @@ def truncation_growth_fit(samples: BoundarySamples, base_point: complex, arity: 
     radii = [2.0 ** (-k) for k in exponents]
     mags = [abs(truncated_pv(samples, pts, rho)) for rho in radii]
     slope, intercept = np.polyfit(np.log(radii), np.log(mags), 1)
-    chi = coincidence_order(pts, tol=1e-9)
-    return TruncationFit(tuple(radii), tuple(mags), float(slope), float(intercept), chi)
+    return TruncationFit(tuple(radii), tuple(mags), float(slope), float(intercept), arity)

@@ -244,6 +244,10 @@ def _cmd_loja(cfg: dict, out: Path) -> int:
     failures = []
     if report.violations_at_c_max != 0:
         failures.append("violations_at_c_max")
+    # delta**exponent leaves the float range for large exponents or domains,
+    # and then the violation count, zero by construction, says nothing.
+    if not (np.isfinite(report.c_max) and report.c_max > 0):
+        failures.append("c_max_out_of_range")
     payload = {
         "meta": _meta("loja", cfg),
         "results": dataclasses.asdict(report),

@@ -15,9 +15,6 @@ use the standard first-node-minus-last-node table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-
 import numpy as np
 
 from .errors import CoincidentNodesError
@@ -35,16 +32,11 @@ def _as_nodes(nodes) -> np.ndarray:
     return z
 
 
-def node_spread(nodes) -> float:
-    z = _as_nodes(nodes)
-    return float(np.abs(z[:, None] - z[None, :]).max())
-
-
 def _require_distinct(z: np.ndarray) -> None:
     if len(z) < 2:
         return
-    spread = node_spread(z)
     d = np.abs(z[:, None] - z[None, :])
+    spread = float(d.max())
     np.fill_diagonal(d, np.inf)
     if d.min() <= TOL_DIAG_FACTOR * spread:
         raise CoincidentNodesError(
@@ -89,66 +81,15 @@ def divdiff_gh(f_deriv, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
     return simplex_integrate(d, integrand, order)
 
 
-def divdiff_analytic(fun, nodes, order: int = DEFAULT_SIMPLEX_ORDER,
-                     center: complex | None = None, radius: float | None = None) -> complex:
+def divdiff_analytic(fun, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
     """Simplex route for an :class:`~symprod.catalog.AnalyticFunction`.
 
-    Uses the handle's analytic derivative when available; otherwise the
-    derivative comes from Cauchy quadrature on a circle that must enclose
-    the convex hull of the nodes inside the function's domain.
+    Uses the handle's analytic derivative of order ``len(nodes) - 1`` and
+    raises ``ValueError`` when the handle has none.
     """
     z = _as_nodes(nodes)
     k = len(z) - 1
     deriv = fun.derivative(k)
     if deriv is None:
-        if center is None or radius is None:
-            raise ValueError("contour-derivative fallback needs a center and radius")
-        deriv = contour_derivative(fun, k, center, radius)
+        raise ValueError(f"{fun.label} has no analytic derivative of order {k}")
     return divdiff_gh(deriv, z, order)
-
-
-def contour_derivative(f, order: int, center: complex, radius: float, nodes: int = 512):
-    """k-th derivative of f via Cauchy quadrature on the circle |t - c| = r.
-
-    The returned callable is vectorized and valid well inside the circle.
-    """
-    theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
-    t = center + radius * np.exp(1j * theta)
-    ft = np.asarray(f(t), dtype=complex)
-    wts = (2.0 * np.pi / nodes) * 1j * radius * np.exp(1j * theta)
-    fact = float(np.prod(np.arange(1, order + 1), initial=1.0))
-
-    def deriv(x):
-        x = np.asarray(x, dtype=complex)
-        kern = (t - x[..., None]) ** (order + 1)
-        out = fact * (ft * wts / kern).sum(axis=-1) / (2.0j * np.pi)
-        return out
-
-    return deriv
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    max_deviation: float
-    permutations_checked: int
-
-
-def check_symmetry(f, nodes, trials: int | None = None, rng=None) -> SymmetryReport:
-    """Largest change of the divided difference under node permutations.
-
-    All permutations are tried for up to 6 nodes; above that, ``trials``
-    random ones (default 50).
-    """
-    z = _as_nodes(nodes)
-    base = divdiff_recursive(f, z)
-    m = len(z)
-    if m <= 6 and trials is None:
-        perms = list(permutations(range(m)))[1:]
-    else:
-        rng = rng or np.random.default_rng(0)
-        count = trials if trials is not None else 50
-        perms = [rng.permutation(m) for _ in range(count)]
-    worst = 0.0
-    for p in perms:
-        worst = max(worst, abs(divdiff_recursive(f, z[np.asarray(p)]) - base))
-    return SymmetryReport(max_deviation=worst, permutations_checked=len(perms))

@@ -33,10 +33,6 @@ class RootFindingError(SymprodError):
     """Polynomial roots could not be found to their residual or round-trip target."""
 
 
-class AsymmetryError(SymprodError):
-    """A function assumed symmetric changed value under a permutation."""
-
-
 class DegenerateTruncationError(SymprodError):
     """Removing quadrature nodes near the singular points left nothing to sum."""
 

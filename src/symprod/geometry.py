@@ -14,7 +14,7 @@ queries, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
 spectrally accurate for every contour integral built on top of them.
 
-Region labels returned by :func:`classify_point` are integers:
+Region labels returned by :func:`classify_points` are integers:
 
     0            the domain itself,
     1            the unbounded component,
@@ -323,21 +323,6 @@ def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     return dist.reshape(w.shape)
 
 
-def winding_number(contours: Sequence[Contour], w: complex) -> int:
-    """Total winding (1/2*pi*i) * integral dt/(t - w), summed over contours.
-
-    Raises BoundaryProximityError if w is within the tolerance floor of any
-    contour and NonconvergentWindingError if the quadrature estimate of a
-    far point does not settle near an integer.
-    """
-    contours = tuple(contours)
-    dist, windings = _query(contours, np.atleast_1d(np.asarray(w, dtype=complex)), wind=True)
-    tol = BOUNDARY_TOL_FACTOR * _diameter(contours)
-    if dist[0] <= tol:
-        raise BoundaryProximityError(f"point {w} within {tol:.3g} of the boundary")
-    return int(windings[0].sum())
-
-
 def classify_points(domain: DomainBoundary, w) -> np.ndarray:
     """Region labels for a batch of points (see module docstring)."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -355,11 +340,6 @@ def classify_points(domain: DomainBoundary, w) -> np.ndarray:
     for k in range(1, len(domain.contours)):
         labels[(outer == 1) & (windings[:, k] == -1)] = k + 1
     return labels.reshape(w.shape)
-
-
-def classify_point(domain: DomainBoundary, w: complex) -> int:
-    """Region label of a single point."""
-    return int(classify_points(domain, np.asarray([w]))[0])
 
 
 def bounding_box(domain: DomainBoundary) -> tuple[float, float, float, float]:

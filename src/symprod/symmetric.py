@@ -2,11 +2,10 @@
 
 The coordinate change between root tuples and coefficient tuples (the
 elementary symmetric polynomials one way, polynomial root finding back),
-the push-forward of symmetric functions, the permutation-quotient metric
-and its power-law comparison with the coefficient distance, complete
-symmetric polynomials, component classification of the kernel complement,
-and the induced map on symmetric products evaluated through boundary
-integrals of power sums.
+the permutation-quotient metric and its power-law comparison with the
+coefficient distance, complete symmetric polynomials, component
+classification of the kernel complement, and the induced map on symmetric
+products evaluated through boundary integrals of power sums.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from .cauchy import (
     monic_derivative_eval,
     monic_eval,
 )
-from .errors import AsymmetryError, BoundaryProximityError, RootFindingError
+from .errors import RootFindingError
 from .geometry import (
     DomainBoundary,
-    boundary_tolerance,
     bounding_box,
     classify_points,
     distance_to_boundary,
@@ -131,38 +129,6 @@ def desymmetrize(z) -> RootMultiset:
 
 
 # ---------------------------------------------------------------------------
-# Push-forward, diagonal pull-back
-# ---------------------------------------------------------------------------
-
-def push_forward(f, z, rng=None) -> complex:
-    """Evaluate a symmetric function of root tuples at a coefficient tuple.
-
-    Well defined because root tuples with equal coefficients differ by a
-    permutation.  Symmetry of ``f`` is spot-checked on one random
-    permutation.
-    """
-    w = desymmetrize(z).roots
-    base = complex(f(w))
-    if len(w) > 1:
-        rng = rng or np.random.default_rng(0)
-        perm = rng.permutation(len(w))
-        while (perm == np.arange(len(w))).all():
-            perm = rng.permutation(len(w))
-        other = complex(f(w[perm]))
-        if abs(base - other) > 1e-8 * (1.0 + abs(base)):
-            raise AsymmetryError(f"function changed by {abs(base - other):.3g} under a permutation")
-    return base
-
-
-def diagonal_pullback(f, w, copies: int) -> complex:
-    """Evaluate f on the diagonal: f receives (w, w, ..., w) concatenated."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return complex(f(np.tile(w, copies)))
-
-
-# ---------------------------------------------------------------------------
 # Quotient metric and the power-law comparison
 # ---------------------------------------------------------------------------
 
@@ -185,11 +151,6 @@ def delta_metric_batch(z, w) -> np.ndarray:
     # reordering of either argument.
     sq = np.sort(sq, axis=-1)
     return np.sqrt(sq.sum(axis=-1).min(axis=-1))
-
-
-def delta_metric(z, w) -> float:
-    """min over permutations sigma of |z - sigma(w)| (Euclidean)."""
-    return float(delta_metric_batch(np.asarray(z, complex)[None, :], np.asarray(w, complex)[None, :])[0])
 
 
 def lojasiewicz_exponent(n: int) -> int:
@@ -310,18 +271,6 @@ def complete_symmetric(degree: int, arity: int, values) -> complex:
 # ---------------------------------------------------------------------------
 # Component classification
 # ---------------------------------------------------------------------------
-
-def classify_symmetric_point(domain: DomainBoundary, z) -> tuple[int, ...]:
-    """Component signature of a coefficient tuple: how many kernel roots lie
-    in each region (domain, unbounded component, holes, in label order)."""
-    rts = desymmetrize(np.asarray(z, dtype=complex)).roots
-    tol = boundary_tolerance(domain)
-    if (distance_to_boundary(domain, rts) <= tol).any():
-        raise BoundaryProximityError("a kernel root sits on the boundary")
-    labels = classify_points(domain, rts)
-    counts = np.bincount(labels, minlength=domain.kappa)
-    return tuple(int(c) for c in counts)
-
 
 def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0) -> dict[tuple[int, ...], int]:
     """Count component signatures of coefficient tuples built from random

@@ -206,12 +206,6 @@ def test_truncated_pv_radius_validation(grids):
         sp.truncated_pv(sq, [grid.nodes[0]], 0.9)
 
 
-def test_coincidence_order():
-    assert sp.coincidence_order([1, 2, 3], 1e-9) == 1
-    assert sp.coincidence_order([1, 1, 3], 1e-9) == 2
-    assert sp.coincidence_order([1 + 1e-12, 1, 1], 1e-9) == 3
-
-
 def test_kernel_floor_rejection(grids):
     _, grid = grids
     sq = phi_samples(grid, catalog.monomial_phi(2))

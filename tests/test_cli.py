@@ -218,11 +218,25 @@ def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor, n):
     ["loja", "--n", "9"],
     ["components", "--samples", "0"],
     ["identities", "--tol-scale", "nan"],
+    ["transform", "--phi", "weierstrass 0.5 2000"],
+    ["transform", "--phi", "weierstrass 0.5 -3"],
+    ["pv", "--phi", "weierstrass 0.5 2000"],
 ])
 def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_loja_c_max_out_of_range_fails(tmp_path):
+    # At n = 6 the exponent is 1080, so delta**1080 overflows to inf on the
+    # unit disc; the violation count is 0 by construction and proves nothing.
+    out = tmp_path / "loja6"
+    code = run(["loja", "--n", "6", "--samples", "100", "--out", str(out)])
+    assert code == 1
+    rep = _read_report(out)
+    assert rep["results"]["c_max"] == "inf"
+    assert rep["failures"] == ["c_max_out_of_range"]
 
 
 def test_sampling_failure_exits_1(tmp_path, capsys):
@@ -241,3 +255,20 @@ def test_python_m_symprod(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+COMMANDS = ["transform", "identities", "components", "loja", "pv", "holder", "propermap"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_readme_descriptor_matrix(tmp_path, descriptor, command):
+    # Every command on every README domain: a success, or a tolerance
+    # failure that the report lists; never a config error or a traceback.
+    out = tmp_path / "o"
+    samples = "1000" if command == "propermap" else "100"
+    code = run([command, "--domain", descriptor, "--n", "2", "--samples", samples,
+                "--out", str(out)])
+    assert code in (0, 1)
+    if code == 1:
+        assert _read_report(out)["failures"]

@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 import symprod as sp
 from symprod import catalog
-from symprod.divdiff import divdiff_table, node_spread
+from symprod.divdiff import divdiff_table
 from symprod.errors import CoincidentNodesError
 
 
@@ -77,18 +79,10 @@ def test_cross_representation(fun, rng):
             assert abs(a - b) < 1e-9
 
 
-def test_contour_derivative_fallback():
+def test_analytic_refuses_missing_derivative():
     plain = catalog.AnalyticFunction("exp-no-deriv", np.exp)
-    nodes = [0.1, 0.3, 0.5]
-    got = sp.divdiff_analytic(plain, nodes, center=0.3, radius=1.5)
-    ref = sp.divdiff_recursive(catalog.exp_function(), nodes)
-    assert abs(got - ref) < 1e-10
-
-
-def test_contour_derivative_values():
-    deriv = sp.contour_derivative(np.exp, 3, center=0.0, radius=1.0)
-    pts = np.array([0.0, 0.2 + 0.1j])
-    assert np.abs(deriv(pts) - np.exp(pts)).max() < 1e-12
+    with pytest.raises(ValueError, match="no analytic derivative"):
+        sp.divdiff_analytic(plain, [0.1, 0.3, 0.5])
 
 
 def test_confluent_limit():
@@ -104,23 +98,27 @@ def test_confluent_limit():
     assert errs[-1] <= 1e-8
 
 
+def _permutation_change(f, nodes):
+    """Largest change of the Newton-table divided difference over all
+    reorderings of the nodes."""
+    z = np.asarray(nodes, dtype=complex)
+    base = sp.divdiff_recursive(f, z)
+    return max(abs(sp.divdiff_recursive(f, z[list(p)]) - base) for p in permutations(range(len(z))))
+
+
 def test_symmetry_all_permutations():
     f = catalog.monomial_function(3)
-    rep = sp.check_symmetry(f, [0, 1, 2])
-    assert rep.permutations_checked == 5
-    assert rep.max_deviation <= 1e-12
+    assert _permutation_change(f, [0, 1, 2]) <= 1e-12
 
 
 def test_symmetry_two_nodes():
     f = catalog.exp_function()
-    rep = sp.check_symmetry(f, [0.2, 0.7])
-    assert rep.max_deviation <= 1e-14
+    assert _permutation_change(f, [0.2, 0.7]) <= 1e-14
 
 
 def test_symmetry_pole_complex_nodes():
     f = catalog.pole_function(3.0)
-    rep = sp.check_symmetry(f, [0, 0.4, 0.8j])
-    assert rep.max_deviation <= 1e-12
+    assert _permutation_change(f, [0, 0.4, 0.8j]) <= 1e-12
 
 
 def test_symmetry_random_catalog(rng):
@@ -130,8 +128,37 @@ def test_symmetry_random_catalog(rng):
             m = rng.integers(2, 6)
             z = rng.uniform(-0.6, 0.6, m) + 1j * rng.uniform(-0.6, 0.6, m)
             d = np.abs(z[:, None] - z[None, :])
+            spread = d.max()
             np.fill_diagonal(d, np.inf)
-            if d.min() < 0.05 * node_spread(z):
+            if d.min() < 0.05 * spread:
                 continue
-            rep = sp.check_symmetry(fun, z)
-            assert rep.max_deviation <= 1e-10
+            assert _permutation_change(fun, z) <= 1e-10
+
+
+MPMATH_CASES = [
+    (catalog.exp_function(), lambda mp, x: mp.exp(x)),
+    (catalog.monomial_function(6), lambda mp, x: x**6),
+    (catalog.pole_function(3.0), lambda mp, x: 1 / (x - 3)),
+]
+
+
+@pytest.mark.parametrize("fun, mp_fun", MPMATH_CASES, ids=["exp", "z^6", "pole"])
+@pytest.mark.parametrize("z, w", [(0.3 + 0.2j, 0.55 + 0.1j), (-0.4 + 0.1j, -0.1 - 0.35j)])
+def test_coincident_nodes_match_mpmath(fun, mp_fun, z, w):
+    # The simplex route at coincident nodes against 30-digit references:
+    # f^(k)(z)/k! for k+1 equal nodes, and (f[z, w] - f'(z))/(w - z) for
+    # the nodes (z, z, w).
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        zm, wm = mpmath.mpc(z), mpmath.mpc(w)
+
+        def f(x):
+            return mp_fun(mpmath, x)
+
+        refs = [((z,) * (k + 1), mpmath.diff(f, zm, k) / mpmath.factorial(k)) for k in range(1, 5)]
+        slope = (f(wm) - f(zm)) / (wm - zm)
+        refs.append(((z, z, w), (slope - mpmath.diff(f, zm, 1)) / (wm - zm)))
+        for nodes, ref in refs:
+            ref = complex(ref)
+            got = sp.divdiff_analytic(fun, nodes)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (nodes, got, ref)

@@ -57,36 +57,38 @@ def test_invalid_nesting_rejected():
         sp.build_domain("disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3")
 
 
+def _windings(contours, w):
+    """Per-contour, orientation-signed windings of the boundary oracle."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    return sp.geometry._query(tuple(contours), w, wind=True)[1]
+
+
 def test_winding_number_basic(unit_disc):
-    assert sp.winding_number(unit_disc.contours, 0.0) == 1
-    assert sp.winding_number(unit_disc.contours, 2.0) == 0
+    assert _windings(unit_disc.contours, [0.0, 2.0]).tolist() == [[1], [0]]
 
 
 def test_winding_number_annulus_hole(annulus_domain):
     # +1 from the outer circle, -1 from the hole
-    assert sp.winding_number(annulus_domain.contours, 0.1) == 0
-    assert sp.winding_number([annulus_domain.contours[0]], 0.1) == 1
-    assert sp.winding_number([annulus_domain.contours[1]], 0.1) == -1
+    assert _windings(annulus_domain.contours, 0.1).tolist() == [[1, -1]]
 
 
 def test_winding_orientation_flip():
     plus = sp.geometry.circle_contour(0, 1, orientation=1)
     minus = sp.geometry.circle_contour(0, 1, orientation=-1)
-    assert sp.winding_number([plus], 0.2 + 0.1j) == 1
-    assert sp.winding_number([minus], 0.2 + 0.1j) == -1
+    assert _windings([plus, minus], 0.2 + 0.1j).tolist() == [[1, -1]]
 
 
 def test_winding_boundary_proximity(unit_disc):
+    dist, _ = sp.geometry._query(unit_disc.contours, np.array([1.0 + 1e-9j]), wind=True)
+    assert dist[0] <= sp.geometry.boundary_tolerance(unit_disc)
     with pytest.raises(BoundaryProximityError):
-        sp.winding_number(unit_disc.contours, 1.0 + 1e-9j)
+        sp.classify_points(unit_disc, 1.0 + 1e-9j)
 
 
 def test_classify_point(unit_disc, annulus_domain):
-    assert sp.classify_point(unit_disc, 0.5) == 0
-    assert sp.classify_point(unit_disc, 3.0) == 1
-    assert sp.classify_point(annulus_domain, 0.1) == 2
-    assert sp.classify_point(annulus_domain, 0.6) == 0
-    assert sp.classify_point(annulus_domain, 1.7) == 1
+    assert sp.classify_points(unit_disc, [0.5, 3.0]).tolist() == [0, 1]
+    assert sp.classify_points(annulus_domain, [0.1, 0.6, 1.7]).tolist() == [2, 0, 1]
+    assert sp.classify_points(unit_disc, 0.5).shape == (1,)
 
 
 def test_classify_constant_on_components(annulus_domain, rng):
@@ -135,7 +137,7 @@ def test_entire_monomials_integrate_to_zero(descriptor, nodes):
 def test_nonconvergent_for_wild_point(unit_disc):
     # below the distance floor the proximity guard fires, never a winding error
     with pytest.raises(BoundaryProximityError):
-        sp.classify_point(unit_disc, 1.0 + 5e-7j)
+        sp.classify_points(unit_disc, 1.0 + 5e-7j)
 
 
 def test_figure_eight_rejected(simple_verdict):
@@ -184,7 +186,7 @@ def test_points_below_the_floor_are_refused(descriptor):
     for k in range(len(domain.contours)):
         for point in np.concatenate(_off_curve(domain, k, 5e-7)):
             with pytest.raises(BoundaryProximityError):
-                sp.classify_point(domain, point)
+                sp.classify_points(domain, point)
 
 
 @pytest.mark.parametrize("radii", [(1.0,), (1.0, 0.3)])

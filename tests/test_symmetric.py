@@ -6,7 +6,7 @@ import pytest
 
 import symprod as sp
 from symprod import catalog
-from symprod.errors import AsymmetryError, RootFindingError
+from symprod.errors import RootFindingError
 from symprod.symmetric import delta_metric_batch, desymmetrize_batch, power_sums
 
 
@@ -59,53 +59,33 @@ def test_arity_cap():
         sp.desymmetrize(np.zeros(13))
 
 
-def test_push_forward_symmetric():
-    z = np.array([3.0, 2.0])
-    assert abs(sp.push_forward(lambda w: w.sum(), z) - 3.0) < 1e-10
-    assert abs(sp.push_forward(lambda w: w[0] * w[1], z) - 2.0) < 1e-10
-
-
-def test_push_forward_asymmetry_detected():
-    z = np.array([3.0, 2.0])
-    with pytest.raises(AsymmetryError):
-        sp.push_forward(lambda w: w[0] + w[1] ** 2, z)
-
-
-def test_diagonal_pullback():
-    assert sp.diagonal_pullback(lambda v: v.sum(), 3.0, 1) == 3.0
-    assert sp.diagonal_pullback(lambda v: v.sum(), 3.0, 2) == 6.0
-
-
 def test_diagonal_pullback_transform(disc_grid):
     sq = sp.boundary_samples(disc_grid, catalog.monomial_phi(2))
-
-    def repeated(v):
-        return sp.norlund_transform(sq, v)
-
-    got = sp.diagonal_pullback(repeated, 0.3, 2)
-    # contour form of the derivative of z^2 at 0.3
-    assert abs(got - 0.6) < 1e-12
+    # the multi-node transform on the diagonal (0.3, 0.3) is the contour
+    # form of the derivative of z^2 at 0.3
+    assert abs(sp.norlund_transform(sq, [0.3, 0.3]) - 0.6) < 1e-12
 
 
 def test_delta_metric_examples():
-    assert sp.delta_metric([1, 2j], [2j, 1]) == 0.0
-    assert abs(sp.delta_metric([0, 0], [1, 1]) - math.sqrt(2)) < 1e-15
-    assert abs(sp.delta_metric([0, 1], [0.1, 1.2]) - math.sqrt(0.05)) < 1e-15
+    got = delta_metric_batch([[1, 2j], [0, 0], [0, 1]], [[2j, 1], [1, 1], [0.1, 1.2]])
+    assert got[0] == 0.0
+    assert abs(got[1] - math.sqrt(2)) < 1e-15
+    assert abs(got[2] - math.sqrt(0.05)) < 1e-15
 
 
 def test_delta_metric_group_invariance_exact(rng):
     for n in (2, 3, 4):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        base = sp.delta_metric(z, w)
-        for perm in itertools.permutations(range(n)):
-            assert sp.delta_metric(z[list(perm)], w) == base
-            assert sp.delta_metric(z, w[list(perm)]) == base
+        perms = [list(p) for p in itertools.permutations(range(n))]
+        base = delta_metric_batch(z, w)
+        assert (delta_metric_batch(z[perms], w) == base).all()
+        assert (delta_metric_batch(z, w[perms]) == base).all()
 
 
 def test_delta_metric_arity_cap():
     with pytest.raises(ValueError):
-        sp.delta_metric(np.zeros(9), np.zeros(9))
+        delta_metric_batch(np.zeros(9), np.zeros(9))
 
 
 def test_lojasiewicz_exponent_values():
@@ -156,10 +136,12 @@ def test_complete_symmetric_enumeration(rng):
 
 
 def test_classify_symmetric_point(unit_disc):
-    z = sp.symmetrize(np.array([0.1, 0.2]))
-    assert sp.classify_symmetric_point(unit_disc, z) == (2, 0)
-    z = sp.symmetrize(np.array([0.5, 3.0]))
-    assert sp.classify_symmetric_point(unit_disc, z) == (1, 1)
+    # the component signature as signature_census computes it: roots of the
+    # coefficient tuple, their region labels, and the count per region
+    z = sp.symmetrize(np.array([[0.1, 0.2], [0.5, 3.0]]))
+    rts, _ = desymmetrize_batch(z)
+    counts = [np.bincount(row, minlength=unit_disc.kappa) for row in sp.classify_points(unit_disc, rts)]
+    assert [tuple(c) for c in counts] == [(2, 0), (1, 1)]
 
 
 def test_census_disc_n2(unit_disc):
