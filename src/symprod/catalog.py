@@ -162,16 +162,16 @@ def monomial_function(m: int) -> AnalyticFunction:
     return AnalyticFunction(f"z^{m}", lambda z: np.asarray(z, dtype=complex) ** m, deriv)
 
 
-def pole_function(a: complex, power: int = 1) -> AnalyticFunction:
+def pole_function(a: complex) -> AnalyticFunction:
+    """The simple pole 1/(z - a)."""
     a = complex(a)
 
     def deriv(k):
-        # d^k/dz^k (z - a)^(-r) = (-1)^k * r*(r+1)*...*(r+k-1) * (z - a)^(-r-k)
-        c = (-1.0) ** k * math.prod(range(power, power + k))
-        return lambda z: c * (np.asarray(z, dtype=complex) - a) ** (-power - k)
+        # d^k/dz^k (z - a)^(-1) = (-1)^k * k! * (z - a)^(-1-k)
+        c = (-1.0) ** k * math.factorial(k)
+        return lambda z: c * (np.asarray(z, dtype=complex) - a) ** (-1 - k)
 
-    label = f"1/(z-{a:g})" if power == 1 else f"(z-{a:g})^-{power}"
-    return AnalyticFunction(label, lambda z: (np.asarray(z, dtype=complex) - a) ** (-power), deriv)
+    return AnalyticFunction(f"1/(z-{a:g})", lambda z: (np.asarray(z, dtype=complex) - a) ** (-1), deriv)
 
 
 def identity_function() -> AnalyticFunction:

@@ -279,15 +279,14 @@ class TruncationFit:
     radii: tuple[float, ...]
     magnitudes: tuple[float, ...]
     slope: float
-    intercept: float
     coincidence: int     # singular points merged at the base point: the arity
 
 
-def truncation_growth_fit(samples: BoundarySamples, base_point: complex, arity: int,
-                          exponents=range(3, 9)) -> TruncationFit:
-    """Fit the growth rate of the truncated integral at an n-fold boundary point."""
+def truncation_growth_fit(samples: BoundarySamples, base_point: complex, arity: int) -> TruncationFit:
+    """Fit the growth rate of the truncated integral at an n-fold boundary
+    point over the radii 2^-3 .. 2^-8."""
     pts = np.full(arity, complex(base_point))
-    radii = [2.0 ** (-k) for k in exponents]
+    radii = [2.0 ** (-k) for k in range(3, 9)]
     mags = [abs(truncated_pv(samples, pts, rho)) for rho in radii]
-    slope, intercept = np.polyfit(np.log(radii), np.log(mags), 1)
-    return TruncationFit(tuple(radii), tuple(mags), float(slope), float(intercept), arity)
+    slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
+    return TruncationFit(tuple(radii), tuple(mags), float(slope), arity)

@@ -10,7 +10,8 @@ Subcommands::
     holder      exponent-estimator calibration suite
     propermap   induced-map route agreement and boundary regularity
 
-Configuration comes from an optional key = value file plus flag overrides;
+Configuration comes from an optional key = value file holding keys of
+_DEFAULTS (any other key is a configuration error), plus flag overrides;
 all outputs land in the --out directory as report.json and CSV files.  With
 a fixed seed the outputs are byte-identical across runs (the output path is
 deliberately not echoed into the report).
@@ -25,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,7 +64,10 @@ def _load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ConfigError(f"malformed config line {line!r}")
         key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        cfg[key] = value.strip()
     return cfg
 
 
@@ -70,22 +75,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
     cfg.update(_load_config(args.config))
-    for key in ("domain", "phi", "propermap"):
-        flag = getattr(args, key, None)
+    for key in _DEFAULTS:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
-    for key in ("n", "nodes", "samples", "seed"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if getattr(args, "tol_scale", None) is not None:
-        cfg["tol_scale"] = args.tol_scale
     try:
-        cfg["n"] = int(cfg["n"])
-        cfg["nodes"] = int(cfg["nodes"])
-        cfg["samples"] = int(cfg["samples"])
-        cfg["seed"] = int(cfg["seed"])
-        cfg["tol_scale"] = float(cfg["tol_scale"])
+        # Each value takes the type of its default; only the numbers can fail.
+        cfg = {key: type(_DEFAULTS[key])(value) for key, value in cfg.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric config value: {exc}") from exc
     max_n = symmetric.MAX_PERMUTATION_ARITY if args.command == "loja" else symmetric.MAX_ROOT_ARITY
@@ -119,14 +115,12 @@ def _json_ready(obj):
 
 
 def _write_report(out: Path, payload: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", newline="\n") as fh:
         json.dump(_json_ready(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -142,20 +136,12 @@ def _cell(x):
     return x
 
 
-def _meta(command: str, cfg: dict) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "seed": cfg["seed"],
-    }
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each returns (effective cfg, results, failures, tables), where
+# tables maps a CSV file name to (header, rows); run writes the outputs.
 # ---------------------------------------------------------------------------
 
-def _cmd_transform(cfg: dict, out: Path) -> int:
+def _cmd_transform(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     phi = catalog.parse_phi(cfg["phi"])
     grid = geometry.sample_boundary(domain, cfg["nodes"])
@@ -172,72 +158,42 @@ def _cmd_transform(cfg: dict, out: Path) -> int:
         [c for j in range(n) for c in (z[j].real, z[j].imag)] + [v.real, v.imag]
         for z, v in zip(zs, vals)
     ]
-    _write_csv(out / "transform.csv", header, rows)
-    payload = {
-        "meta": _meta("transform", cfg),
-        "results": {
-            "points": len(zs),
-            "max_abs_value": float(np.abs(vals).max()),
-            "phi": samples.description,
-        },
-        "failures": [],
+    results = {
+        "points": len(zs),
+        "max_abs_value": float(np.abs(vals).max()),
+        "phi": samples.description,
     }
-    _write_report(out, payload)
-    return 0
+    return cfg, results, [], {"transform.csv": (header, rows)}
 
 
-def _cmd_identities(cfg: dict, out: Path) -> int:
+def _cmd_identities(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     cfg = dict(cfg, samples=max(10, min(cfg["samples"], 200)))
-    results = suites.run_identity_suites(
+    suite = suites.run_identity_suites(
         domain, nodes=cfg["nodes"], max_arity=cfg["n"], seed=cfg["seed"],
         points=cfg["samples"], tol_scale=cfg["tol_scale"],
     )
-    failures = [r.name for r in results if not r.passed]
-    _write_csv(
-        out / "identities.csv",
-        ["identity", "max_residual", "tolerance", "comparisons", "passed"],
-        [[r.name, r.max_residual, r.tolerance, r.comparisons, int(r.passed)] for r in results],
-    )
-    payload = {
-        "meta": _meta("identities", cfg),
-        "results": {r.name: {"max_residual": r.max_residual, "tolerance": r.tolerance,
-                             "comparisons": r.comparisons, "passed": r.passed}
-                    for r in results},
-        "failures": failures,
-    }
-    _write_report(out, payload)
-    return 1 if failures else 0
+    results = {r.name: {"max_residual": r.max_residual, "tolerance": r.tolerance,
+                        "comparisons": r.comparisons, "passed": r.passed}
+               for r in suite}
+    table = (["identity", "max_residual", "tolerance", "comparisons", "passed"],
+             [[r.name, r.max_residual, r.tolerance, r.comparisons, int(r.passed)] for r in suite])
+    return cfg, results, [r.name for r in suite if not r.passed], {"identities.csv": table}
 
 
-def _cmd_components(cfg: dict, out: Path) -> int:
+def _cmd_components(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     counts = symmetric.signature_census(domain, cfg["n"], cfg["samples"], cfg["seed"])
-    expected = _binomial(cfg["n"] + domain.kappa - 1, domain.kappa - 1)
-    rows = sorted(counts.items())
-    _write_csv(out / "signatures.csv",
-               ["signature", "count"],
-               [["|".join(str(c) for c in sig), cnt] for sig, cnt in rows])
-    payload = {
-        "meta": _meta("components", cfg),
-        "results": {
-            "distinct_signatures": len(counts),
-            "expected_component_count": expected,
-            "signatures": {"|".join(str(c) for c in sig): cnt for sig, cnt in rows},
-        },
-        "failures": [],
+    signatures = {"|".join(str(c) for c in sig): cnt for sig, cnt in sorted(counts.items())}
+    results = {
+        "distinct_signatures": len(counts),
+        "expected_component_count": math.comb(cfg["n"] + domain.kappa - 1, domain.kappa - 1),
+        "signatures": signatures,
     }
-    _write_report(out, payload)
-    return 0
+    return cfg, results, [], {"signatures.csv": (["signature", "count"], list(signatures.items()))}
 
 
-def _binomial(a: int, b: int) -> int:
-    import math
-
-    return math.comb(a, b)
-
-
-def _cmd_loja(cfg: dict, out: Path) -> int:
+def _cmd_loja(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     cfg = dict(cfg, samples=max(cfg["samples"], 100))
     report = symmetric.lojasiewicz_check(domain, cfg["n"], cfg["samples"], cfg["seed"])
@@ -248,16 +204,10 @@ def _cmd_loja(cfg: dict, out: Path) -> int:
     # and then the violation count, zero by construction, says nothing.
     if not (np.isfinite(report.c_max) and report.c_max > 0):
         failures.append("c_max_out_of_range")
-    payload = {
-        "meta": _meta("loja", cfg),
-        "results": dataclasses.asdict(report),
-        "failures": failures,
-    }
-    _write_report(out, payload)
-    return 1 if failures else 0
+    return cfg, dataclasses.asdict(report), failures, {}
 
 
-def _cmd_pv(cfg: dict, out: Path) -> int:
+def _cmd_pv(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     nodes = max(cfg["nodes"], 8192)
     cfg = dict(cfg, nodes=nodes)
@@ -271,32 +221,24 @@ def _cmd_pv(cfg: dict, out: Path) -> int:
     failures = []
     if band is not None and abs(fit.slope - expected) > band:
         failures.append("slope_outside_band")
-    _write_csv(out / "pv.csv", ["radius", "magnitude"],
-               [[r, m] for r, m in zip(fit.radii, fit.magnitudes)])
-    payload = {
-        "meta": _meta("pv", cfg),
-        "results": {
-            "slope": fit.slope,
-            "expected_slope": expected,
-            "band": band,
-            "coincidence": fit.coincidence,
-            "radii": list(fit.radii),
-            "magnitudes": list(fit.magnitudes),
-            "phi": samples.description,
-        },
-        "failures": failures,
+    results = {
+        "slope": fit.slope,
+        "expected_slope": expected,
+        "band": band,
+        "coincidence": fit.coincidence,
+        "radii": list(fit.radii),
+        "magnitudes": list(fit.magnitudes),
+        "phi": samples.description,
     }
-    _write_report(out, payload)
-    return 1 if failures else 0
+    return cfg, results, failures, {"pv.csv": (["radius", "magnitude"],
+                                               list(zip(fit.radii, fit.magnitudes)))}
 
 
-def _cmd_holder(cfg: dict, out: Path) -> int:
-    fields = holder.calibration_fields(points=2000)
-    results = {}
-    failures = []
-    for name, truth, fld in fields:
+def _cmd_holder(cfg: dict):
+    results, failures, tables = {}, [], {}
+    for name, truth, fld in holder.calibration_fields(points=2000):
         edges, counts, maxima, argdist = holder._pair_table(fld)   # one pass per field
-        fit = holder._fit_table(edges, counts, maxima, argdist)
+        fit = holder._fit_table(counts, maxima, argdist)
         results[name] = {
             "true_exponent": truth,
             "alpha_hat": fit.alpha_hat,
@@ -306,15 +248,12 @@ def _cmd_holder(cfg: dict, out: Path) -> int:
         }
         if abs(fit.alpha_hat - truth) > 0.07 * cfg["tol_scale"]:
             failures.append(name)
-        _write_csv(out / f"pairs_{name}.csv",
-                   ["bin_lo", "bin_hi", "pair_count", "max_diff"],
-                   [[lo, hi, c, m] for lo, hi, c, m in zip(edges[:-1], edges[1:], counts, maxima)])
-    payload = {"meta": _meta("holder", cfg), "results": results, "failures": failures}
-    _write_report(out, payload)
-    return 1 if failures else 0
+        tables[f"pairs_{name}.csv"] = (["bin_lo", "bin_hi", "pair_count", "max_diff"],
+                                       list(zip(edges[:-1], edges[1:], counts, maxima)))
+    return cfg, results, failures, tables
 
 
-def _cmd_propermap(cfg: dict, out: Path) -> int:
+def _cmd_propermap(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
     fun = propermap.parse_proper_map(cfg["propermap"])
     spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
@@ -327,19 +266,14 @@ def _cmd_propermap(cfg: dict, out: Path) -> int:
         failures.append("route_agreement")
     if not experiment.passed:
         failures.append("boundary_regularity")
-    payload = {
-        "meta": _meta("propermap", cfg),
-        "results": {
-            "map": fun.label,
-            "route_agreement": agreement,
-            "regularity_threshold": experiment.threshold,
-            "alpha_hat_per_component": [f.alpha_hat for f in experiment.fits],
-            "samples_used": experiment.samples_used,
-        },
-        "failures": failures,
+    results = {
+        "map": fun.label,
+        "route_agreement": agreement,
+        "regularity_threshold": experiment.threshold,
+        "alpha_hat_per_component": [f.alpha_hat for f in experiment.fits],
+        "samples_used": experiment.samples_used,
     }
-    _write_report(out, payload)
-    return 1 if failures else 0
+    return cfg, results, failures, {}
 
 
 def pv_base_point(domain, nodes: int) -> complex:
@@ -393,16 +327,20 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _resolve(args)
-        out = Path(args.out)
-        code = _COMMANDS[args.command](cfg, out)
+        cfg, results, failures, tables = _COMMANDS[args.command](_resolve(args))
     except (ConfigError, InvalidGeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SymprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    meta = {"version": __version__, "command": args.command, "config": cfg, "seed": cfg["seed"]}
+    _write_report(out, {"meta": meta, "results": results, "failures": failures})
+    return 1 if failures else 0
 
 
 def main() -> None:

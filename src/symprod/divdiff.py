@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoincidentNodesError
-from .quadrature import DEFAULT_SIMPLEX_ORDER, simplex_integrate
+from .quadrature import simplex_integrate
 
 # Below this fraction of the node spread the recursion refuses and callers
 # should switch to the simplex route; catastrophic cancellation otherwise.
@@ -63,7 +63,7 @@ def divdiff_recursive(f, nodes) -> complex:
     return divdiff_table(np.asarray(f(z), dtype=complex), z)
 
 
-def divdiff_gh(f_deriv, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
+def divdiff_gh(f_deriv, nodes) -> complex:
     """Simplex-integral route; ``f_deriv`` is the (m-1)-th derivative of f.
 
     Requires the convex hull of the nodes to lie in the domain of f.
@@ -78,10 +78,10 @@ def divdiff_gh(f_deriv, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
         x = tau @ z[:d] + (1.0 - tau.sum(axis=1)) * z[d]
         return np.asarray(f_deriv(x), dtype=complex)
 
-    return simplex_integrate(d, integrand, order)
+    return simplex_integrate(d, integrand)
 
 
-def divdiff_analytic(fun, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
+def divdiff_analytic(fun, nodes) -> complex:
     """Simplex route for an :class:`~symprod.catalog.AnalyticFunction`.
 
     Uses the handle's analytic derivative of order ``len(nodes) - 1`` and
@@ -92,4 +92,4 @@ def divdiff_analytic(fun, nodes, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
     deriv = fun.derivative(k)
     if deriv is None:
         raise ValueError(f"{fun.label} has no analytic derivative of order {k}")
-    return divdiff_gh(deriv, z, order)
+    return divdiff_gh(deriv, z)

@@ -30,7 +30,8 @@ class CoincidentNodesError(SymprodError):
 
 
 class RootFindingError(SymprodError):
-    """Polynomial roots could not be found to their residual or round-trip target."""
+    """Polynomial roots could not be found to their residual or round-trip
+    target, or the coefficients are not finite."""
 
 
 class DegenerateTruncationError(SymprodError):

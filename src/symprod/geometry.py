@@ -114,10 +114,8 @@ class BoundaryGrid:
 
     domain: DomainBoundary
     nodes: np.ndarray
-    tangents: np.ndarray
     weights: np.ndarray
     thetas: np.ndarray
-    contour_index: np.ndarray
     nodes_per_contour: int
 
 
@@ -405,22 +403,14 @@ def sample_boundary(domain: DomainBoundary, nodes_per_contour: int) -> BoundaryG
     if n < 16 or n % 2:
         raise ValueError("nodes_per_contour must be even and >= 16")
     theta = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    nodes, tangents, weights, thetas, index = [], [], [], [], []
-    for k, c in enumerate(domain.contours):
-        t = np.asarray(c.point(theta), dtype=complex)
-        tp = np.asarray(c.tangent(theta), dtype=complex)
-        nodes.append(t)
-        tangents.append(tp)
-        weights.append(c.orientation * (TWO_PI / n) * tp)
-        thetas.append(theta)
-        index.append(np.full(n, k))
+    nodes = [np.asarray(c.point(theta), dtype=complex) for c in domain.contours]
+    weights = [c.orientation * (TWO_PI / n) * np.asarray(c.tangent(theta), dtype=complex)
+               for c in domain.contours]
     return BoundaryGrid(
         domain=domain,
         nodes=np.concatenate(nodes),
-        tangents=np.concatenate(tangents),
         weights=np.concatenate(weights),
-        thetas=np.concatenate(thetas),
-        contour_index=np.concatenate(index),
+        thetas=np.tile(theta, len(domain.contours)),
         nodes_per_contour=n,
     )
 
@@ -441,19 +431,18 @@ def circle_contour(center: complex, radius: float, orientation: int = 1, label: 
     )
 
 
-def ellipse_contour(center: complex, a: float, b: float, orientation: int = 1, label: str = "ellipse") -> Contour:
+def ellipse_contour(center: complex, a: float, b: float, label: str = "ellipse") -> Contour:
     if a <= 0 or b <= 0:
         raise InvalidGeometryError("ellipse semi-axes must be positive")
     c = complex(center)
     return Contour(
         point=lambda th: c + a * np.cos(th) + 1j * b * np.sin(th),
         tangent=lambda th: -a * np.sin(th) + 1j * b * np.cos(th),
-        orientation=orientation,
         label=label,
     )
 
 
-def star_contour(radius: float, ripple: float, arms: int, orientation: int = 1, label: str = "star") -> Contour:
+def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -> Contour:
     """Wavy circle r(theta) = R * (1 + ripple * cos(arms * theta)).
 
     The family only accepts ripples small enough that both r and the
@@ -479,7 +468,7 @@ def star_contour(radius: float, ripple: float, arms: int, orientation: int = 1, 
         rp = -R * eps * m * np.sin(m * th)
         return (rp + 1j * rr) * np.exp(1j * th)
 
-    return Contour(point=point, tangent=tangent, orientation=orientation, label=label)
+    return Contour(point=point, tangent=tangent, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +586,10 @@ def annulus(center: complex, inner: float, outer: float) -> DomainBoundary:
 
 def composite(outer: Contour, holes: Sequence[Contour] = ()) -> DomainBoundary:
     """Assemble a multiply-connected domain; holes are re-oriented negatively."""
-    fixed = []
-    for k, h in enumerate(holes):
-        orient = -1
-        fixed.append(Contour(h.point, h.tangent, orient, h.label or f"hole{k}"))
+    fixed = tuple(Contour(h.point, h.tangent, -1, h.label or f"hole{k}")
+                  for k, h in enumerate(holes))
     out = Contour(outer.point, outer.tangent, 1, outer.label or "outer")
-    return validate_domain(DomainBoundary((out,) + tuple(fixed)))
+    return validate_domain(DomainBoundary((out,) + fixed))
 
 
 _FAMILY_ARITY = {"disc": 3, "ellipse": 4, "star": 3, "annulus": 4}

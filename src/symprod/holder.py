@@ -16,7 +16,7 @@ block, and only |df| and the per-bin maxima are kept per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -43,13 +43,11 @@ class SampledField:
     ``points`` may be a real array of shape (m, d), a complex vector of
     shape (m,), or a complex array of shape (m, k); complex data is viewed
     as pairs of real coordinates.  ``values`` has shape (m,), or (m, k) for
-    k value columns (real or complex) over the same points.  ``metadata``
-    records provenance.
+    k value columns (real or complex) over the same points.
     """
 
     points: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = real_coordinates(self.points)
@@ -153,7 +151,6 @@ class ExponentFit:
     alpha_hat: float
     confidence_band: tuple[float, float]
     pairs_used: int
-    bin_edges: tuple[float, ...]
     flagged: bool
 
 
@@ -242,11 +239,11 @@ def estimate_exponent(fld: SampledField) -> ExponentFit | tuple[ExponentFit, ...
         raise ValueError(f"need at least {MIN_POINTS_FOR_FIT} points")
     edges, counts, maxima, argdist = _pair_table(fld)
     if np.ndim(fld.values) == 1:
-        return _fit_table(edges, counts, maxima, argdist)
-    return tuple(_fit_table(edges, counts, mx, ad) for mx, ad in zip(maxima, argdist))
+        return _fit_table(counts, maxima, argdist)
+    return tuple(_fit_table(counts, mx, ad) for mx, ad in zip(maxima, argdist))
 
 
-def _fit_table(edges, counts, maxima, argdist) -> ExponentFit:
+def _fit_table(counts, maxima, argdist) -> ExponentFit:
     """The regression of :func:`estimate_exponent` on a built pair table."""
     keep = (counts >= MIN_PAIRS_PER_BIN) & (maxima > 0)
     if keep.sum() < 3:
@@ -263,7 +260,6 @@ def _fit_table(edges, counts, maxima, argdist) -> ExponentFit:
         alpha_hat=alpha_hat,
         confidence_band=(alpha_hat - 2.0 * se, alpha_hat + 2.0 * se),
         pairs_used=int(counts[keep].sum()),
-        bin_edges=tuple(float(e) for e in edges),
         flagged=not (0.0 <= alpha_hat <= 1.5),
     )
 
@@ -320,14 +316,9 @@ def calibration_fields(points: int = 2000) -> list[tuple[str, float, SampledFiel
     so its top bins are not dominated by saturation.
     """
     x = np.linspace(-1.0, 1.0, points, endpoint=False)
-    sqrt_field = SampledField(points=x, values=np.sqrt(np.abs(x)),
-                              metadata={"name": "abs_sqrt"})
-    lin_field = SampledField(points=x, values=0.75 * x, metadata={"name": "linear"})
     theta = np.linspace(0.0, 4.0 * np.pi, points, endpoint=False)
-    rough = SampledField(points=theta, values=weierstrass(theta, 0.3),
-                         metadata={"name": "lacunar_0.3"})
     return [
-        ("abs_sqrt", 0.5, sqrt_field),
-        ("linear", 1.0, lin_field),
-        ("lacunar_0.3", 0.3, rough),
+        ("abs_sqrt", 0.5, SampledField(points=x, values=np.sqrt(np.abs(x)))),
+        ("linear", 1.0, SampledField(points=x, values=0.75 * x)),
+        ("lacunar_0.3", 0.3, SampledField(points=theta, values=weierstrass(theta, 0.3))),
     ]

@@ -75,16 +75,17 @@ def map_boundary_samples(spec: ProperMapSpec, nodes: int = 256) -> BoundarySampl
 
 
 def evaluate_proper_map(spec: ProperMapSpec, z, route: str = "roots",
-                        samples: BoundarySamples | None = None, nodes: int = 256) -> np.ndarray:
+                        samples: BoundarySamples | None = None) -> np.ndarray:
     """Image of coefficient tuples under the induced map; ``z`` has shape
-    (..., n) and so has the result."""
+    (..., n) and so has the result.  The integral route uses ``samples``,
+    by default the map on a 256-node boundary grid."""
     z = np.asarray(z, dtype=complex)
     if route == "roots":
         w, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
         return symmetrize(spec.fun(w)).reshape(z.shape)
     if route == "integral":
         if samples is None:
-            samples = map_boundary_samples(spec, nodes)
+            samples = map_boundary_samples(spec)
         return symmetric_power_map(samples, z)
     raise ValueError(f"unknown route {route!r}")
 
@@ -159,14 +160,14 @@ def sample_near_boundary_tuples(domain: DomainBoundary, n: int, count: int, rng,
     return base
 
 
-def boundary_regularity_experiment(spec: ProperMapSpec, num_samples: int, seed: int = 0,
-                                   theta: float = 0.9) -> RegularityResult:
+def boundary_regularity_experiment(spec: ProperMapSpec, num_samples: int,
+                                   seed: int = 0) -> RegularityResult:
     """Empirical exponent fits for each component of the induced map near
     the boundary of the symmetric product.
 
     The fit uses the first ``MAX_REGULARITY_SAMPLES`` distinct points.
     Pass bar: every component's fitted exponent is at least
-    theta / exponent(n) - 0.05.  The bound is expected to be slack for the
+    0.9 / exponent(n) - 0.05.  The bound is expected to be slack for the
     catalog maps; exceeding it is the point, not a discrepancy.
     """
     if num_samples < 1000:
@@ -183,9 +184,8 @@ def boundary_regularity_experiment(spec: ProperMapSpec, num_samples: int, seed: 
     z, fz = z[keep], fz[keep]
 
     # One pass over the pairs fits every component.
-    fits = estimate_exponent(SampledField(points=z, values=fz,
-                                          metadata={"map": spec.fun.label, "n": n}))
-    threshold = theta / lojasiewicz_exponent(n) - 0.05
+    fits = estimate_exponent(SampledField(points=z, values=fz))
+    threshold = 0.9 / lojasiewicz_exponent(n) - 0.05
     passed = all(f.alpha_hat >= threshold for f in fits)
     return RegularityResult(fits=fits, threshold=threshold, passed=passed,
                             samples_used=len(z))

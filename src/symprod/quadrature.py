@@ -73,13 +73,14 @@ def simplex_rule(dimension: int, order: int = DEFAULT_SIMPLEX_ORDER) -> SimplexR
     return SimplexRule(dimension=d, nodes=nodes, weights=w * jac)
 
 
-def simplex_integrate(dimension: int, integrand, order: int = DEFAULT_SIMPLEX_ORDER) -> complex:
-    """Integrate a function over the solid simplex A_d.
+def simplex_integrate(dimension: int, integrand) -> complex:
+    """Integrate a function over the solid simplex A_d with the rule of
+    :func:`simplex_rule` at its default order.
 
     ``integrand`` must be vectorized: it receives an (M, d) array of points
     and returns M values.
     """
-    rule = simplex_rule(dimension, order)
+    rule = simplex_rule(dimension)
     vals = np.asarray(integrand(rule.nodes))
     return complex((rule.weights * vals).sum())
 

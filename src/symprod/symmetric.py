@@ -94,8 +94,8 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
 
     Residual acceptance is multiplicity-aware: rows whose roots cluster are
     accepted at a relaxed tolerance, since a multiple root can only be
-    located to a fractional power of machine precision.  Non-finite tuples
-    raise :class:`RootFindingError` from ``roots.monic_roots``.
+    located to a fractional power of machine precision.  Tuples with a
+    non-finite entry raise :class:`RootFindingError` before any arithmetic.
     """
     zb = np.asarray(z, dtype=complex)
     if zb.ndim == 1:
@@ -103,6 +103,8 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
     n = zb.shape[-1]
     if n > MAX_ROOT_ARITY:
         raise ValueError(f"arity {n} above the supported maximum {MAX_ROOT_ARITY}")
+    if not np.isfinite(zb).all():
+        raise RootFindingError("non-finite coefficient tuple")
     coeffs = _roots.monic_coefficients(zb)
     rts = _roots.monic_roots(coeffs)
     res = np.abs(_roots.horner(coeffs, rts)).max(axis=-1)
@@ -219,7 +221,9 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     mask = pi_dist > 1e-12
     delta, pi_dist = delta[mask], pi_dist[mask]
 
-    ratios = delta**lam / pi_dist
+    # Large exponents overflow to an infinite c_max, which the caller reports.
+    with np.errstate(over="ignore"):
+        ratios = delta**lam / pi_dist
     c_max = float(ratios.max())
     violations = int((ratios > c_max).sum())
 
@@ -313,12 +317,10 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
 # Power sums, Newton's identities, and the induced symmetric-product map
 # ---------------------------------------------------------------------------
 
-def power_sums(w, count: int | None = None) -> np.ndarray:
-    """p_l = sum_j w_j^l for l = 1..count (default: the arity)."""
+def power_sums(w) -> np.ndarray:
+    """p_l = sum_j w_j^l for l = 1..n, n the arity."""
     w = np.asarray(w, dtype=complex)
-    n = w.shape[-1]
-    count = n if count is None else count
-    return np.stack([(w**l).sum(axis=-1) for l in range(1, count + 1)], axis=-1)
+    return np.stack([(w**l).sum(axis=-1) for l in range(1, w.shape[-1] + 1)], axis=-1)
 
 
 def newton_map(p) -> np.ndarray:
@@ -364,13 +366,14 @@ def _power_sum_integrals(f_samples: BoundarySamples, z: np.ndarray, ells) -> np.
                             numerator=numerator)
 
 
-def symmetric_power_map(f_samples: BoundarySamples, z, check_region: bool = True) -> np.ndarray:
+def symmetric_power_map(f_samples: BoundarySamples, z) -> np.ndarray:
     """Induced map on the symmetric product through boundary integrals:
     power sums of f over the kernel roots, pushed through Newton's
     identities back to coefficient coordinates.  ``z`` has shape (..., n)
-    and so has the result."""
+    and so has the result; evaluation is refused with
+    :class:`WrongRegionError` unless every kernel root lies inside the
+    domain."""
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    if check_region:
-        _require_roots_inside(f_samples.grid.domain, z)
+    _require_roots_inside(f_samples.grid.domain, z)
     return newton_map(_power_sum_integrals(f_samples, z, range(1, n + 1)))

@@ -48,6 +48,16 @@ def test_bad_config_value_exits_2(tmp_path):
     assert run(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    # A misspelt key would otherwise be ignored, and echoed in meta.config as
+    # if it had been used.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sampels = 5\n")
+    assert run(["components", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key 'sampels'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_identities_small_run(tmp_path):
     out = tmp_path / "ids"
     code = run(["identities", "--domain", "disc 0 0 1", "--n", "2", "--nodes", "256",
@@ -78,7 +88,8 @@ def test_identities_fails_a_suite_without_comparisons(tmp_path):
 
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n")
+    cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n"
+                   "tol-scale = 2\n")
     out = tmp_path / "tr"
     code = run(["transform", "--config", str(cfg), "--nodes", "128", "--out", str(out)])
     assert code == 0
@@ -86,6 +97,7 @@ def test_config_file_and_override(tmp_path):
     assert rep["meta"]["config"]["nodes"] == 128   # flag wins
     assert rep["meta"]["config"]["samples"] == rep["results"]["points"] == 30
     assert rep["meta"]["config"]["phi"] == "monomial 3"
+    assert rep["meta"]["config"]["tol_scale"] == 2.0   # tol-scale is read as tol_scale
     assert (out / "transform.csv").exists()
 
 
@@ -270,5 +282,8 @@ def test_readme_descriptor_matrix(tmp_path, descriptor, command):
     code = run([command, "--domain", descriptor, "--n", "2", "--samples", samples,
                 "--out", str(out)])
     assert code in (0, 1)
+    failures = _read_report(out)["failures"]
     if code == 1:
-        assert _read_report(out)["failures"]
+        assert failures
+    else:
+        assert failures == []

@@ -206,7 +206,7 @@ def test_symmetric_power_map_identity(disc_grid, rng):
     ident = sp.boundary_samples(disc_grid, lambda t, theta: t, "identity")
     w = 0.7 * (rng.random(3) - 0.5) + 0.7j * (rng.random(3) - 0.5)
     z = sp.symmetrize(w)
-    got = sp.symmetric_power_map(ident, z, check_region=False)
+    got = sp.symmetric_power_map(ident, z)
     assert np.abs(got - z).max() < 1e-10
     zb = sp.symmetrize(0.7 * (rng.random((2, 4, 3)) - 0.5) + 0.7j * (rng.random((2, 4, 3)) - 0.5))
     got = sp.symmetric_power_map(ident, zb)
@@ -218,7 +218,7 @@ def test_symmetric_power_map_identity(disc_grid, rng):
 def test_symmetric_power_map_square(disc_grid):
     sq = sp.boundary_samples(disc_grid, lambda t, theta: t**2, "t^2")
     z = sp.symmetrize(np.array([0.1, 0.2]))
-    got = sp.symmetric_power_map(sq, z, check_region=False)
+    got = sp.symmetric_power_map(sq, z)
     assert np.abs(got - np.array([0.05, 0.0004])).max() < 1e-12
 
 
