@@ -6,8 +6,9 @@ Everything here evaluates integrals of the form
 
 by the periodic trapezoid rule on an equispaced boundary grid.  Every
 transform only builds its kernel values p(z, t_j) (and, for the derivative
-and power-sum variants, a numerator in place of phi); the one sum and the
-one kernel-magnitude floor are :func:`_kernel_integral`.  Three named
+and power-sum variants, a numerator in place of phi); the one sum is
+:func:`_trapezoid` and the one kernel-magnitude floor, a per-row mask, is
+:func:`_floor_refusals`; :func:`_kernel_integral` applies both.  Three named
 kernels matter downstream:
 
 * ``t - z``                       the classical Cauchy transform,
@@ -105,22 +106,43 @@ def product_eval(nodes, t) -> np.ndarray:
     return np.prod(t - w[..., None], axis=-2)
 
 
-def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
-    """(2*pi*i)^{-1} * sum_j numerator_j * w_j / kern_j over the last axis.
+def _floor_refusals(samples: BoundarySamples, kern: np.ndarray, degree: int):
+    """Per-row refusal mask of the kernel floor, and the error to raise.
 
-    ``kern`` holds the kernel values p(z, t_j), shape (..., M); ``numerator``
-    defaults to the boundary data.  Refuses with :class:`KernelProximityError`
-    when min_j |p(z, t_j)| of any row is at most
-    ``KERNEL_FLOOR * diameter^degree``.
+    A row of ``kern`` (..., M) is refused when min_j |p(z, t_j)| is at most
+    ``KERNEL_FLOOR * diameter^degree``.  Returns the boolean mask (...) and,
+    when any row is refused, a :class:`KernelProximityError` whose
+    ``refused`` attribute is that mask; otherwise ``None``.
     """
     floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
     mins = np.abs(kern).min(axis=-1)
-    if (mins <= floor).any():
-        raise KernelProximityError(
-            f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
-        )
+    refused = mins <= floor
+    if not refused.any():
+        return refused, None
+    error = KernelProximityError(
+        f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
+    )
+    error.refused = refused
+    return refused, error
+
+
+def _trapezoid(samples: BoundarySamples, kern: np.ndarray, numerator=None):
+    """(2*pi*i)^{-1} * sum_j numerator_j * w_j / kern_j over the last axis."""
     values = samples.values if numerator is None else numerator
     return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
+
+
+def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
+    """:func:`_trapezoid` of the kernel values p(z, t_j), shape (..., M).
+
+    ``numerator`` defaults to the boundary data.  Refuses the whole call with
+    :class:`KernelProximityError` when any row is below the kernel floor
+    (:func:`_floor_refusals`).
+    """
+    _, error = _floor_refusals(samples, kern, degree)
+    if error is not None:
+        raise error
+    return _trapezoid(samples, kern, numerator)
 
 
 def _require_roots_inside(domain, z) -> np.ndarray:
@@ -222,26 +244,58 @@ def _validated_multiindex(gamma, arity: int) -> np.ndarray:
     return g
 
 
-def derivative_symmetrized(gamma, samples: BoundarySamples, z) -> complex:
-    """gamma-derivative of the symmetrized transform at a symmetric point.
+def derivative_symmetrized(gamma, samples: BoundarySamples, z):
+    """gamma-derivatives of the symmetrized transform at symmetric points.
 
     Evaluates the factorized form: multiply the boundary data by the
     derivative weight, then apply the multi-node transform with all kernel
     roots repeated |gamma|+1 times.  The contour form stays well defined at
-    the coincident nodes.  Agrees with finite differences of
-    :func:`symmetrized_transform`.
+    the coincident nodes.  Order 0 is the symmetrized transform itself.
+    Agrees with finite differences of :func:`symmetrized_transform`.
+
+    ``z`` has shape (..., n); ``gamma`` is one multi-index (n,) or a stack
+    (G, n).  The values have shape (...) for one multi-index and (..., G)
+    for a stack; a 1-d ``z`` with one multi-index gives a ``complex``.  The
+    kernel roots of all rows are found and classified once, and the root
+    product once: order k uses its power k+1, of degree n*(k+1).
+
+    The kernel floor is applied per row and order.  If it refuses any
+    evaluation, the whole call raises :class:`KernelProximityError` before
+    summing anything; the error's ``refused`` attribute is a boolean array of
+    the values' shape marking the refused entries, so that a caller can
+    evaluate the accepted ones again.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    g = _validated_multiindex(gamma, n)
-    order = int(g.sum())
-    domain = samples.grid.domain
-    roots = _require_roots_inside(domain, z)[0]
-    if order == 0:
-        return symmetrized_transform(samples, z, check_region=False)
-    values = samples.values * derivative_weight_values(g, n, samples.grid.nodes)
-    kern = product_eval(roots, samples.grid.nodes) ** (order + 1)
-    return complex(_kernel_integral(samples, kern, n * (order + 1), numerator=values))
+    g = np.asarray(gamma, dtype=int)
+    if g.ndim not in (1, 2):
+        raise ValueError(f"gamma must be a multi-index (n,) or a stack (G, n), not {g.shape}")
+    gammas = [_validated_multiindex(row, n) for row in np.atleast_2d(g)]
+    orders = np.array([int(row.sum()) for row in gammas], dtype=int)
+    rows = z.reshape(-1, n)
+    roots = _require_roots_inside(samples.grid.domain, rows)
+    nodes = samples.grid.nodes
+    prod = product_eval(roots, nodes) if orders.any() else None
+    # A Python int exponent: numpy squares by a different path for np.int64.
+    kerns = {k: monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
+             for k in sorted(set(orders.tolist()))}
+    refused = np.zeros((len(rows), len(gammas)), dtype=bool)
+    first_error = None
+    for k, kern in kerns.items():
+        by_row, error = _floor_refusals(samples, kern, n * (k + 1))
+        refused[:, orders == k] = by_row[:, None]
+        if first_error is None:
+            first_error = error
+    shape = z.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ())
+    if first_error is not None:
+        first_error.refused = refused.reshape(shape)
+        raise first_error
+    out = np.empty((len(rows), len(gammas)), dtype=complex)
+    for i, (row, k) in enumerate(zip(gammas, orders)):
+        numerator = samples.values * derivative_weight_values(row, n, nodes) if k else None
+        out[:, i] = _trapezoid(samples, kerns[k], numerator)
+    out = out.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -33,28 +33,43 @@ def _as_nodes(nodes) -> np.ndarray:
 
 
 def _require_distinct(z: np.ndarray) -> None:
-    if len(z) < 2:
+    """Refuse unless the nodes of every row of ``z`` (..., m) are distinct
+    to ``TOL_DIAG_FACTOR`` of that row's spread."""
+    m = z.shape[-1]
+    if m < 2:
         return
-    d = np.abs(z[:, None] - z[None, :])
-    spread = float(d.max())
-    np.fill_diagonal(d, np.inf)
-    if d.min() <= TOL_DIAG_FACTOR * spread:
+    d = np.abs(z[..., :, None] - z[..., None, :])
+    spread = d.max(axis=(-2, -1))
+    d[..., np.arange(m), np.arange(m)] = np.inf
+    gap = d.min(axis=(-2, -1))
+    close = gap <= TOL_DIAG_FACTOR * spread
+    if close.any():
+        i = np.argmax(close)
         raise CoincidentNodesError(
-            f"node distance {d.min():.3g} below {TOL_DIAG_FACTOR:.0e} of the spread {spread:.3g}"
+            f"node distance {gap.flat[i]:.3g} below {TOL_DIAG_FACTOR:.0e} "
+            f"of the spread {spread.flat[i]:.3g}"
         )
 
 
-def divdiff_table(values, nodes) -> complex:
-    """Newton-table recursion on precomputed values; nodes must be distinct."""
-    z = _as_nodes(nodes)
+def divdiff_table(values, nodes):
+    """Newton-table recursion on precomputed values; nodes must be distinct.
+
+    ``values`` and ``nodes`` have shape (m,) or (k, m): each row is one
+    table, and the nodes of every row must be distinct
+    (:class:`CoincidentNodesError` otherwise).  Returns a ``complex`` for
+    1-d input and a (k,) array for rows.
+    """
+    z = np.atleast_1d(np.asarray(nodes, dtype=complex))
+    if z.ndim > 2 or z.shape[-1] < 1:
+        raise ValueError("nodes must be a nonempty sequence (m,) or rows (k, m)")
     col = np.asarray(values, dtype=complex).copy()
-    m = len(z)
-    if len(col) != m:
-        raise ValueError("values and nodes differ in length")
+    if col.shape != z.shape:
+        raise ValueError("values and nodes differ in shape")
     _require_distinct(z)
+    m = z.shape[-1]
     for level in range(1, m):
-        col = (col[:-1] - col[1:]) / (z[: m - level] - z[level:])
-    return complex(col[0])
+        col = (col[..., :-1] - col[..., 1:]) / (z[..., : m - level] - z[..., level:])
+    return complex(col[0]) if z.ndim == 1 else col[..., 0]
 
 
 def divdiff_recursive(f, nodes) -> complex:

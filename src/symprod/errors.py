@@ -22,7 +22,13 @@ class WrongRegionError(SymprodError):
 
 
 class KernelProximityError(SymprodError):
-    """The kernel polynomial nearly vanishes somewhere on the quadrature grid."""
+    """The kernel polynomial nearly vanishes somewhere on the quadrature grid.
+
+    ``refused`` is a boolean array that marks which evaluations of the call
+    the kernel floor refused (shaped like the call's values), or ``None``.
+    """
+
+    refused = None
 
 
 class CoincidentNodesError(SymprodError):

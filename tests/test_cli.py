@@ -86,6 +86,17 @@ def test_identities_fails_a_suite_without_comparisons(tmp_path):
     assert "derivative_factorization" in rep["failures"]
 
 
+@pytest.mark.parametrize("n, code", [(3, 0), (5, 1)])
+def test_identities_fails_an_order_the_floor_refused(tmp_path, n, code):
+    # On the unit disc the kernel floor refuses every second-order
+    # derivative evaluation from n = 5, so that order goes unchecked.
+    out = tmp_path / f"ids_n{n}"
+    assert run(["identities", "--domain", "disc 0 0 1", "--n", str(n), "--samples", "30",
+                "--out", str(out)]) == code
+    failures = _read_report(out)["failures"]
+    assert failures == (["derivative_factorization"] if code else [])
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n"

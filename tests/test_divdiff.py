@@ -39,6 +39,26 @@ def test_table_matches_recursive(rng):
     assert divdiff_table(vals, z) == sp.divdiff_recursive(f, z)
 
 
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_table_rows_match_single_tables(rng, m):
+    f = catalog.exp_function()
+    z = rng.uniform(-0.5, 0.5, (6, m)) + 1j * rng.uniform(-0.5, 0.5, (6, m))
+    got = divdiff_table(f(z), z)
+    assert got.shape == (6,)
+    for row, value in zip(z, got):
+        single = divdiff_table(f(row), row)
+        assert isinstance(single, complex) and single == value
+
+
+def test_table_refuses_a_coincident_row(rng):
+    z = rng.uniform(-0.5, 0.5, (3, 3)) + 0j
+    z[1, 2] = z[1, 0] + 1e-12
+    with pytest.raises(CoincidentNodesError):
+        divdiff_table(np.ones_like(z), z)
+    with pytest.raises(ValueError):
+        divdiff_table(np.ones((3, 2)), z)
+
+
 def test_gh_linear_case():
     f = catalog.monomial_function(2)
     got = sp.divdiff_gh(f.derivative(1), [0, 2])

@@ -1,0 +1,152 @@
+"""The batched derivative-factorization suite against the per-call loop it
+replaced: one derivative call per tuple and multi-index, and one
+finite-difference helper call per comparison."""
+
+import numpy as np
+import pytest
+
+import symprod as sp
+from symprod import catalog, cauchy, holder, suites
+from symprod.errors import KernelProximityError, SamplingError
+
+
+def derivative_reference(gamma, samples, z) -> complex:
+    """One tuple, one multi-index: the unbatched factorized derivative."""
+    z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    g = np.asarray(gamma, dtype=int)
+    order = int(g.sum())
+    roots = cauchy._require_roots_inside(samples.grid.domain, z)[0]
+    if order == 0:
+        return sp.symmetrized_transform(samples, z, check_region=False)
+    values = samples.values * cauchy.derivative_weight_values(g, n, samples.grid.nodes)
+    kern = cauchy.product_eval(roots, samples.grid.nodes) ** (order + 1)
+    return complex(cauchy._kernel_integral(samples, kern, n * (order + 1), numerator=values))
+
+
+def finite_difference_reference(f, z, gamma, h):
+    order = sum(gamma)
+    if order == 0:
+        return f(z)
+    first = [i for i, g in enumerate(gamma) if g > 0][0]
+    e = np.zeros(len(z), dtype=complex)
+    e[first] = h
+    if order == 1:
+        return (f(z + e) - f(z - e)) / (2 * h)
+    rest = list(gamma)
+    rest[first] -= 1
+    if rest[first] > 0:
+        second = first
+    else:
+        second = [i for i, g in enumerate(rest) if g > 0][0]
+    if second == first:
+        return (f(z + e) - 2 * f(z) + f(z - e)) / h**2
+    e2 = np.zeros(len(z), dtype=complex)
+    e2[second] = h
+    return (f(z + e + e2) - f(z + e - e2) - f(z - e + e2) + f(z - e - e2)) / (4 * h**2)
+
+
+def derivative_suite_reference(domain, points, seed, arities, nodes=256, max_order=2):
+    """(max_residual, comparisons) of the per-call loop; an arity whose tuples
+    were drawn but where the floor refused every call of one order reads inf."""
+    rng = np.random.default_rng(seed)
+    grid = sp.sample_boundary(domain, nodes)
+    phis = [catalog.pole_phi(3.0), catalog.monomial_phi(6)]
+    depth = 0.37 * sp.domain_diameter(domain)
+    worst = 0.0
+    comparisons = 0
+    for n in arities:
+        try:
+            tuples = suites._separated_tuples(domain, n, points, rng, min_distance=depth,
+                                              separation=0.08)
+        except SamplingError:
+            continue
+        zs = sp.symmetrize(tuples)
+        accepted_orders = set()
+        for phi in phis:
+            samples = sp.boundary_samples(grid, phi)
+
+            def ev(zz, samples=samples):
+                return sp.symmetrized_transform(samples, zz, check_region=False)
+
+            for z in zs:
+                for gamma in holder._multi_indices(n, max_order):
+                    try:
+                        got = derivative_reference(gamma, samples, z)
+                    except KernelProximityError:
+                        continue
+                    accepted_orders.add(sum(gamma))
+                    ref = finite_difference_reference(ev, z, gamma, 1e-4)
+                    if abs(ref) < 1e-2:
+                        continue
+                    worst = max(worst, abs(got - ref) / abs(ref))
+                    comparisons += 1
+        if len(accepted_orders) <= max_order:
+            worst = float("inf")
+    return worst, comparisons
+
+
+def _deep_symmetric_points(domain, n, count, seed):
+    depth = 0.37 * sp.domain_diameter(domain)
+    tuples = suites._separated_tuples(domain, n, count, np.random.default_rng(seed),
+                                      min_distance=depth, separation=0.08)
+    return sp.symmetrize(tuples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n):
+    samples = sp.boundary_samples(disc_grid, catalog.pole_phi(3.0))
+    zs = _deep_symmetric_points(unit_disc, n, 8, seed=n)
+    gammas = np.array(holder._multi_indices(n, 2))
+    single = np.zeros((len(zs), len(gammas)), dtype=complex)
+    refused = np.zeros(single.shape, dtype=bool)
+    for b, z in enumerate(zs):
+        for i, gamma in enumerate(gammas):
+            try:
+                single[b, i] = sp.derivative_symmetrized(gamma, samples, z)
+            except KernelProximityError as exc:
+                refused[b, i] = True
+                assert exc.refused.shape == () and exc.refused
+                continue
+            assert isinstance(single[b, i].item(), complex)
+            assert single[b, i] == derivative_reference(gamma, samples, z)
+    # Only n = 4 reaches the floor here (0.37^12 < 1e-4): some entries, not all.
+    assert refused.any() == (n == 4) and not refused.all()
+    if refused.any():
+        with pytest.raises(KernelProximityError) as info:
+            sp.derivative_symmetrized(gammas, samples, zs)
+        assert info.value.refused.shape == refused.shape
+        assert (info.value.refused == refused).all()
+    for pattern in np.unique(~refused, axis=0):
+        rows = (~refused == pattern).all(axis=1)
+        batch = sp.derivative_symmetrized(gammas[pattern], samples, zs[rows])
+        assert batch.shape == (rows.sum(), pattern.sum())
+        assert (batch == single[np.ix_(rows, pattern)]).all()
+    ok = ~refused.any(axis=1)
+    # Leading dimensions broadcast: (2, k, n) points with one multi-index.
+    stacked = np.stack([zs[ok], zs[ok][::-1]])
+    got = sp.derivative_symmetrized(gammas[-1], samples, stacked)
+    assert got.shape == stacked.shape[:-1]
+    assert (got[0] == single[ok, -1]).all() and (got[1] == single[ok, -1][::-1]).all()
+
+
+def test_derivative_stack_validation(disc_grid):
+    samples = sp.boundary_samples(disc_grid, catalog.pole_phi(3.0))
+    z = sp.symmetrize(np.array([0.1, -0.2j]))
+    with pytest.raises(ValueError):
+        sp.derivative_symmetrized(np.zeros((1, 1, 2), dtype=int), samples, z)
+    with pytest.raises(ValueError):
+        sp.derivative_symmetrized([(0, 1), (1, -1)], samples, z)
+    with pytest.raises(ValueError):
+        sp.derivative_symmetrized([(0, 1, 0)], samples, z)
+
+
+@pytest.mark.parametrize("arities", [(1, 2, 3), (4,), (4, 5)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_derivative_suite_matches_per_call_loop(unit_disc, seed, arities):
+    res = suites.derivative_factorization_suite(unit_disc, points=5, seed=seed, arities=arities)
+    ref = derivative_suite_reference(unit_disc, 5, seed, arities)
+    assert (res.max_residual, res.comparisons) == ref
+    assert res.comparisons > 0
+    # From n = 5 the floor refuses every second-order call on the unit disc.
+    assert res.passed == (5 not in arities)
