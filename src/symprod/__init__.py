@@ -42,6 +42,7 @@ from .errors import (
     KernelProximityError,
     MissingDerivativeFieldError,
     NonconvergentWindingError,
+    NonFiniteDataError,
     RootFindingError,
     SamplingError,
     SymprodError,

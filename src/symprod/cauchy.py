@@ -36,6 +36,7 @@ from .errors import (
     BoundaryProximityError,
     DegenerateTruncationError,
     KernelProximityError,
+    NonFiniteDataError,
     WrongRegionError,
 )
 from .geometry import BoundaryGrid, classify_points, domain_diameter
@@ -64,13 +65,25 @@ def boundary_samples(grid: BoundaryGrid, phi, description: str = "") -> Boundary
     """Sample boundary data on a grid.
 
     ``phi`` is either a :class:`PhiSpec` or a callable ``phi(t, theta)``.
+    Raises NonFiniteDataError when a sample is NaN or infinite; the
+    evaluation's floating-point warnings are silenced, since that check
+    reports them.
     """
-    if isinstance(phi, PhiSpec):
-        values = phi.evaluate(grid.nodes, grid.thetas)
-        description = description or phi.describe()
-    else:
-        values = phi(grid.nodes, grid.thetas)
-    return BoundarySamples(grid=grid, values=np.asarray(values, dtype=complex), description=description)
+    with np.errstate(all="ignore"):
+        if isinstance(phi, PhiSpec):
+            values = phi.evaluate(grid.nodes, grid.thetas)
+            description = description or phi.describe()
+        else:
+            values = phi(grid.nodes, grid.thetas)
+        samples = BoundarySamples(grid=grid, values=np.asarray(values, dtype=complex),
+                                  description=description)
+    bad = ~np.isfinite(samples.values)
+    if bad.any():
+        raise NonFiniteDataError(
+            f"boundary data {description!r} are not finite at {int(bad.sum())} of "
+            f"{len(bad)} nodes, such as {grid.nodes[bad][:3]}"
+        )
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ class NonconvergentWindingError(SymprodError):
     """A winding-number estimate did not settle near an integer."""
 
 
+class NonFiniteDataError(SymprodError):
+    """Boundary data are NaN or infinite at some quadrature node, as where a
+    pole of the data lies on the boundary."""
+
+
 class WrongRegionError(SymprodError):
     """An evaluation point lies outside the region the operator is defined on."""
 

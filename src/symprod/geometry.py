@@ -6,9 +6,20 @@ parametrization.  Geometry checks (simplicity, nesting) run on a dense
 sample grid at construction time; simplicity is one sorted sweep over the
 validation samples that finds every pair closer than twice the largest
 sample step outside a band of 8 neighbours, O(m log m) for smooth curves.
-Point queries (distance, winding, classification) project each point onto
-the analytic parametrization and sum a fixed 256-node winding quadrature, in
-blocks of bounded memory.
+Point queries (distance, winding, classification) start from one
+nearest-node pass per contour over a fixed 256-node grid, in blocks of
+bounded memory, and do the exact work only where it can change the answer.
+A node lies on the curve and every curve point lies within a node spacing h
+of a node, so a point whose nearest node is d away is between d - h and d
+from that contour.  :func:`distance_to_boundary` projects a point onto the
+analytic parametrization of a contour only when that bound leaves the
+contour a chance of being the nearest one.  :func:`classify_points` sums the
+256-node winding quadrature of a contour only for points inside the
+contour's node bounding box, padded by the distance floor and three
+spacings; a point outside it has winding 0 about that contour and lies
+beyond the floor.  :func:`interior_mask` decides its distance test from the
+nearest nodes alone outside a band of one spacing above the threshold, and
+sends only the band to :func:`distance_to_boundary`.
 Random interior points come from one rejection sampler built on those
 queries, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
@@ -60,6 +71,9 @@ _NEAR_SPACINGS = 2.0
 # takes three to five steps, _PROJECTION_STEPS at most.
 _PROJECTION_TOL = 1e-12
 _PROJECTION_STEPS = 16
+# The distance screen measures exactly the points whose nearest node lies
+# from a relative _SCREEN_SLACK below the threshold to one spacing above it.
+_SCREEN_SLACK = 1e-9
 # The interior sampler draws from the bounding box in at most _SAMPLER_ROUNDS
 # rounds.  A round draws 1.25 times the missing count over the acceptance
 # rate so far, (accepted + 1) / (drawn + 1), but at least _SAMPLER_MIN_DRAW
@@ -158,15 +172,18 @@ def boundary_tolerance(domain: DomainBoundary) -> float:
 class _WindingGrid:
     """Equispaced nodes of one contour for the boundary oracle.
 
-    The block arithmetic is real and runs about ``center``: ``xy`` holds the
-    centred nodes as a (2, N) matrix and ``sq`` their squared moduli.  The
-    columns of ``moments`` are the real and imaginary parts of
+    The block arithmetic is real and runs about ``center``: ``xy`` holds -2
+    times the centred nodes as a (2, N) matrix and ``sq`` their squared
+    moduli.  The columns of ``moments`` are the real and imaginary parts of
     ``weights * conj(centred node)`` and of ``weights``, where ``weights`` are
     ``(2*pi/N) * tangent`` without the orientation flag; ``sense`` is the sign
     of the area the parametrization encloses, +1 when it runs
     counterclockwise.  Points within ``near`` of the curve are classified by
-    their projection.  A point whose nearest node lies ``reach`` (one spacing
-    more) away is farther than ``near`` from the curve.
+    their projection.  Every curve point lies within ``spacing``, the largest
+    node step, of a node, so a point whose nearest node lies ``reach``
+    (``near`` plus one spacing) away is farther than ``near`` from the curve,
+    and so is every point outside ``box``, the nodes' (x_min, x_max, y_min,
+    y_max) padded by ``reach``; about such a point the winding is 0.
     """
 
     nodes: np.ndarray
@@ -175,8 +192,10 @@ class _WindingGrid:
     xy: np.ndarray
     sq: np.ndarray
     moments: np.ndarray
+    spacing: float
     near: float
     reach: float
+    box: tuple[float, float, float, float]
     sense: int
 
 
@@ -192,12 +211,15 @@ def _winding_grid(contour: Contour) -> _WindingGrid:
     area = 0.5 * float(tw.imag.sum())
     spacing = float(np.abs(np.roll(nodes, -1) - nodes).max())
     near = _NEAR_SPACINGS * spacing
+    reach = near + spacing
+    box = (float(nodes.real.min()) - reach, float(nodes.real.max()) + reach,
+           float(nodes.imag.min()) - reach, float(nodes.imag.max()) + reach)
     return _WindingGrid(
         nodes, tangents, center,
-        xy=np.stack([t.real, t.imag]),
+        xy=-2.0 * np.stack([t.real, t.imag]),
         sq=t.real**2 + t.imag**2,
         moments=np.stack([tw.real, tw.imag, weights.real, weights.imag], axis=1),
-        near=near, reach=near + spacing, sense=1 if area > 0 else -1,
+        spacing=spacing, near=near, reach=reach, box=box, sense=1 if area > 0 else -1,
     )
 
 
@@ -209,9 +231,11 @@ def _project(contour: Contour, grid: _WindingGrid, w: np.ndarray, j: np.ndarray)
     The bracket runs from the nearest node j to its neighbour on the side
     where |gamma - w| decreases; every iterate stays inside it, so the step
     converges for far points too.  Where that neighbour shows no sign change
-    the bracket collapses onto node j.
+    the bracket collapses onto node j.  Each point stops at its own first
+    step of at most ``_PROJECTION_TOL``, so its foot does not depend on the
+    other points of the call.
     """
-    def slope(theta):
+    def slope(theta, w):
         gamma = np.asarray(contour.point(theta), dtype=complex)
         tangent = np.asarray(contour.tangent(theta), dtype=complex)
         return np.real(np.conj(gamma - w) * tangent), gamma, tangent
@@ -229,21 +253,54 @@ def _project(contour: Contour, grid: _WindingGrid, w: np.ndarray, j: np.ndarray)
     # lo keeps f <= 0 and hi keeps f > 0, so fhi - flo is never zero.
     lo, flo = np.where(pos, other, x), np.where(pos, f_other, f)
     hi, fhi = np.where(pos, x, other), np.where(pos, f, f_other)
+    foot = np.empty(len(w), dtype=complex)
+    foot_tangent = np.empty(len(w), dtype=complex)
+    live = np.arange(len(w))
     last = None
     for _ in range(_PROJECTION_STEPS):
         x_new = hi - fhi * (hi - lo) / (fhi - flo)
-        fx, gamma, tangent = slope(x_new)
+        fx, foot[live], foot_tangent[live] = slope(x_new, w)
         up = fx > 0
         # Illinois: an end kept for a second step running has its f halved.
         halve = 1.0 if last is None else np.where(up == last, 0.5, 1.0)
         lo, flo = np.where(up, lo, x_new), np.where(up, flo * halve, fx)
         hi, fhi = np.where(up, x_new, hi), np.where(up, fx, fhi * halve)
-        last = up
-        step = np.abs(x_new - x).max()
-        x = x_new
-        if step <= _PROJECTION_TOL:
+        go = np.abs(x_new - x) > _PROJECTION_TOL
+        if not go.any():
             break
-    return gamma, tangent
+        live, w, x, lo, flo, hi, fhi, last = (
+            a[go] for a in (live, w, x_new, lo, flo, hi, fhi, up))
+    return foot, foot_tangent
+
+
+def _node_blocks(grid: _WindingGrid, w: np.ndarray):
+    """The nearest node of each point of a 1-D array w, over blocks of
+    ``_QUERY_BLOCK`` points.
+
+    Yields ``(start, blk, z, zz, d2, j, d)`` per block: the block ``blk`` of
+    w from index ``start``, its points centred (``z``) and their squared
+    moduli ``zz``, the real (block x N) array ``d2`` of |t - z|^2 - |z|^2
+    over the nodes t, the nearest node ``j`` and its distance ``d``.
+    """
+    for start in range(0, len(w), _QUERY_BLOCK):
+        blk = w[start : start + _QUERY_BLOCK]
+        z = blk - grid.center
+        zz = z.real**2 + z.imag**2
+        # |t - z|^2 = |t|^2 - 2 Re(conj(t) z) + |z|^2, one real (block x N) array.
+        d2 = np.stack([z.real, z.imag], axis=1) @ grid.xy
+        d2 += grid.sq
+        j = np.argmin(d2, axis=1)
+        yield start, blk, z, zz, d2, j, np.abs(grid.nodes[j] - blk)
+
+
+def _nearest_nodes(grid: _WindingGrid, w: np.ndarray):
+    """Index and distance of the nearest node of each point of a 1-D w."""
+    j = np.empty(len(w), dtype=int)
+    d = np.empty(len(w))
+    for start, blk, _, _, _, jb, db in _node_blocks(grid, w):
+        j[start : start + len(blk)] = jb
+        d[start : start + len(blk)] = db
+    return j, d
 
 
 def _contour_query(contour: Contour, w: np.ndarray, wind: bool):
@@ -261,16 +318,7 @@ def _contour_query(contour: Contour, w: np.ndarray, wind: bool):
     grid = _winding_grid(contour)
     dist = np.empty(len(w))
     windings = np.zeros(len(w), dtype=int)
-    for start in range(0, len(w), _QUERY_BLOCK):
-        blk = w[start : start + _QUERY_BLOCK]
-        z = blk - grid.center
-        zz = z.real**2 + z.imag**2
-        # |t - z|^2 = |t|^2 - 2 Re(conj(t) z) + |z|^2, one real (block x N) array.
-        d2 = np.stack([z.real, z.imag], axis=1) @ grid.xy
-        d2 *= -2.0
-        d2 += grid.sq
-        j = np.argmin(d2, axis=1)
-        d = np.sqrt(np.maximum(d2[np.arange(len(blk)), j] + zz, 0.0))
+    for start, blk, z, zz, d2, j, d in _node_blocks(grid, w):
         proj = np.flatnonzero(d < grid.reach) if wind else np.arange(len(blk))
         if proj.size:
             foot, tangent = _project(contour, grid, blk[proj], j[proj])
@@ -299,34 +347,108 @@ def _contour_query(contour: Contour, w: np.ndarray, wind: bool):
     return dist, windings
 
 
-def _query(contours: Sequence[Contour], w: np.ndarray, wind: bool):
-    """Distance from each point of a 1-D array w to the nearest contour, and
-    the (points, contours) windings when ``wind`` is set."""
+def _in_box(grid: _WindingGrid, w: np.ndarray, pad: float):
+    """Index of the points of a 1-D w inside ``grid.box`` padded by ``pad``,
+    or ``slice(None)``, which copies nothing, when all of them are.  A point
+    outside has winding 0 about the contour and lies more than ``pad`` plus
+    ``near`` from it; NaN points count as inside."""
+    x0, x1, y0, y1 = grid.box
+    out = (w.real < x0 - pad) | (w.real > x1 + pad) | (w.imag < y0 - pad) | (w.imag > y1 + pad)
+    return np.flatnonzero(~out) if out.any() else slice(None)
+
+
+def _query(contours: Sequence[Contour], w: np.ndarray, floor: float):
+    """The (points, contours) windings of each point of a 1-D array w, and a
+    distance that is at most ``floor`` exactly where the point's distance to
+    the boundary is.
+
+    A contour is queried only at the points inside its ``box`` padded by
+    ``floor``: farther points have winding 0 about it and lie more than
+    ``floor`` plus ``near`` from it, so it adds ``inf`` to their distance.
+    Elsewhere the distance is the smallest ``_contour_query`` distance,
+    exact within ``near`` of a contour.
+    """
     dist = np.full(len(w), np.inf)
     windings = np.zeros((len(w), len(contours)), dtype=int)
     for k, c in enumerate(contours):
-        d, windings[:, k] = _contour_query(c, w, wind)
-        dist = np.minimum(dist, d)
+        sel = _in_box(_winding_grid(c), w, floor)
+        d, windings[sel, k] = _contour_query(c, w[sel], wind=True)
+        dist[sel] = np.minimum(dist[sel], d)
     return dist, windings
 
 
 def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     """Distance from point(s) w to the analytic boundary curves.
 
-    Each point is projected onto every contour's parametrization, so the
-    result is exact to rounding, not to a sample spacing.
+    A point is projected onto a contour's parametrization, so the result is
+    exact to rounding, not to a sample spacing.  With several contours, it
+    is projected only onto those whose nearest node, less one node spacing,
+    is nearer than the nearest node of any contour: every curve point lies
+    within a spacing of a node, so no other contour can be the nearest.
     """
     w = np.asarray(w, dtype=complex)
-    dist, _ = _query(domain.contours, w.reshape(-1), wind=False)
+    flat = w.reshape(-1)
+    if len(domain.contours) == 1:
+        dist, _ = _contour_query(domain.contours[0], flat, wind=False)
+        return dist.reshape(w.shape)
+    grids = [_winding_grid(c) for c in domain.contours]
+    nearest = [_nearest_nodes(grid, flat) for grid in grids]
+    bound = np.min([d for _, d in nearest], axis=0)
+    dist = np.full(len(flat), np.inf)
+    for c, grid, (j, d) in zip(domain.contours, grids, nearest):
+        # Written negated so that NaN points are projected and stay NaN.
+        sel = np.flatnonzero(~(d - grid.spacing >= bound))
+        if sel.size:
+            foot, _ = _project(c, grid, flat[sel], j[sel])
+            dist[sel] = np.minimum(dist[sel], np.abs(foot - flat[sel]))
     return dist.reshape(w.shape)
 
 
+def _beyond(domain: DomainBoundary, w, threshold: float) -> np.ndarray:
+    """``distance_to_boundary(domain, w) > threshold`` for finite points,
+    same shape as w.
+
+    The nearest node of each contour bounds a point's distance d: d is at
+    most the nearest node distance and at least that less one node spacing.
+    So a point is refused when some nearest node is within ``threshold``
+    and kept when every nearest node, less its spacing, is beyond it; only
+    the points in between, a band about one spacing wide, are measured by
+    :func:`distance_to_boundary`.  The band starts a relative
+    ``_SCREEN_SLACK`` below ``threshold``, so rounding in either distance
+    cannot flip a verdict.
+    """
+    w = np.asarray(w, dtype=complex)
+    flat = w.reshape(-1)
+    near = np.full(len(flat), np.inf)
+    low = np.full(len(flat), np.inf)
+    for c in domain.contours:
+        grid = _winding_grid(c)
+        # A contour whose padded box a point is outside is beyond threshold
+        # from it, so it can neither refuse the point nor hold it in the band.
+        sel = _in_box(grid, flat, threshold)
+        _, d = _nearest_nodes(grid, flat[sel])
+        near[sel] = np.minimum(near[sel], d)
+        low[sel] = np.minimum(low[sel], d - grid.spacing)
+    keep = low > threshold
+    band = np.flatnonzero(~keep & (near > threshold * (1.0 - _SCREEN_SLACK)))
+    if band.size:
+        keep[band] = distance_to_boundary(domain, flat[band]) > threshold
+    return keep.reshape(w.shape)
+
+
 def classify_points(domain: DomainBoundary, w) -> np.ndarray:
-    """Region labels for a batch of points (see module docstring)."""
+    """Region labels for a batch of points (see module docstring).
+
+    Raises BoundaryProximityError for points within
+    :func:`boundary_tolerance` of the boundary.  A contour's winding sum runs
+    only over the points inside its node bounding box, padded by that floor
+    and three node spacings; the others have winding 0 about it, exactly.
+    """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     flat = w.reshape(-1)
-    dist, windings = _query(domain.contours, flat, wind=True)
-    close = dist <= boundary_tolerance(domain)
+    tol = boundary_tolerance(domain)
+    dist, windings = _query(domain.contours, flat, tol)
+    close = dist <= tol
     if close.any():
         raise BoundaryProximityError(f"points too close to the boundary: {flat[close][:3]}")
     outer = windings[:, 0]
@@ -352,12 +474,17 @@ def interior_mask(domain: DomainBoundary, w, min_distance: float) -> np.ndarray:
     """True where a point lies in the domain (label 0) and farther than
     ``min_distance`` from the boundary; same shape as w.
 
-    Only points past the distance test are classified; the distance floor
-    never drops below the classification floor, so no point is refused.
+    The distance test runs at the larger of ``min_distance`` and
+    :func:`boundary_tolerance`, and its verdict is that of
+    ``distance_to_boundary(domain, w) > threshold``: each contour's nearest
+    node decides it, except in a band about one node spacing wide above the
+    threshold, which :func:`distance_to_boundary` measures.  Only the points
+    past it are classified, by :func:`classify_points`, and since the
+    threshold is never below the classification floor no point is refused.
     """
     w = np.asarray(w, dtype=complex)
     flat = w.reshape(-1)
-    keep = distance_to_boundary(domain, flat) > max(min_distance, boundary_tolerance(domain))
+    keep = _beyond(domain, flat, max(min_distance, boundary_tolerance(domain)))
     if keep.any():
         keep[keep] = classify_points(domain, flat[keep]) == 0
     return keep.reshape(w.shape)

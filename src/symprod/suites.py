@@ -1,7 +1,8 @@
 """Cross-module identity suites with pinned tolerances.
 
 Each suite returns a :class:`SuiteResult` carrying the worst residual seen,
-the tolerance it was checked against, and the number of comparisons.  The
+the tolerance it was checked against, the number of comparisons, and the
+number of boundary data it refused because their samples are not finite.  The
 CLI ``identities`` subcommand and the acceptance tests both run these.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, cauchy, divdiff, geometry, holder, symmetric
-from .errors import KernelProximityError, SamplingError
+from .errors import KernelProximityError, NonFiniteDataError, SamplingError
 
 DEFAULT_NODES = 256
 # Rounds of twice the missing rows that _separated_tuples draws before it gives up.
@@ -25,12 +26,25 @@ class SuiteResult:
     max_residual: float
     tolerance: float
     comparisons: int
+    refused: int = 0
 
     @property
     def passed(self) -> bool:
         """Within tolerance on at least one comparison; a suite that compared
         nothing has shown nothing."""
         return self.comparisons > 0 and self.max_residual <= self.tolerance
+
+
+def _boundary_data(grid, phis):
+    """(phi, samples) for each datum whose samples on the grid are finite,
+    and the number of data refused with NonFiniteDataError."""
+    data = []
+    for phi in phis:
+        try:
+            data.append((phi, cauchy.boundary_samples(grid, phi)))
+        except NonFiniteDataError:
+            continue
+    return data, len(phis) - len(data)
 
 
 def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15):
@@ -56,15 +70,15 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
     zs = geometry.sample_interior(domain, points, rng, 0.1)
+    data, refused = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
-    for phi in phis:
-        samples = cauchy.boundary_samples(grid, phi)
+    for phi, samples in data:
         exact = phi.holomorphic_extension()
         got = cauchy.cauchy_transform(samples, zs)
         worst = max(worst, float(np.abs(got - exact(zs)).max()))
         comparisons += len(zs)
-    return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
+    return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons, refused)
 
 
 def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
@@ -74,17 +88,17 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = catalog.smooth_phi_suite() + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)]
+    data, refused = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for n in arities:
         tuples = _separated_tuples(domain, n, points, rng)
-        for phi in phis:
-            samples = cauchy.boundary_samples(grid, phi)
+        for _, samples in data:
             lhs = cauchy.norlund_transform(samples, tuples)
             ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples)
             worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
             comparisons += len(tuples)
-    return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
+    return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons, refused)
 
 
 def gh_equivalence_suite(seed=0, tuples_per_case=20, max_nodes=5) -> SuiteResult:
@@ -121,18 +135,18 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)]
+    data, refused = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for n in arities:
         tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
         zs = symmetric.symmetrize(tuples)
-        for phi in phis:
-            samples = cauchy.boundary_samples(grid, phi)
+        for _, samples in data:
             lhs = cauchy.symmetrized_transform(samples, zs, check_region=False)
             rhs = cauchy.norlund_transform(samples, tuples)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
             comparisons += len(tuples)
-    return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
+    return SuiteResult("pushforward_identity", worst, 1e-9, comparisons, refused)
 
 
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
@@ -158,7 +172,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     """
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
-    phis = [catalog.pole_phi(3.0), catalog.monomial_phi(6)]
+    data, refused = _boundary_data(grid, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
     # Every kernel factor is at least 0.37 * diameter: 0.37^9 ~ 1.3e-4 > KERNEL_FLOOR.
     depth = 0.37 * geometry.domain_diameter(domain)
     worst = 0.0
@@ -175,8 +189,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         offsets, uses, coefs, denominators = _stencils(gammas, 1e-4)
         touches = (uses[:, :, None] == np.arange(len(offsets))).any(axis=1)   # (G, P)
         shifted = zs[:, None, :] + offsets
-        for phi in phis:
-            samples = cauchy.boundary_samples(grid, phi)
+        for _, samples in data:
             got, accepted = _accepted_derivatives(gammas, samples, zs)
             # Only the stencil points of accepted entries are evaluated.
             need = (accepted[:, :, None] & touches).any(axis=1)
@@ -192,7 +205,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
                 comparisons += int(keep.sum())
             if any(not accepted[:, orders == k].any() for k in range(max_order + 1)):
                 worst = float("inf")
-    return SuiteResult("derivative_factorization", worst, 1e-5, comparisons)
+    return SuiteResult("derivative_factorization", worst, 1e-5, comparisons, refused)
 
 
 def _abs(x: np.ndarray) -> np.ndarray:
@@ -324,18 +337,19 @@ def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0)
     """Bitwise permutation invariance of the multi-node transform."""
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
-    samples = cauchy.boundary_samples(grid, catalog.pole_phi(3.0))
+    data, refused = _boundary_data(grid, [catalog.pole_phi(3.0)])
     worst = 0.0
     comparisons = 0
     for n in (2, 3, 4):
         tuples = _separated_tuples(domain, n, points, rng)
-        base = cauchy.norlund_transform(samples, tuples)
-        for _ in range(3):
-            perm = rng.permutation(n)
-            other = cauchy.norlund_transform(samples, tuples[:, perm])
-            worst = max(worst, float(np.abs(other - base).max()))
-            comparisons += len(tuples)
-    return SuiteResult("permutation_invariance", worst, 0.0, comparisons)
+        for _, samples in data:
+            base = cauchy.norlund_transform(samples, tuples)
+            for _ in range(3):
+                perm = rng.permutation(n)
+                other = cauchy.norlund_transform(samples, tuples[:, perm])
+                worst = max(worst, float(np.abs(other - base).max()))
+                comparisons += len(tuples)
+    return SuiteResult("permutation_invariance", worst, 0.0, comparisons, refused)
 
 
 def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
@@ -356,7 +370,7 @@ def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
     ]
     if tol_scale != 1.0:
         results = [
-            SuiteResult(r.name, r.max_residual, r.tolerance * tol_scale, r.comparisons)
+            SuiteResult(r.name, r.max_residual, r.tolerance * tol_scale, r.comparisons, r.refused)
             for r in results
         ]
     return results

@@ -28,9 +28,9 @@ from .cauchy import (
 from .errors import RootFindingError
 from .geometry import (
     DomainBoundary,
+    _beyond,
     bounding_box,
     classify_points,
-    distance_to_boundary,
     domain_diameter,
     interior_mask,
     sample_interior,
@@ -297,11 +297,11 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
     while done < samples:
         draw = max(samples - done, 64)
         w = (cx + rng.uniform(-hx, hx, (draw, n))) + 1j * (cy + rng.uniform(-hy, hy, (draw, n)))
-        w = w[(distance_to_boundary(domain, w) > floor).all(axis=1)]
+        w = w[_beyond(domain, w, floor).all(axis=1)]
         if len(w) == 0:
             continue
         rts, _ = desymmetrize_batch(symmetrize(w))
-        rts = rts[(distance_to_boundary(domain, rts) > floor).all(axis=1)]
+        rts = rts[_beyond(domain, rts, floor).all(axis=1)]
         if len(rts) == 0:
             continue
         labels = classify_points(domain, rts)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod.errors import InvalidGeometryError
-from symprod.geometry import _check_simple, _dense_points, _dense_tangents
+from symprod.errors import BoundaryProximityError, InvalidGeometryError
+from symprod.geometry import _check_simple, _contour_query, _dense_points, _dense_tangents
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +69,51 @@ def simple_verdict():
         assert got == _verdict(check_simple_reference, contour)
         return got
     return verdict
+
+
+class OracleReference:
+    """The boundary oracle without its screen and prunes: every point is
+    projected onto every contour and gets every contour's winding sum.  The
+    public queries must match it exactly."""
+
+    @staticmethod
+    def distance(domain, w):
+        return np.min([_contour_query(c, w, wind=False)[0] for c in domain.contours], axis=0)
+
+    @staticmethod
+    def labels(domain, w):
+        windings = np.stack([_contour_query(c, w, wind=True)[1] for c in domain.contours], axis=1)
+        outer = windings[:, 0]
+        labels = np.where(outer == 1, 0, 1)
+        for k in range(1, len(domain.contours)):
+            labels[(outer == 1) & (windings[:, k] == -1)] = k + 1
+        return labels
+
+    @classmethod
+    def mask(cls, domain, w, threshold):
+        """distance > threshold, then label 0 among the points kept."""
+        keep = cls.distance(domain, w) > threshold
+        keep[keep] = cls.labels(domain, w[keep]) == 0
+        return keep
+
+    @classmethod
+    def check(cls, domain, w, threshold):
+        """Assert that the public queries equal the reference on w and
+        return the reference distances."""
+        tol = sp.geometry.boundary_tolerance(domain)
+        dist = cls.distance(domain, w)
+        assert np.array_equal(sp.distance_to_boundary(domain, w), dist, equal_nan=True)
+        assert np.array_equal(sp.geometry._beyond(domain, w, threshold), dist > threshold)
+        assert np.array_equal(sp.interior_mask(domain, w, threshold),
+                              cls.mask(domain, w, max(threshold, tol)))
+        clear = w[dist > tol]
+        assert np.array_equal(sp.classify_points(domain, clear), cls.labels(domain, clear))
+        for point in w[dist <= tol]:
+            with pytest.raises(BoundaryProximityError):
+                sp.classify_points(domain, point)
+        return dist
+
+
+@pytest.fixture(scope="session")
+def oracle_reference():
+    return OracleReference

@@ -8,6 +8,7 @@ from symprod.errors import (
     BoundaryProximityError,
     DegenerateTruncationError,
     KernelProximityError,
+    NonFiniteDataError,
     WrongRegionError,
 )
 
@@ -27,6 +28,18 @@ def test_boundary_samples_length_checked(grids):
     _, grid = grids
     with pytest.raises(ValueError):
         sp.BoundarySamples(grid=grid, values=np.zeros(3, dtype=complex))
+
+
+def test_boundary_samples_refuse_non_finite_data():
+    # A grid node of this ellipse sits exactly on the pole at 3.  The
+    # evaluation's division warning is silenced (tier-1 turns RuntimeWarning
+    # into an error) and the refusal names the data.
+    grid = sp.sample_boundary(sp.build_domain("ellipse 0 0 3 2"), 256)
+    with pytest.raises(NonFiniteDataError, match="pole 3 0 1"):
+        sp.boundary_samples(grid, catalog.pole_phi(3.0))
+    with pytest.raises(NonFiniteDataError):
+        sp.boundary_samples(grid, lambda t, theta: np.exp(1e3 * t.real))
+    assert np.isfinite(sp.boundary_samples(grid, catalog.pole_phi(4.0)).values).all()
 
 
 # A generic transform: kernel values given as data, summed by the transform core.

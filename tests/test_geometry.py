@@ -60,7 +60,7 @@ def test_invalid_nesting_rejected():
 def _windings(contours, w):
     """Per-contour, orientation-signed windings of the boundary oracle."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return sp.geometry._query(tuple(contours), w, wind=True)[1]
+    return sp.geometry._query(tuple(contours), w, 0.0)[1]
 
 
 def test_winding_number_basic(unit_disc):
@@ -79,8 +79,9 @@ def test_winding_orientation_flip():
 
 
 def test_winding_boundary_proximity(unit_disc):
-    dist, _ = sp.geometry._query(unit_disc.contours, np.array([1.0 + 1e-9j]), wind=True)
-    assert dist[0] <= sp.geometry.boundary_tolerance(unit_disc)
+    tol = sp.geometry.boundary_tolerance(unit_disc)
+    dist, _ = sp.geometry._query(unit_disc.contours, np.array([1.0 + 1e-9j]), tol)
+    assert dist[0] <= tol
     with pytest.raises(BoundaryProximityError):
         sp.classify_points(unit_disc, 1.0 + 1e-9j)
 
@@ -229,6 +230,99 @@ def test_interior_mask_below_the_floor(unit_disc):
     # A point under the classification floor is masked out, not refused.
     w = np.array([0.0, 1.0 - 1e-8, 2.0])
     assert sp.interior_mask(unit_disc, w, 0.0).tolist() == [True, False, False]
+
+
+def _probes(domain, threshold, rng):
+    """Points to test the oracle's screen and prunes with: uniform points
+    about the domain; points on both sides of every contour, in the screen's
+    band (threshold, threshold + spacing], below it and beyond it; points
+    half the classification floor outside every contour's extreme validation
+    samples; points halfway from every contour's mid-node points to every
+    other contour's nearest nodes; and points just inside and just outside
+    every hole's box, padded by the classification floor and by the
+    threshold."""
+    diam = sp.domain_diameter(domain)
+    tol = sp.geometry.boundary_tolerance(domain)
+    floor = max(threshold, tol)
+    x0, x1, y0, y1 = sp.bounding_box(domain)
+    margin = 0.1 * diam
+    pts = [rng.uniform(x0 - margin, x1 + margin, 1500)
+           + 1j * rng.uniform(y0 - margin, y1 + margin, 1500)]
+    for k, c in enumerate(domain.contours):
+        grid = sp.geometry._winding_grid(c)
+        theta = rng.uniform(0.0, 2 * np.pi, 400)
+        tangent = c.tangent(theta)
+        normal = rng.choice([-1.0, 1.0], 400) * 1j * tangent / np.abs(tangent)
+        depth = np.concatenate([
+            floor + grid.spacing * rng.uniform(0.0, 1.0, 250),
+            floor * rng.uniform(0.5, 1.0, 50),
+            floor + grid.spacing * rng.uniform(1.0, 3.0, 100),
+        ])
+        pts.append(c.point(theta) + depth * normal)
+        dense = sp.geometry._dense_points(c)
+        pts.append(dense[[dense.real.argmin(), dense.real.argmax(),
+                          dense.imag.argmin(), dense.imag.argmax()]]
+                   + 0.5 * tol * np.array([-1, 1, -1j, 1j]))
+        mid = c.point((np.arange(256) + 0.5) * 2 * np.pi / 256)
+        for other in domain.contours:
+            if other is not c:
+                other_grid = sp.geometry._winding_grid(other)
+                j, _ = sp.geometry._nearest_nodes(other_grid, mid)
+                pts.append((mid + other_grid.nodes[j]) / 2)
+        if k == 0:
+            continue
+        bx0, bx1, by0, by1 = grid.box
+        s = rng.uniform(0.0, 1.0, 25)
+        for pad in (tol, threshold):
+            for eps in (-1e-9 * diam, 1e-9 * diam):
+                out = pad + eps
+                pts += [bx0 - out + 1j * (by0 + s * (by1 - by0)),
+                        bx1 + out + 1j * (by0 + s * (by1 - by0)),
+                        bx0 + s * (bx1 - bx0) + 1j * (by0 - out),
+                        bx0 + s * (bx1 - bx0) + 1j * (by1 + out)]
+    return np.concatenate(pts)
+
+
+def _oracle_domain(name):
+    if name != "turned hole":
+        return sp.build_domain(name)
+    # A hole whose nodes miss its extremes by half a node step.
+    turn = np.pi / 256
+    hole = sp.geometry.Contour(lambda t: 0.4 * np.exp(1j * (t + turn)),
+                               lambda t: 0.4j * np.exp(1j * (t + turn)))
+    return sp.geometry.composite(sp.geometry.circle_contour(0, 1), [hole])
+
+
+@pytest.mark.parametrize("factor", [0.0, 5e-3, 0.05])
+# "disc 0 0 1 + hole disc 0.55 0 0.4" leaves a gap of two outer node
+# spacings at x = 0.95, where both contours are within a spacing of each
+# other's nearest nodes.
+@pytest.mark.parametrize("name", README_DESCRIPTORS + ["disc 0 0 1 + hole disc 0.55 0 0.4",
+                                                       "turned hole"])
+def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference, monkeypatch):
+    domain = _oracle_domain(name)
+    threshold = factor * sp.domain_diameter(domain)
+    w = _probes(domain, threshold, np.random.default_rng(7))
+
+    measured, queried = [], []
+    exact, query = sp.geometry.distance_to_boundary, sp.geometry._contour_query
+    monkeypatch.setattr(sp.geometry, "distance_to_boundary",
+                        lambda d, pts: measured.append(np.size(pts)) or exact(d, pts))
+    monkeypatch.setattr(sp.geometry, "_contour_query",
+                        lambda c, pts, wind: queried.append((c, len(pts))) or query(c, pts, wind))
+    sp.geometry._beyond(domain, w, threshold)
+    # The screen decides most points and measures a band of them exactly.
+    assert 0 < sum(measured) < len(w) / 2
+    floor = max(threshold, sp.geometry.boundary_tolerance(domain))
+    sp.classify_points(domain, w[oracle_reference.distance(domain, w) > floor])
+    sizes = dict((c, n) for c, n in queried if n)
+    if len(domain.contours) > 1:
+        # Hole winding sums run only inside the holes' boxes.
+        assert all(sizes.get(c, 0) < sizes[domain.contours[0]] for c in domain.contours[1:])
+    monkeypatch.undo()
+
+    dist = oracle_reference.check(domain, w, threshold)
+    assert (dist <= floor).any() and (dist > floor).any()
 
 
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)

@@ -48,3 +48,32 @@ def test_check_simple_matches_reference_on_fourier_curves(size, coeffs, simple_v
         return 1j * np.exp(1j * t[..., 0]) + (1j * k * c * np.exp(1j * k * t)).sum(axis=-1)
 
     simple_verdict(sp.geometry.Contour(point, tangent))
+
+
+_README = {d: sp.build_domain(d) for d in (
+    "disc 0 0 1",
+    "ellipse 0 0 1.1 0.9",
+    "star 1 0.25 2",
+    "annulus 0 0 0.3 1",
+    "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+)}
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(
+    descriptor=st.sampled_from(sorted(_README)),
+    factor=st.floats(min_value=0.0, max_value=0.2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spread=st.floats(min_value=1e-4, max_value=0.3),
+)
+def test_oracle_matches_the_unscreened_reference(descriptor, factor, seed, spread,
+                                                 oracle_reference):
+    # Points scattered about random boundary points, as far out as ``spread``
+    # diameters, at a random threshold.
+    domain = _README[descriptor]
+    diam = sp.domain_diameter(domain)
+    rng = np.random.default_rng(seed)
+    contour = domain.contours[rng.integers(len(domain.contours))]
+    base = contour.point(rng.uniform(0.0, 2 * np.pi, 64))
+    w = base + spread * diam * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    oracle_reference.check(domain, w, factor * diam)

@@ -150,3 +150,27 @@ def test_derivative_suite_matches_per_call_loop(unit_disc, seed, arities):
     assert res.comparisons > 0
     # From n = 5 the floor refuses every second-order call on the unit disc.
     assert res.passed == (5 not in arities)
+
+
+def test_non_finite_data_are_refused_not_compared():
+    # pole_phi(3.0) has its pole on a grid node of this ellipse: each suite
+    # that uses it counts it as refused and compares the other data only.
+    domain = sp.build_domain("ellipse 0 0 3 2")
+    r = suites.cauchy_reproduction_suite(domain, points=20)
+    assert (r.refused, r.comparisons) == (1, 9 * 20) and np.isfinite(r.max_residual)
+    r = suites.norlund_divdiff_suite(domain, points=10, arities=(2,))
+    assert (r.refused, r.comparisons) == (1, 6 * 10) and r.passed
+    r = suites.pushforward_suite(domain, points=10, arities=(1, 2))
+    assert (r.refused, r.comparisons) == (1, 2 * 5 * 10) and r.passed
+    # The 0.37-diameter depth rule places no tuples on this ellipse.
+    assert suites.derivative_factorization_suite(domain, points=3, arities=(1,)).refused == 1
+    # Its only datum refused, the permutation suite compares nothing and fails.
+    r = suites.permutation_invariance_suite(domain, points=10)
+    assert (r.refused, r.comparisons, r.passed) == (1, 0, False)
+
+
+@pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
+def test_readme_domains_refuse_no_data(descriptor):
+    domain = sp.build_domain(descriptor)
+    results = suites.run_identity_suites(domain, max_arity=2, points=10)
+    assert all(r.refused == 0 for r in results)

@@ -150,6 +150,47 @@ def test_census_disc_n2(unit_disc):
     assert sum(counts.values()) == 3000
 
 
+def census_reference(domain, n, samples, seed):
+    """``signature_census`` with both of its distance filters computed as
+    ``distance_to_boundary(...) > floor``, with no screen."""
+    rng = np.random.default_rng(seed)
+    x0, x1, y0, y1 = sp.bounding_box(domain)
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    hx = sp.symmetric._CENSUS_BOX_MARGIN * (x1 - x0) / 2.0
+    hy = sp.symmetric._CENSUS_BOX_MARGIN * (y1 - y0) / 2.0
+    floor = 5e-3 * sp.domain_diameter(domain)
+    counts, done = {}, 0
+    while done < samples:
+        draw = max(samples - done, 64)
+        w = (cx + rng.uniform(-hx, hx, (draw, n))) + 1j * (cy + rng.uniform(-hy, hy, (draw, n)))
+        w = w[(sp.distance_to_boundary(domain, w) > floor).all(axis=1)]
+        if len(w) == 0:
+            continue
+        rts, _ = desymmetrize_batch(sp.symmetrize(w))
+        rts = rts[(sp.distance_to_boundary(domain, rts) > floor).all(axis=1)]
+        if len(rts) == 0:
+            continue
+        labels = sp.classify_points(domain, rts)
+        take = min(len(rts), samples - done)
+        for row in labels[:take]:
+            sig = tuple(int(c) for c in np.bincount(row, minlength=domain.kappa))
+            counts[sig] = counts.get(sig, 0) + 1
+        done += take
+    return counts
+
+
+@pytest.mark.parametrize("descriptor, n", [
+    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4", 2),
+    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4", 3),
+    ("annulus 0 0 0.3 1", 3),
+])
+def test_census_matches_the_unscreened_reference(descriptor, n):
+    domain = sp.build_domain(descriptor)
+    for seed in (0, 1):
+        counts = sp.signature_census(domain, n, 1500, seed=seed)
+        assert counts == census_reference(domain, n, 1500, seed)
+
+
 def test_newton_map_examples():
     assert np.allclose(sp.newton_map(np.array([3.0, 5.0])), [3.0, 2.0])
     assert np.allclose(sp.newton_map(np.zeros(4)), np.zeros(4))
