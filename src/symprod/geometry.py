@@ -8,18 +8,18 @@ validation samples that finds every pair closer than twice the largest
 sample step outside a band of 8 neighbours, O(m log m) for smooth curves.
 Point queries (distance, winding, classification) start from one
 nearest-node pass per contour over a fixed 256-node grid, in blocks of
-bounded memory, and do the exact work only where it can change the answer.
-A node lies on the curve and every curve point lies within a node spacing h
-of a node, so a point whose nearest node is d away is between d - h and d
-from that contour.  :func:`distance_to_boundary` projects a point onto the
-analytic parametrization of a contour only when that bound leaves the
-contour a chance of being the nearest one.  :func:`classify_points` sums the
-256-node winding quadrature of a contour only for points inside the
-contour's node bounding box, padded by the distance floor and three
-spacings; a point outside it has winding 0 about that contour and lies
-beyond the floor.  :func:`interior_mask` decides its distance test from the
-nearest nodes alone outside a band of one spacing above the threshold, and
-sends only the band to :func:`distance_to_boundary`.
+bounded memory.  :func:`distance_to_boundary` projects every point onto
+every contour's analytic parametrization, so it is exact to rounding; the
+two queries built on it do the exact work only where it can change their
+answer.  A node lies on the curve and every curve point lies within a node
+spacing h of a node, so a point whose nearest node is d away is between
+d - h and d from that contour.  :func:`interior_mask` decides its distance
+test from the nearest nodes alone outside a band of one spacing above the
+threshold, and sends only the band to :func:`distance_to_boundary`.
+:func:`classify_points` sums the 256-node winding quadrature of a contour
+only for points inside the contour's node bounding box, padded by the
+distance floor and three spacings; a point outside it has winding 0 about
+that contour and lies beyond the floor.
 Random interior points come from one rejection sampler built on those
 queries, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
@@ -380,27 +380,15 @@ def _query(contours: Sequence[Contour], w: np.ndarray, floor: float):
 def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     """Distance from point(s) w to the analytic boundary curves.
 
-    A point is projected onto a contour's parametrization, so the result is
-    exact to rounding, not to a sample spacing.  With several contours, it
-    is projected only onto those whose nearest node, less one node spacing,
-    is nearer than the nearest node of any contour: every curve point lies
-    within a spacing of a node, so no other contour can be the nearest.
+    Every point is projected onto every contour's parametrization, so the
+    result is exact to rounding, not to a sample spacing.
     """
     w = np.asarray(w, dtype=complex)
     flat = w.reshape(-1)
-    if len(domain.contours) == 1:
-        dist, _ = _contour_query(domain.contours[0], flat, wind=False)
-        return dist.reshape(w.shape)
-    grids = [_winding_grid(c) for c in domain.contours]
-    nearest = [_nearest_nodes(grid, flat) for grid in grids]
-    bound = np.min([d for _, d in nearest], axis=0)
     dist = np.full(len(flat), np.inf)
-    for c, grid, (j, d) in zip(domain.contours, grids, nearest):
-        # Written negated so that NaN points are projected and stay NaN.
-        sel = np.flatnonzero(~(d - grid.spacing >= bound))
-        if sel.size:
-            foot, _ = _project(c, grid, flat[sel], j[sel])
-            dist[sel] = np.minimum(dist[sel], np.abs(foot - flat[sel]))
+    for c in domain.contours:
+        d, _ = _contour_query(c, flat, wind=False)
+        dist = np.minimum(dist, d)
     return dist.reshape(w.shape)
 
 

@@ -1,9 +1,9 @@
 """Cross-module identity suites with pinned tolerances.
 
 Each suite returns a :class:`SuiteResult` carrying the worst residual seen,
-the tolerance it was checked against, the number of comparisons, and the
-number of boundary data it refused because their samples are not finite.  The
-CLI ``identities`` subcommand and the acceptance tests both run these.
+the tolerance it was checked against and the number of comparisons.  A
+boundary datum whose samples are not finite is refused and compares nothing.
+The CLI ``identities`` subcommand and the acceptance tests both run these.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class SuiteResult:
     max_residual: float
     tolerance: float
     comparisons: int
-    refused: int = 0
 
     @property
     def passed(self) -> bool:
@@ -36,15 +35,15 @@ class SuiteResult:
 
 
 def _boundary_data(grid, phis):
-    """(phi, samples) for each datum whose samples on the grid are finite,
-    and the number of data refused with NonFiniteDataError."""
+    """(phi, samples) for each datum whose samples on the grid are finite;
+    the data refused with NonFiniteDataError are left out."""
     data = []
     for phi in phis:
         try:
             data.append((phi, cauchy.boundary_samples(grid, phi)))
         except NonFiniteDataError:
             continue
-    return data, len(phis) - len(data)
+    return data
 
 
 def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15):
@@ -70,7 +69,7 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
     zs = geometry.sample_interior(domain, points, rng, 0.1)
-    data, refused = _boundary_data(grid, phis)
+    data = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for phi, samples in data:
@@ -78,7 +77,7 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
         got = cauchy.cauchy_transform(samples, zs)
         worst = max(worst, float(np.abs(got - exact(zs)).max()))
         comparisons += len(zs)
-    return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons, refused)
+    return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
 
 
 def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
@@ -88,7 +87,7 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = catalog.smooth_phi_suite() + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)]
-    data, refused = _boundary_data(grid, phis)
+    data = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for n in arities:
@@ -98,7 +97,7 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
             ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples)
             worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
             comparisons += len(tuples)
-    return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons, refused)
+    return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
 
 
 def gh_equivalence_suite(seed=0, tuples_per_case=20, max_nodes=5) -> SuiteResult:
@@ -135,7 +134,7 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)]
-    data, refused = _boundary_data(grid, phis)
+    data = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for n in arities:
@@ -146,7 +145,7 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
             rhs = cauchy.norlund_transform(samples, tuples)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
             comparisons += len(tuples)
-    return SuiteResult("pushforward_identity", worst, 1e-9, comparisons, refused)
+    return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
 
 
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
@@ -172,7 +171,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     """
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
-    data, refused = _boundary_data(grid, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
+    data = _boundary_data(grid, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
     # Every kernel factor is at least 0.37 * diameter: 0.37^9 ~ 1.3e-4 > KERNEL_FLOOR.
     depth = 0.37 * geometry.domain_diameter(domain)
     worst = 0.0
@@ -205,7 +204,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
                 comparisons += int(keep.sum())
             if any(not accepted[:, orders == k].any() for k in range(max_order + 1)):
                 worst = float("inf")
-    return SuiteResult("derivative_factorization", worst, 1e-5, comparisons, refused)
+    return SuiteResult("derivative_factorization", worst, 1e-5, comparisons)
 
 
 def _abs(x: np.ndarray) -> np.ndarray:
@@ -337,7 +336,7 @@ def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0)
     """Bitwise permutation invariance of the multi-node transform."""
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
-    data, refused = _boundary_data(grid, [catalog.pole_phi(3.0)])
+    data = _boundary_data(grid, [catalog.pole_phi(3.0)])
     worst = 0.0
     comparisons = 0
     for n in (2, 3, 4):
@@ -349,7 +348,7 @@ def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0)
                 other = cauchy.norlund_transform(samples, tuples[:, perm])
                 worst = max(worst, float(np.abs(other - base).max()))
                 comparisons += len(tuples)
-    return SuiteResult("permutation_invariance", worst, 0.0, comparisons, refused)
+    return SuiteResult("permutation_invariance", worst, 0.0, comparisons)
 
 
 def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
@@ -370,7 +369,7 @@ def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
     ]
     if tol_scale != 1.0:
         results = [
-            SuiteResult(r.name, r.max_residual, r.tolerance * tol_scale, r.comparisons, r.refused)
+            SuiteResult(r.name, r.max_residual, r.tolerance * tol_scale, r.comparisons)
             for r in results
         ]
     return results

@@ -313,6 +313,7 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
     sp.geometry._beyond(domain, w, threshold)
     # The screen decides most points and measures a band of them exactly.
     assert 0 < sum(measured) < len(w) / 2
+    queried.clear()
     floor = max(threshold, sp.geometry.boundary_tolerance(domain))
     sp.classify_points(domain, w[oracle_reference.distance(domain, w) > floor])
     sizes = dict((c, n) for c, n in queried if n)
@@ -323,6 +324,17 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
 
     dist = oracle_reference.check(domain, w, threshold)
     assert (dist <= floor).any() and (dist > floor).any()
+
+
+@pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
+def test_distance_to_far_points(descriptor, oracle_reference):
+    # So far out that a node spacing is below half an ulp of the distance.
+    domain = sp.build_domain(descriptor)
+    w = np.array([1e15, 1e15 + 1e15j, -3e17j])
+    dist = sp.distance_to_boundary(domain, w)
+    assert np.array_equal(dist, oracle_reference.distance(domain, w))
+    assert np.allclose(dist, np.abs(w) - 1.0, rtol=1e-15)
+    assert not sp.interior_mask(domain, w, 0.0).any()
 
 
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)

@@ -7,7 +7,7 @@ import pytest
 
 import symprod as sp
 from symprod import catalog, cauchy, holder, suites
-from symprod.errors import KernelProximityError, SamplingError
+from symprod.errors import KernelProximityError, NonFiniteDataError, SamplingError
 
 
 def derivative_reference(gamma, samples, z) -> complex:
@@ -153,24 +153,28 @@ def test_derivative_suite_matches_per_call_loop(unit_disc, seed, arities):
 
 
 def test_non_finite_data_are_refused_not_compared():
-    # pole_phi(3.0) has its pole on a grid node of this ellipse: each suite
-    # that uses it counts it as refused and compares the other data only.
+    # pole_phi(3.0) has its pole on a grid node of this ellipse: its samples
+    # are refused, and each suite that uses it compares the other data only.
     domain = sp.build_domain("ellipse 0 0 3 2")
+    with pytest.raises(NonFiniteDataError):
+        cauchy.boundary_samples(sp.sample_boundary(domain, suites.DEFAULT_NODES),
+                                catalog.pole_phi(3.0))
     r = suites.cauchy_reproduction_suite(domain, points=20)
-    assert (r.refused, r.comparisons) == (1, 9 * 20) and np.isfinite(r.max_residual)
+    assert r.comparisons == 9 * 20 and np.isfinite(r.max_residual)
     r = suites.norlund_divdiff_suite(domain, points=10, arities=(2,))
-    assert (r.refused, r.comparisons) == (1, 6 * 10) and r.passed
+    assert r.comparisons == 6 * 10 and r.passed
     r = suites.pushforward_suite(domain, points=10, arities=(1, 2))
-    assert (r.refused, r.comparisons) == (1, 2 * 5 * 10) and r.passed
-    # The 0.37-diameter depth rule places no tuples on this ellipse.
-    assert suites.derivative_factorization_suite(domain, points=3, arities=(1,)).refused == 1
+    assert r.comparisons == 2 * 5 * 10 and r.passed
     # Its only datum refused, the permutation suite compares nothing and fails.
     r = suites.permutation_invariance_suite(domain, points=10)
-    assert (r.refused, r.comparisons, r.passed) == (1, 0, False)
+    assert (r.comparisons, r.passed) == (0, False)
 
 
 @pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
 def test_readme_domains_refuse_no_data(descriptor):
-    domain = sp.build_domain(descriptor)
-    results = suites.run_identity_suites(domain, max_arity=2, points=10)
-    assert all(r.refused == 0 for r in results)
+    grid = sp.sample_boundary(sp.build_domain(descriptor), suites.DEFAULT_NODES)
+    # Every datum the suites sample, the pole at 3 among them.
+    phis = ([catalog.monomial_phi(m) for m in range(9)] + catalog.smooth_phi_suite()
+            + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)])
+    for phi in phis:
+        assert np.isfinite(cauchy.boundary_samples(grid, phi).values).all()
