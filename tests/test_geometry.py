@@ -326,6 +326,19 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
     assert (dist <= floor).any() and (dist > floor).any()
 
 
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_distance_does_not_depend_on_the_batch(descriptor):
+    # The screen measures a subset of the points it is given, and its verdict
+    # must be that of the distance over the whole array.
+    domain = sp.build_domain(descriptor)
+    w = _probes(domain, 0.0, np.random.default_rng(3))
+    dist = sp.distance_to_boundary(domain, w)
+    for part in (slice(None, None, 7), slice(3, None, 11)):
+        assert np.array_equal(sp.distance_to_boundary(domain, w[part]), dist[part])
+    for k in range(0, len(w), 97):
+        assert sp.distance_to_boundary(domain, w[k]) == dist[k]
+
+
 @pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
 def test_distance_to_far_points(descriptor, oracle_reference):
     # So far out that a node spacing is below half an ulp of the distance.
