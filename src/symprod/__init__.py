@@ -40,7 +40,6 @@ from .errors import (
     DegenerateTruncationError,
     InvalidGeometryError,
     KernelProximityError,
-    MissingDerivativeFieldError,
     NonconvergentWindingError,
     NonFiniteDataError,
     RootFindingError,
@@ -69,10 +68,7 @@ from .holder import (
     ExponentFit,
     SampledField,
     calibration_fields,
-    ck_norm,
     estimate_exponent,
-    holder_seminorm,
-    pair_statistics,
 )
 from .propermap import (
     ProperMapSpec,

@@ -236,7 +236,7 @@ def _cmd_pv(cfg: dict):
 
 def _cmd_holder(cfg: dict):
     results, failures, tables = {}, [], {}
-    for name, truth, fld in holder.calibration_fields(points=2000):
+    for name, truth, fld in holder.calibration_fields():
         edges, counts, maxima, argdist = holder._pair_table(fld)   # one pass per field
         fit = holder._fit_table(counts, maxima, argdist)
         results[name] = {
@@ -258,7 +258,7 @@ def _cmd_propermap(cfg: dict):
     fun = propermap.parse_proper_map(cfg["propermap"])
     spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
     cfg = dict(cfg, samples=min(max(cfg["samples"], 1000), propermap.MAX_REGULARITY_SAMPLES))
-    agreement = propermap.route_agreement(spec, count=100, seed=cfg["seed"], nodes=cfg["nodes"])
+    agreement = propermap.route_agreement(spec, seed=cfg["seed"], nodes=cfg["nodes"])
     experiment = propermap.boundary_regularity_experiment(
         spec, num_samples=cfg["samples"], seed=cfg["seed"])
     failures = []

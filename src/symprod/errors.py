@@ -19,7 +19,8 @@ class NonconvergentWindingError(SymprodError):
 
 class NonFiniteDataError(SymprodError):
     """Boundary data are NaN or infinite at some quadrature node, as where a
-    pole of the data lies on the boundary."""
+    pole of the data lies on the boundary, or a query point of the boundary
+    oracle is NaN or infinite."""
 
 
 class WrongRegionError(SymprodError):
@@ -47,10 +48,6 @@ class RootFindingError(SymprodError):
 
 class DegenerateTruncationError(SymprodError):
     """Removing quadrature nodes near the singular points left nothing to sum."""
-
-
-class MissingDerivativeFieldError(SymprodError):
-    """A derivative field required for a norm computation was not supplied."""
 
 
 class SamplingError(SymprodError):

@@ -5,7 +5,7 @@ negatively oriented hole contours, each given by an analytic 2*pi-periodic
 parametrization.  Geometry checks (simplicity, nesting) run on a dense
 sample grid at construction time; simplicity is one sorted sweep over the
 validation samples that finds every pair closer than twice the largest
-sample step outside a band of 8 neighbours, O(m log m) for smooth curves.
+sample step and at least 8 steps apart in arc length, O(m log m) for smooth curves.
 Point queries (distance, winding, classification) start from one
 nearest-node pass per contour over a fixed 256-node grid, in blocks of
 bounded memory.  :func:`distance_to_boundary` projects every point onto
@@ -44,6 +44,7 @@ from .errors import (
     BoundaryProximityError,
     InvalidGeometryError,
     NonconvergentWindingError,
+    NonFiniteDataError,
     SamplingError,
 )
 
@@ -377,24 +378,30 @@ def _query(contours: Sequence[Contour], w: np.ndarray, floor: float):
     return dist, windings
 
 
+def _finite_points(w) -> np.ndarray:
+    """w as a complex array, refused with NonFiniteDataError unless finite."""
+    w = np.asarray(w, dtype=complex)
+    if not np.isfinite(w).all():
+        raise NonFiniteDataError(f"query points are not finite: {w[~np.isfinite(w)][:3]}")
+    return w
+
+
 def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     """Distance from point(s) w to the analytic boundary curves.
 
     Every point is projected onto every contour's parametrization, so the
-    result is exact to rounding, not to a sample spacing.
+    result is exact to rounding, not to a sample spacing.  A NaN or infinite
+    point raises NonFiniteDataError.
     """
-    w = np.asarray(w, dtype=complex)
+    w = _finite_points(w)
     flat = w.reshape(-1)
-    dist = np.full(len(flat), np.inf)
-    for c in domain.contours:
-        d, _ = _contour_query(c, flat, wind=False)
-        dist = np.minimum(dist, d)
+    dist = np.min([_contour_query(c, flat, wind=False)[0] for c in domain.contours], axis=0)
     return dist.reshape(w.shape)
 
 
 def _beyond(domain: DomainBoundary, w, threshold: float) -> np.ndarray:
-    """``distance_to_boundary(domain, w) > threshold`` for finite points,
-    same shape as w.
+    """``distance_to_boundary(domain, w) > threshold`` for finite points and
+    False for the others, same shape as w.
 
     The nearest node of each contour bounds a point's distance d: d is at
     most the nearest node distance and at least that less one node spacing.
@@ -421,18 +428,19 @@ def _beyond(domain: DomainBoundary, w, threshold: float) -> np.ndarray:
     band = np.flatnonzero(~keep & (near > threshold * (1.0 - _SCREEN_SLACK)))
     if band.size:
         keep[band] = distance_to_boundary(domain, flat[band]) > threshold
-    return keep.reshape(w.shape)
+    return (keep & np.isfinite(flat)).reshape(w.shape)
 
 
 def classify_points(domain: DomainBoundary, w) -> np.ndarray:
     """Region labels for a batch of points (see module docstring).
 
-    Raises BoundaryProximityError for points within
-    :func:`boundary_tolerance` of the boundary.  A contour's winding sum runs
-    only over the points inside its node bounding box, padded by that floor
-    and three node spacings; the others have winding 0 about it, exactly.
+    Raises BoundaryProximityError for points within :func:`boundary_tolerance`
+    of the boundary and NonFiniteDataError for NaN or infinite ones.  A
+    contour's winding sum runs only over the points inside its node bounding
+    box, padded by that floor and three node spacings; the others have
+    winding 0 about it, exactly.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    w = np.atleast_1d(_finite_points(w))
     flat = w.reshape(-1)
     tol = boundary_tolerance(domain)
     dist, windings = _query(domain.contours, flat, tol)
@@ -592,11 +600,12 @@ def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -
 
 def _check_simple(contour: Contour) -> None:
     """Reject a contour with a vanishing tangent or two validation samples
-    closer than ``floor`` (twice the largest step) that are at least ``sep``
-    apart in cyclic index order.
+    closer than ``floor`` (twice the largest step) that are at least ``band``
+    (eight largest steps) apart in arc length along the sample polygon.
 
-    Non-adjacent samples of a simple smooth curve stay well apart; a dip
-    below a couple of arc steps flags (near-)self-intersection.  The close
+    Samples of a simple smooth curve that lie far apart along it stay well
+    apart, also where it runs slowly, as at the tips of a thin ellipse; a
+    dip below a couple of steps flags (near-)self-intersection.  The close
     pairs are found by one sorted sweep: the samples are sorted along the
     wider bounding-box axis, and pass k compares each sorted sample with the
     k-th after it, keeping only the starts whose coordinate gap is still
@@ -611,12 +620,14 @@ def _check_simple(contour: Contour) -> None:
         raise InvalidGeometryError(f"contour {contour.label!r} has a vanishing tangent")
     step = np.abs(np.roll(pts, -1) - pts)
     floor = 2.0 * float(step.max())
+    band = 8.0 * float(step.max())
+    arc = np.concatenate([[0.0], np.cumsum(step[:-1])])
+    perimeter = float(step.sum())
     m = len(pts)
-    sep = 8
     wide = np.ptp(pts.real) >= np.ptp(pts.imag)
     key = pts.real if wide else pts.imag
     order = np.argsort(key, kind="stable")
-    key, spts = key[order], pts[order]
+    key, spts, sarc = key[order], pts[order], arc[order]
     # Sorted keys make each start's gap grow with k, so a dropped start
     # never comes back.
     live = np.arange(m - 1)
@@ -625,8 +636,8 @@ def _check_simple(contour: Contour) -> None:
         live = live[key[live + k] - key[live] < floor]
         if not live.size:
             break
-        gap = np.abs(order[live + k] - order[live])
-        far = np.minimum(gap, m - gap) >= sep
+        gap = np.abs(sarc[live + k] - sarc[live])
+        far = np.minimum(gap, perimeter - gap) >= band
         if (far & (np.abs(spts[live + k] - spts[live]) < floor)).any():
             raise InvalidGeometryError(
                 f"contour {contour.label!r} self-intersects at validation resolution"
@@ -634,29 +645,25 @@ def _check_simple(contour: Contour) -> None:
 
 
 def _check_nesting(domain: DomainBoundary) -> None:
+    """Reject a hole that touches another contour, leaves the outer one or
+    is inside another hole, at 32 samples queried against the others."""
     contours = domain.contours
     if len(contours) < 2:
         return
-    step = VALIDATION_GRID // 32
     tol = boundary_tolerance(domain)
     try:
         for i, hole in enumerate(contours[1:], start=1):
-            probes = _dense_points(hole)[::step]
-            for j, other in enumerate(contours):
-                if j == i:
-                    continue
-                dist, wind = _contour_query(other, probes, wind=True)
-                if (dist <= tol).any():
-                    raise InvalidGeometryError("contours touch at validation resolution")
-                if j == 0:
-                    if not (wind == 1).all():
-                        raise InvalidGeometryError(
-                            f"hole contour {hole.label!r} is not inside the outer contour"
-                        )
-                elif not (wind == 0).all():
+            others = contours[:i] + contours[i + 1:]
+            dist, wind = _query(others, _dense_points(hole)[:: VALIDATION_GRID // 32], tol)
+            if (dist <= tol).any():
+                raise InvalidGeometryError("contours touch at validation resolution")
+            if not (wind[:, 0] == 1).all():
+                raise InvalidGeometryError(
+                    f"hole contour {hole.label!r} is not inside the outer contour")
+            for other, w in zip(others[1:], wind[:, 1:].T):
+                if w.any():
                     raise InvalidGeometryError(
-                        f"hole contours {hole.label!r} and {other.label!r} are nested"
-                    )
+                        f"hole contours {hole.label!r} and {other.label!r} are nested")
     except NonconvergentWindingError as exc:
         raise InvalidGeometryError(f"nesting validation failed: {exc}") from exc
 

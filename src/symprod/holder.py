@@ -1,8 +1,7 @@
-"""Holder seminorms and empirical exponent estimation on sampled fields.
+"""Empirical Holder-exponent estimation on sampled fields.
 
-The seminorm is the exact discrete supremum of |df| / |dx|^alpha over all
-point pairs.  The exponent estimator bins pairs by dyadic distance, takes
-the per-bin maximum of |df| (a sup-type statistic, matching the seminorm;
+The exponent estimator bins pairs by dyadic distance, takes the per-bin
+maximum of |df| (a sup-type statistic, matching the Holder seminorm;
 per-bin means systematically underestimate roughness) and regresses the log
 of those maxima on the log bin center.  Estimates are lower-bound flavored:
 theory gives lower bounds on regularity, so "observed exponent at or above
@@ -17,16 +16,15 @@ block, and only |df| and the per-bin maxima are kept per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .catalog import weierstrass
-from .errors import MissingDerivativeFieldError
 
 MAX_POINTS = 5000
 MIN_POINTS_FOR_FIT = 100
 MIN_PAIRS_PER_BIN = 5
+_CALIBRATION_POINTS = 2000      # samples per calibration field
 _BLOCK_ENTRIES = 1 << 16        # pair-block size: 512 KiB per float array
 # Pair-table slots: a distance d > 0 with frexp exponent e (2**(e - 1) <= d
 # < 2**e, e in [-1073, 1024]) goes to slot e + _SLOT0; slot _DUMP takes the
@@ -79,16 +77,6 @@ def real_coordinates(points) -> np.ndarray:
     return p
 
 
-def _cloud(fld: SampledField) -> tuple[np.ndarray, np.ndarray]:
-    """Real coordinates (m, d) and the value columns (k, m) of a field."""
-    coords = fld.coords
-    if len(coords) < 2:
-        raise ValueError("need at least two points")
-    if len(coords) > MAX_POINTS:
-        raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
-    return coords, np.asarray(fld.values).reshape(len(coords), -1).T
-
-
 def _pair_blocks(coords: np.ndarray, columns: np.ndarray):
     """Upper-triangle pair blocks ``(i0, d, dvs)`` of distances and |df|.
 
@@ -129,21 +117,6 @@ def _column_diffs(columns: np.ndarray, i0: int, i1: int):
         yield np.abs(np.subtract.outer(v[i0:i1], v[i0 + 1:]))
 
 
-def holder_seminorm(fld: SampledField, alpha: float) -> float:
-    """Exact discrete sup of |df| / |dx|^alpha over all point pairs.
-
-    For (m, k) values |df| is the largest change of any one column.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    worst = 0.0
-    for _, d, dvs in _pair_blocks(*_cloud(fld)):
-        scale = d**alpha
-        for dv in dvs:
-            worst = max(worst, float((dv / scale).max(initial=0.0)))
-    return worst
-
-
 @dataclass(frozen=True)
 class ExponentFit:
     """Log-log regression summary for an empirical Holder exponent."""
@@ -170,7 +143,12 @@ def _pair_table(fld: SampledField):
     are shared, and ``maxima`` and ``argdist`` have one row per column,
     shape (k, bins); each row equals the table of that column alone.
     """
-    coords, columns = _cloud(fld)
+    coords = fld.coords
+    if len(coords) < 2:
+        raise ValueError("need at least two points")
+    if len(coords) > MAX_POINTS:
+        raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
+    columns = np.asarray(fld.values).reshape(len(coords), -1).T     # (k, m)
     m, k = len(coords), len(columns)
     counts = np.zeros(_SLOTS, dtype=int)
     maxima = np.zeros((k, _SLOTS))
@@ -219,13 +197,6 @@ def _pair_table(fld: SampledField):
     return 2.0 ** np.arange(lo, hi + 1), bin_counts, bin_maxima, bin_argdist
 
 
-def pair_statistics(fld: SampledField) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dyadic bin table: (bin_lo, bin_hi, pair_count, max_diff); for (m, k)
-    values ``max_diff`` has one row per column."""
-    edges, counts, maxima, _ = _pair_table(fld)
-    return edges[:-1], edges[1:], counts, maxima
-
-
 def estimate_exponent(fld: SampledField) -> ExponentFit | tuple[ExponentFit, ...]:
     """Empirical Holder exponent from per-bin maxima of |df|.
 
@@ -264,50 +235,13 @@ def _fit_table(counts, maxima, argdist) -> ExponentFit:
     )
 
 
-def ck_norm(fields: Mapping[tuple, SampledField], alpha: float) -> float:
-    """Sum of sup norms over all derivative orders up to k plus the Holder
-    seminorms of the top-order fields.
-
-    ``fields`` maps multi-indices (tuples) to sampled fields and must cover
-    every multi-index of order <= k, where k is the largest order present.
-    """
-    if not fields:
-        raise MissingDerivativeFieldError("no fields supplied")
-    keys = list(fields)
-    nvars = len(keys[0])
-    k = max(sum(g) for g in keys)
-    for g in _multi_indices(nvars, k):
-        if g not in fields:
-            raise MissingDerivativeFieldError(f"missing derivative field for {g}")
-    total = sum(float(np.abs(fields[g].values).max()) for g in _multi_indices(nvars, k))
-    top = [g for g in _multi_indices(nvars, k) if sum(g) == k]
-    for g in top:
-        fld = fields[g]
-        if len(fld.coords) >= 2:
-            total += holder_seminorm(fld, alpha)
-    return total
-
-
-def _multi_indices(nvars: int, max_order: int):
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for v in range(budget + 1):
-            yield from rec(prefix + [v], remaining - 1, budget - v)
-
-    out = []
-    for total in range(max_order + 1):
-        out.extend(g for g in rec([], nvars, total) if sum(g) == total)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Calibration fields with known exponents
 # ---------------------------------------------------------------------------
 
-def calibration_fields(points: int = 2000) -> list[tuple[str, float, SampledField]]:
-    """Known-exponent fields: (name, true exponent, field).
+def calibration_fields() -> list[tuple[str, float, SampledField]]:
+    """Known-exponent fields of ``_CALIBRATION_POINTS`` samples each:
+    (name, true exponent, field).
 
     Equispaced samples keep every pair distance at or above the roughness
     cutoff of the lacunar series, so the estimator sees the asymptotic
@@ -315,8 +249,8 @@ def calibration_fields(points: int = 2000) -> list[tuple[str, float, SampledFiel
     every distance bin is present, and the lacunar window spans two periods
     so its top bins are not dominated by saturation.
     """
-    x = np.linspace(-1.0, 1.0, points, endpoint=False)
-    theta = np.linspace(0.0, 4.0 * np.pi, points, endpoint=False)
+    x = np.linspace(-1.0, 1.0, _CALIBRATION_POINTS, endpoint=False)
+    theta = np.linspace(0.0, 4.0 * np.pi, _CALIBRATION_POINTS, endpoint=False)
     return [
         ("abs_sqrt", 0.5, SampledField(points=x, values=np.sqrt(np.abs(x)))),
         ("linear", 1.0, SampledField(points=x, values=0.75 * x)),

@@ -33,6 +33,11 @@ from .symmetric import desymmetrize_batch, lojasiewicz_exponent, symmetric_power
 # The boundary-regularity experiment fits on at most this many coefficient
 # points; the pair table is O(m^2) and takes at most holder.MAX_POINTS.
 MAX_REGULARITY_SAMPLES = 4500
+_AGREEMENT_TUPLES = 100   # random tuples that route_agreement compares
+# The near-boundary tuples of the regularity experiment; see below.
+_DEPTH_RANGE = (1e-4, 1e-2)
+_DIAGONAL_FRACTION = 0.5
+_PAIR_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,10 @@ def evaluate_proper_map(spec: ProperMapSpec, z, route: str = "roots",
     raise ValueError(f"unknown route {route!r}")
 
 
-def route_agreement(spec: ProperMapSpec, count: int = 100, seed: int = 0, nodes: int = 256) -> float:
-    """Largest relative deviation between the two routes on ``count`` random
-    tuples of source-domain points farther than a tenth of its diameter from
-    the boundary.
+def route_agreement(spec: ProperMapSpec, seed: int = 0, nodes: int = 256) -> float:
+    """Largest relative deviation between the two routes on
+    ``_AGREEMENT_TUPLES`` random tuples of source-domain points farther than
+    a tenth of its diameter from the boundary.
 
     Each tuple contributes max|a - b| / (1 + max|b|), with ``a`` the
     integral route and ``b`` the roots route: the image coefficients grow
@@ -103,7 +108,8 @@ def route_agreement(spec: ProperMapSpec, count: int = 100, seed: int = 0, nodes:
     rng = np.random.default_rng(seed)
     samples = map_boundary_samples(spec, nodes)
     margin = 0.1 * domain_diameter(spec.source)
-    tuples = sample_interior(spec.source, count * spec.arity, rng, margin).reshape(count, spec.arity)
+    tuples = sample_interior(spec.source, _AGREEMENT_TUPLES * spec.arity, rng,
+                             margin).reshape(_AGREEMENT_TUPLES, spec.arity)
     z = symmetrize(tuples)
     a = evaluate_proper_map(spec, z, route="integral", samples=samples)
     b = evaluate_proper_map(spec, z, route="roots")
@@ -118,17 +124,15 @@ class RegularityResult:
     samples_used: int
 
 
-def sample_near_boundary_tuples(domain: DomainBoundary, n: int, count: int, rng,
-                                depth_range=(1e-4, 1e-2), diagonal_fraction: float = 0.5,
-                                pair_fraction: float = 0.1) -> np.ndarray:
+def sample_near_boundary_tuples(domain: DomainBoundary, n: int, count: int, rng) -> np.ndarray:
     """Root tuples hugging the boundary of the source domain.
 
-    A fraction of tuples carries a clustered coordinate pair (probing the
-    degenerate diagonal directions) and another fraction is emitted twice
-    with a sub-1e-3 offset, so the resulting coefficient cloud contains
-    close sample pairs at every scale the exponent estimator bins.
-    Coordinates are placed by inward normal offset from the outer contour,
-    which keeps them inside for the offsets used here.
+    A ``_DIAGONAL_FRACTION`` of tuples carries a clustered coordinate pair
+    (probing the degenerate diagonal directions) and a ``_PAIR_FRACTION`` of
+    the output comes in pairs with a sub-1e-3 offset, so the coefficient
+    cloud has close pairs at every scale the exponent estimator bins.
+    Coordinates lie at inward normal offsets in ``_DEPTH_RANGE`` from the
+    outer contour, which keeps them inside.
     """
     outer = domain.contours[0]
 
@@ -137,14 +141,14 @@ def sample_near_boundary_tuples(domain: DomainBoundary, n: int, count: int, rng,
         tp = np.asarray(outer.tangent(theta), dtype=complex)
         return p + depth * (1j * tp / np.abs(tp))
 
-    lo, hi = np.log10(depth_range[0]), np.log10(depth_range[1])
-    n_pairs = int(count * pair_fraction / 2)
+    lo, hi = np.log10(_DEPTH_RANGE[0]), np.log10(_DEPTH_RANGE[1])
+    n_pairs = int(count * _PAIR_FRACTION / 2)
     n_base = count - n_pairs
 
     thetas = rng.uniform(0.0, 2.0 * np.pi, (n_base, n))
     depths = 10.0 ** rng.uniform(lo, hi, (n_base, n))
     if n >= 2:
-        clustered = rng.random(n_base) < diagonal_fraction
+        clustered = rng.random(n_base) < _DIAGONAL_FRACTION
         gaps = 10.0 ** rng.uniform(lo, hi, n_base)
         thetas[clustered, 1] = thetas[clustered, 0] + gaps[clustered]
     base = place(thetas, depths)

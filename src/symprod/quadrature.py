@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SIMPLEX_ORDER = 16
+_SIMPLEX_ORDER = 16        # Gauss-Legendre points per axis of the simplex rules
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,8 +47,9 @@ class SimplexRule:
 
 
 @functools.lru_cache(maxsize=64)
-def simplex_rule(dimension: int, order: int = DEFAULT_SIMPLEX_ORDER) -> SimplexRule:
-    """Duffy-mapped tensor Gauss-Legendre rule on A_d.
+def simplex_rule(dimension: int) -> SimplexRule:
+    """Duffy-mapped tensor Gauss-Legendre rule on A_d, ``_SIMPLEX_ORDER``
+    points per axis.
 
     The cube-to-simplex map is x_k = u_k * (1 - x_1 - ... - x_{k-1}) with
     polynomial Jacobian, so monomials up to the rule's degree integrate to
@@ -57,7 +58,7 @@ def simplex_rule(dimension: int, order: int = DEFAULT_SIMPLEX_ORDER) -> SimplexR
     d = int(dimension)
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    x1, w1 = gauss_legendre(order)
+    x1, w1 = gauss_legendre(_SIMPLEX_ORDER)
     grids = np.meshgrid(*([x1] * d), indexing="ij")
     u = np.stack([g.ravel() for g in grids], axis=1)
     wgrids = np.meshgrid(*([w1] * d), indexing="ij")
@@ -74,8 +75,7 @@ def simplex_rule(dimension: int, order: int = DEFAULT_SIMPLEX_ORDER) -> SimplexR
 
 
 def simplex_integrate(dimension: int, integrand) -> complex:
-    """Integrate a function over the solid simplex A_d with the rule of
-    :func:`simplex_rule` at its default order.
+    """Integrate a function over the solid simplex A_d by :func:`simplex_rule`.
 
     ``integrand`` must be vectorized: it receives an (M, d) array of points
     and returns M values.

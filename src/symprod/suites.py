@@ -8,16 +8,20 @@ The CLI ``identities`` subcommand and the acceptance tests both run these.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, cauchy, divdiff, geometry, holder, symmetric
+from . import catalog, cauchy, divdiff, geometry, symmetric
 from .errors import KernelProximityError, NonFiniteDataError, SamplingError
 
 DEFAULT_NODES = 256
 # Rounds of twice the missing rows that _separated_tuples draws before it gives up.
 _TUPLE_ROUNDS = 5
+_MAX_ORDER = 2             # derivative orders checked; _stencils goes no higher
+_NEWTON_TUPLES = 125       # tuples per arity of newton_consistency_suite
+_NEWTON_MAX_ARITY = 8
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,12 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
 
 
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
-                                   arities=(1, 2, 3), max_order=2) -> SuiteResult:
+                                   arities=(1, 2, 3)) -> SuiteResult:
     """Factorized derivative of the symmetrized transform against central
     finite differences (relative error).
 
     Per arity and boundary datum, one :func:`cauchy.derivative_symmetrized`
-    call evaluates every tuple at every multi-index up to ``max_order``, and
+    call evaluates every tuple at every multi-index up to ``_MAX_ORDER``, and
     one :func:`cauchy.symmetrized_transform` call evaluates every point of
     the finite-difference stencils (step 1e-4) that the accepted entries use.
 
@@ -183,7 +187,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         except SamplingError:
             continue
         zs = symmetric.symmetrize(tuples)
-        gammas = np.array(holder._multi_indices(n, max_order))
+        gammas = np.array(_multi_indices(n))
         orders = gammas.sum(axis=1)
         offsets, uses, coefs, denominators = _stencils(gammas, 1e-4)
         touches = (uses[:, :, None] == np.arange(len(offsets))).any(axis=1)   # (G, P)
@@ -202,9 +206,15 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
                 errors = _abs(got - ref)[keep] / scale[keep]
                 worst = max(worst, float(np.fmax.reduce(errors)))
                 comparisons += int(keep.sum())
-            if any(not accepted[:, orders == k].any() for k in range(max_order + 1)):
+            if any(not accepted[:, orders == k].any() for k in range(_MAX_ORDER + 1)):
                 worst = float("inf")
     return SuiteResult("derivative_factorization", worst, 1e-5, comparisons)
+
+
+def _multi_indices(n: int) -> list[tuple[int, ...]]:
+    """Multi-indices of n variables up to ``_MAX_ORDER``, by order, then lexicographically."""
+    return [g for order in range(_MAX_ORDER + 1)
+            for g in itertools.product(range(order + 1), repeat=n) if sum(g) == order]
 
 
 def _abs(x: np.ndarray) -> np.ndarray:
@@ -315,21 +325,20 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     return SuiteResult("power_sum_residues", worst, 1e-9, comparisons)
 
 
-def newton_consistency_suite(seed=0, samples=1000, max_arity=8) -> SuiteResult:
+def newton_consistency_suite(seed=0) -> SuiteResult:
     """Newton's identities recover the elementary symmetric values from
     power sums (relative error)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    comparisons = 0
-    for n in range(1, max_arity + 1):
-        count = max(samples // max_arity, 50)
-        w = rng.uniform(-1, 1, (count, n)) + 1j * rng.uniform(-1, 1, (count, n))
+    for n in range(1, _NEWTON_MAX_ARITY + 1):
+        shape = (_NEWTON_TUPLES, n)
+        w = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
         e_direct = symmetric.symmetrize(w)
         e_newton = symmetric.newton_map(symmetric.power_sums(w))
         scale = 1.0 + np.abs(e_direct).max(axis=-1, keepdims=True)
         worst = max(worst, float((np.abs(e_newton - e_direct) / scale).max()))
-        comparisons += count
-    return SuiteResult("newton_power_sum_consistency", worst, 1e-11, comparisons)
+    return SuiteResult("newton_power_sum_consistency", worst, 1e-11,
+                       _NEWTON_TUPLES * _NEWTON_MAX_ARITY)
 
 
 def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0) -> SuiteResult:

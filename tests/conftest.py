@@ -37,15 +37,15 @@ def check_simple_reference(contour) -> None:
         raise InvalidGeometryError(f"contour {contour.label!r} has a vanishing tangent")
     step = np.abs(np.roll(pts, -1) - pts)
     floor = 2.0 * float(step.max())
-    m = len(pts)
-    sep = 8
+    band = 8.0 * float(step.max())
+    arc = np.concatenate([[0.0], np.cumsum(step[:-1])])
+    perimeter = float(step.sum())
     block = 256
-    for i0 in range(0, m, block):
+    for i0 in range(0, len(pts), block):
         rows = pts[i0 : i0 + block]
         d = np.abs(rows[:, None] - pts[None, :])
-        r = np.arange(len(rows))
-        for off in range(1 - sep, sep):
-            d[r, (r + i0 + off) % m] = np.inf
+        gap = np.abs(arc[i0 : i0 + block, None] - arc[None, :])
+        d[np.minimum(gap, perimeter - gap) < band] = np.inf
         if d.min() < floor:
             raise InvalidGeometryError(
                 f"contour {contour.label!r} self-intersects at validation resolution"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod.errors import BoundaryProximityError, InvalidGeometryError, SamplingError
+from symprod.errors import (
+    BoundaryProximityError,
+    InvalidGeometryError,
+    NonFiniteDataError,
+    SamplingError,
+)
 from symprod.suites import _separated_tuples
 
 
@@ -48,13 +53,19 @@ def test_star_small_ripple_accepted():
     assert d.kappa == 2
 
 
-def test_invalid_nesting_rejected():
-    with pytest.raises(InvalidGeometryError):
-        # hole sticking out of the outer disc
-        sp.build_domain("disc 0 0 1 + hole disc 0.9 0 0.5")
-    with pytest.raises(InvalidGeometryError):
-        # nested holes
-        sp.build_domain("disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3")
+@pytest.mark.parametrize("descriptor, message", [
+    # a hole sticking out of the outer disc, and one wholly outside it
+    ("disc 0 0 1 + hole disc 0.9 0 0.5", "is not inside the outer contour"),
+    ("disc 0 0 1 + hole disc 2 0 0.3", "is not inside the outer contour"),
+    # nested holes, and overlapping ones
+    ("disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3", "are nested"),
+    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45", "are nested"),
+    # a hole whose first validation sample lies on the outer circle
+    ("disc 0 0 1 + hole disc 0.5 0 0.5", "contours touch at validation resolution"),
+])
+def test_invalid_nesting_rejected(descriptor, message):
+    with pytest.raises(InvalidGeometryError, match=message):
+        sp.build_domain(descriptor)
 
 
 def _windings(contours, w):
@@ -226,6 +237,20 @@ def test_sample_interior_gives_up(unit_disc):
         sp.sample_interior(unit_disc, 10, np.random.default_rng(0), 1.0)
 
 
+@pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
+@pytest.mark.parametrize("point", [np.inf, -np.inf, np.nan, complex(0.5, np.inf),
+                                   complex(np.nan, 0.5)])
+def test_non_finite_query_points(descriptor, point):
+    # Refused before any arithmetic, so no RuntimeWarning is raised as an
+    # error first; the mask answers False instead.
+    domain = sp.build_domain(descriptor)
+    w = np.array([0.5 + 0.1j, point])
+    for query in (sp.distance_to_boundary, sp.classify_points):
+        with pytest.raises(NonFiniteDataError):
+            query(domain, w)
+    assert sp.interior_mask(domain, w, 0.0).tolist() == [True, False]
+
+
 def test_interior_mask_below_the_floor(unit_disc):
     # A point under the classification floor is masked out, not refused.
     w = np.array([0.0, 1.0 - 1e-8, 2.0])
@@ -381,11 +406,12 @@ def _neck(delta):
 
 
 _CONTOUR_FAMILIES = {
-    # The band of 8 samples spans too little arc at the tips of thin
-    # ellipses, so the check refuses b/a below about 0.25.
+    # Ellipses thinner than about b/a = 0.02 bring the two arms within twice
+    # the largest sample step of each other, and are refused.
     "ellipse": [sp.geometry.ellipse_contour(0, 1, b) for b in np.geomspace(1e-3, 0.5, 25)],
     "star": [sp.geometry.star_contour(1, 0.999 / (m * m - 1), m) for m in (2, 3, 5, 8)],
-    "radial": [_radial(c, 2) for c in np.linspace(0.1, 0.95, 10)],
+    # Simple while r > 0 (c < 1); looped beyond.
+    "radial": [_radial(c, 2) for c in np.linspace(0.1, 1.5, 15)],
     "neck": [_neck(d) for d in np.geomspace(1e-4, 0.1, 16)],
 }
 

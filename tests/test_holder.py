@@ -5,36 +5,7 @@ import pytest
 
 import symprod as sp
 from symprod import holder
-from symprod.errors import MissingDerivativeFieldError
 from symprod.holder import SampledField
-
-
-def test_constant_field_seminorm():
-    fld = SampledField(points=np.linspace(0, 1, 10), values=np.full(10, 2.0 + 1.0j))
-    assert sp.holder_seminorm(fld, 0.5) == 0.0
-
-
-def test_linear_seminorm_two_points():
-    fld = SampledField(points=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]))
-    assert abs(sp.holder_seminorm(fld, 1.0) - 1.0) < 1e-15
-
-
-def test_sqrt_seminorm_three_points():
-    x = np.array([0.0, 0.25, 1.0])
-    fld = SampledField(points=x, values=np.sqrt(x))
-    assert abs(sp.holder_seminorm(fld, 0.5) - 1.0) < 1e-15
-
-
-def test_seminorm_validation():
-    fld = SampledField(points=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        sp.holder_seminorm(fld, 1.5)
-    big = SampledField(points=np.arange(5001, dtype=float), values=np.zeros(5001))
-    with pytest.raises(ValueError):
-        sp.holder_seminorm(big, 0.5)
-    dup = SampledField(points=np.array([0.0, 0.0, 1.0]), values=np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(ValueError):
-        sp.holder_seminorm(dup, 0.5)
 
 
 def test_length_mismatch_rejected():
@@ -42,37 +13,24 @@ def test_length_mismatch_rejected():
         SampledField(points=np.array([0.0, 1.0]), values=np.array([0.0]))
 
 
-def test_monotonicity_in_alpha(rng):
-    # d**(-alpha) grows with alpha when all distances are below one, so the
-    # sup is nondecreasing there, and the other way around above one
-    x = rng.random(40) * 0.5
-    x = np.unique(x)
-    fld = SampledField(points=x, values=np.sin(3 * x))
-    vals = [sp.holder_seminorm(fld, a) for a in (0.2, 0.4, 0.6, 0.8, 1.0)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    y = np.array([0.0, 1.5, 3.2, 5.0, 7.77])
-    fld2 = SampledField(points=y, values=np.sin(y))
-    vals2 = [sp.holder_seminorm(fld2, a) for a in (0.2, 0.5, 1.0)]
-    assert all(a >= b for a, b in zip(vals2, vals2[1:]))
-
-
-def test_scaling(rng):
-    x = np.unique(rng.random(60))
-    v = np.cos(5 * x) + 1j * x
-    f1 = SampledField(points=x, values=v)
-    f2 = SampledField(points=x, values=(2.0 - 1.0j) * v)
-    c = abs(2.0 - 1.0j)
-    assert abs(sp.holder_seminorm(f2, 0.5) - c * sp.holder_seminorm(f1, 0.5)) < 1e-12
-    k0 = {(0,): f1}
-    k0s = {(0,): f2}
-    assert abs(sp.ck_norm(k0s, 0.5) - c * sp.ck_norm(k0, 0.5)) < 1e-12
+@pytest.mark.parametrize("points, message", [
+    (np.array([0.5]), "at least two points"),
+    (np.arange(5001, dtype=float), "too many points"),
+    (np.array([0.0, 0.0, 1.0]), "pairwise distinct"),
+])
+def test_pair_table_refusals(points, message):
+    fld = SampledField(points=points, values=np.arange(len(points), dtype=float))
+    with pytest.raises(ValueError, match=message):
+        holder._pair_table(fld)
 
 
 def test_complex_points_accepted():
     z = np.array([0.0 + 0j, 1.0 + 0j, 1j])
     fld = SampledField(points=z, values=np.array([0.0, 1.0, 2.0]))
     assert fld.coords.shape == (3, 2)
-    assert sp.holder_seminorm(fld, 1.0) > 0
+    edges, counts, maxima, argdist = holder._pair_table(fld)
+    assert list(edges) == [1.0, 2.0]
+    assert list(counts) == [3] and list(maxima) == [2.0] and list(argdist) == [1.0]
 
 
 def test_estimate_requires_points():
@@ -95,44 +53,13 @@ def test_estimator_example_bands():
     assert 0.25 <= fits["lacunar_0.3"].alpha_hat <= 0.38
 
 
-def test_pair_statistics_csv_columns():
+def test_pair_table_csv_columns():
+    # The columns that ``cli holder`` writes: bin_lo, bin_hi, pair_count, max_diff.
     _, _, fld = sp.calibration_fields()[0]
-    bin_lo, bin_hi, counts, maxima = sp.pair_statistics(fld)
-    assert len(bin_lo) == len(bin_hi) == len(counts) == len(maxima)
-    assert (bin_hi > bin_lo).all()
+    edges, counts, maxima, _ = holder._pair_table(fld)
+    assert len(edges) - 1 == len(counts) == len(maxima)
+    assert (np.diff(edges) > 0).all()
     assert counts.sum() == 2000 * 1999 // 2
-
-
-def test_ck_norm_k0():
-    x = np.linspace(0.1, 1.0, 30)
-    fld = SampledField(points=x, values=2.0 * x)
-    got = sp.ck_norm({(0,): fld}, 0.5)
-    assert abs(got - (2.0 + sp.holder_seminorm(fld, 0.5))) < 1e-12
-
-
-def test_ck_norm_constant_any_k():
-    x = np.linspace(0.0, 1.0, 20)
-    const = SampledField(points=x, values=np.full(20, 3.0 + 4.0j))
-    zero = SampledField(points=x, values=np.zeros(20))
-    got = sp.ck_norm({(0,): const, (1,): zero}, 0.5)
-    assert abs(got - 5.0) < 1e-12
-
-
-def test_ck_norm_identity_on_disc(rng):
-    # f(z) = z on disc samples, k = 1: sup|z| + sup|f'| + 0
-    pts = 0.999 * np.exp(1j * rng.uniform(0, 2 * np.pi, 50)) * rng.random(50) ** 0.5
-    f0 = SampledField(points=pts, values=pts)
-    f10 = SampledField(points=pts, values=np.ones(50))
-    f01 = SampledField(points=pts, values=np.zeros(50))
-    got = sp.ck_norm({(0, 0): f0, (1, 0): f10, (0, 1): f01}, 0.5)
-    assert abs(got - (np.abs(pts).max() + 1.0)) < 1e-12
-
-
-def test_ck_norm_missing_field():
-    x = np.linspace(0, 1, 10)
-    fld = SampledField(points=x, values=x)
-    with pytest.raises(MissingDerivativeFieldError):
-        sp.ck_norm({(1,): fld}, 0.5)
 
 
 def _reference_table(fld):
@@ -197,7 +124,7 @@ def test_column_tables_match_across_blocks(rng, k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_column_tables_match_with_ties(k):
     # The linear and staircase columns tie their bin maxima many times over.
-    _, _, lin = sp.calibration_fields(points=1200)[1]
+    _, _, lin = sp.calibration_fields()[1]
     x = lin.points
     columns = [lin.values, np.floor(4.0 * x), np.sqrt(np.abs(x))]
     _assert_columns_match(SampledField(points=x, values=np.stack(columns[:k], axis=1)))
@@ -232,7 +159,7 @@ def test_values_shape_rejected(values):
 
 
 def test_pair_table_matches_brute_force_with_ties():
-    _, _, lin = sp.calibration_fields(points=1200)[1]
+    _, _, lin = sp.calibration_fields()[1]
     _assert_same_table(lin)
 
 
@@ -274,10 +201,6 @@ def test_pair_table_property():
                 _assert_same_table(fld)
             else:
                 _assert_columns_match(fld)
-            i, j = np.triu_indices(len(pts), k=1)
-            d = np.sqrt(((fld.coords[i] - fld.coords[j]) ** 2).sum(axis=1))
-            dv = np.abs(fld.values[i] - fld.values[j]).reshape(len(d), -1).max(axis=1)
-            assert sp.holder_seminorm(fld, 0.5) == (dv / d**0.5).max()
 
     check()
 
@@ -292,14 +215,8 @@ def test_non_finite_field_rejected(points, values):
         SampledField(points=points, values=values)
 
 
-def test_pair_statistics_two_points_one_bin():
+def test_pair_table_two_points_one_bin():
     fld = SampledField(points=np.array([0.0, 1.0]), values=np.array([0.0, 3.0]))
-    bin_lo, bin_hi, counts, maxima = sp.pair_statistics(fld)
-    assert list(bin_lo) == [1.0] and list(bin_hi) == [2.0]
-    assert list(counts) == [1] and list(maxima) == [3.0]
-
-
-def test_pair_statistics_needs_two_points():
-    fld = SampledField(points=np.array([0.5]), values=np.array([1.0]))
-    with pytest.raises(ValueError, match="at least two points"):
-        sp.pair_statistics(fld)
+    edges, counts, maxima, argdist = holder._pair_table(fld)
+    assert list(edges) == [1.0, 2.0]
+    assert list(counts) == [1] and list(maxima) == [3.0] and list(argdist) == [1.0]

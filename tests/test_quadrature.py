@@ -59,7 +59,7 @@ def test_gauss_legendre_bounds():
 
 def test_simplex_rule_invariants():
     for d in (1, 2, 3, 4):
-        rule = sp.simplex_rule(d, 8)
+        rule = sp.simplex_rule(d)
         assert (rule.nodes >= -1e-14).all()
         assert (rule.nodes.sum(axis=1) <= 1 + 1e-14).all()
         assert abs(rule.weights.sum() - 1.0 / math.factorial(d)) < 1e-12

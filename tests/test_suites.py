@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog, cauchy, holder, suites
+from symprod import catalog, cauchy, suites
 from symprod.errors import KernelProximityError, NonFiniteDataError, SamplingError
 
 
@@ -46,7 +46,7 @@ def finite_difference_reference(f, z, gamma, h):
     return (f(z + e + e2) - f(z + e - e2) - f(z - e + e2) + f(z - e - e2)) / (4 * h**2)
 
 
-def derivative_suite_reference(domain, points, seed, arities, nodes=256, max_order=2):
+def derivative_suite_reference(domain, points, seed, arities, nodes=256):
     """(max_residual, comparisons) of the per-call loop; an arity whose tuples
     were drawn but where the floor refused every call of one order reads inf."""
     rng = np.random.default_rng(seed)
@@ -70,7 +70,7 @@ def derivative_suite_reference(domain, points, seed, arities, nodes=256, max_ord
                 return sp.symmetrized_transform(samples, zz, check_region=False)
 
             for z in zs:
-                for gamma in holder._multi_indices(n, max_order):
+                for gamma in suites._multi_indices(n):
                     try:
                         got = derivative_reference(gamma, samples, z)
                     except KernelProximityError:
@@ -81,7 +81,7 @@ def derivative_suite_reference(domain, points, seed, arities, nodes=256, max_ord
                         continue
                     worst = max(worst, abs(got - ref) / abs(ref))
                     comparisons += 1
-        if len(accepted_orders) <= max_order:
+        if len(accepted_orders) <= suites._MAX_ORDER:
             worst = float("inf")
     return worst, comparisons
 
@@ -97,7 +97,7 @@ def _deep_symmetric_points(domain, n, count, seed):
 def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n):
     samples = sp.boundary_samples(disc_grid, catalog.pole_phi(3.0))
     zs = _deep_symmetric_points(unit_disc, n, 8, seed=n)
-    gammas = np.array(holder._multi_indices(n, 2))
+    gammas = np.array(suites._multi_indices(n))
     single = np.zeros((len(zs), len(gammas)), dtype=complex)
     refused = np.zeros(single.shape, dtype=bool)
     for b, z in enumerate(zs):

@@ -1,0 +1,96 @@
+"""Compare fixed-seed CLI runs of a parent checkout and this one, case by case.
+
+Usage (from the repository root)::
+
+    python3 tools/cli_digest.py --parent ../parent
+
+It runs every case of ``CASES`` once in the parent checkout and once in
+this one, each as ``python -m symprod`` against that checkout's own
+``src/``, in a fresh working directory with ``--out out``.  The cases are
+every command on the five README domains at ``--n 2`` with a fixed seed,
+and the refusals and edge cases below them.  For each case it prints
+whether the ``--out`` tree (file names and bytes), stdout, stderr and the
+exit code match, and it exits 1 if any of them differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600
+SEED = "7"
+
+README_DOMAINS = (
+    "disc 0 0 1",
+    "ellipse 0 0 1.1 0.9",
+    "star 1 0.25 2",
+    "annulus 0 0 0.3 1",
+    "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+)
+COMMANDS = ("transform", "identities", "components", "loja", "pv", "holder", "propermap")
+
+CASES = [
+    [command, "--domain", domain, "--n", "2"] for domain in README_DOMAINS for command in COMMANDS
+] + [
+    ["identities", "--domain", "disc 0 0 1", "--n", "5"],
+    ["propermap", "--domain", "disc 0 0 1", "--propermap", "blaschke 0.5", "--n", "3"],
+    # Thin ellipses.
+    ["transform", "--domain", "ellipse 0 0 1 0.2"],
+    ["transform", "--domain", "ellipse 0 0 1 0.25"],
+    # Holes that leave the outer contour, nest, overlap or touch.
+    ["transform", "--domain", "disc 0 0 1 + hole disc 0.9 0 0.5"],
+    ["transform", "--domain", "disc 0 0 1 + hole disc 2 0 0.3"],
+    ["transform", "--domain", "disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3"],
+    ["transform", "--domain", "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45"],
+    ["transform", "--domain", "disc 0 0 1 + hole disc 0.5 0 0.5"],
+    # No room for the interior points, and a pole on a quadrature node.
+    ["transform", "--domain", "annulus 0 0 0.9 1"],
+    ["transform", "--domain", "disc 0 0 3", "--phi", "pole 3 0 1"],
+]
+
+
+def run_case(checkout: Path, args: list[str]) -> dict:
+    """Exit code, stdout, stderr and the ``--out`` tree of one CLI run."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run(
+            [sys.executable, "-m", "symprod", *args, "--seed", SEED, "--out", "out"],
+            cwd=work, env=env, capture_output=True, timeout=RUN_TIMEOUT_S, check=False,
+        )
+        out = Path(work) / "out"
+        tree = {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+    return {"tree": tree, "stdout": done.stdout, "stderr": done.stderr,
+            "exit": done.returncode}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    for case in CASES:
+        parent, change = run_case(args.parent.resolve(), case), run_case(ROOT, case)
+        diffs = [part for part in ("tree", "stdout", "stderr") if parent[part] != change[part]]
+        if parent["exit"] != change["exit"]:
+            diffs.append(f"exit {parent['exit']} -> {change['exit']}")
+        label = " ".join(repr(a) if " " in a else a for a in case)
+        if diffs:
+            differ += 1
+            print(f"DIFFER {label}: {', '.join(diffs)}", flush=True)
+        else:
+            print(f"same   {label} (exit {change['exit']})", flush=True)
+    print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
