@@ -162,6 +162,12 @@ def test_figure_eight_rejected(simple_verdict):
     assert "self-intersects" in simple_verdict(crossing)
 
 
+@pytest.mark.parametrize("b", [0.2, 0.25])
+def test_thin_ellipse_builds(b):
+    # The band is measured in arc length, so the slow tips are no crossing.
+    assert sp.build_domain(f"ellipse 0 0 1 {b}").kappa == 2
+
+
 README_DESCRIPTORS = [
     "disc 0 0 1",
     "ellipse 0 0 1.1 0.9",
