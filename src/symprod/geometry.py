@@ -6,22 +6,21 @@ parametrization.  Geometry checks (simplicity, nesting) run on a dense
 sample grid at construction time; simplicity is one sorted sweep over the
 validation samples that finds every pair closer than twice the largest
 sample step and at least 8 steps apart in arc length, O(m log m) for smooth curves.
-Point queries (distance, winding, classification) start from one
-nearest-node pass per contour over a fixed 256-node grid, in blocks of
+Point queries run on a fixed 256-node grid per contour, in blocks of
 bounded memory.  :func:`distance_to_boundary` projects every point onto
-every contour's analytic parametrization, so it is exact to rounding; the
-two queries built on it do the exact work only where it can change their
-answer.  A node lies on the curve and every curve point lies within a node
-spacing h of a node, so a point whose nearest node is d away is between
-d - h and d from that contour.  :func:`interior_mask` decides its distance
-test from the nearest nodes alone outside a band of one spacing above the
-threshold, and sends only the band to :func:`distance_to_boundary`.
-:func:`classify_points` sums the 256-node winding quadrature of a contour
-only for points inside the contour's node bounding box, padded by the
-distance floor and three spacings; a point outside it has winding 0 about
-that contour and lies beyond the floor.
-Random interior points come from one rejection sampler built on those
-queries, :func:`sample_interior`.
+every contour's analytic parametrization, so it is exact to rounding.
+:func:`classify_points` and :func:`interior_mask` share one oracle that
+makes one nearest-node pass per contour over the points inside the
+contour's node bounding box, padded by the distance floor and three
+spacings; a point outside it has winding 0 about that contour and lies
+beyond the floor.  A node lies on the curve and every curve point lies
+within a node spacing h of a node, so a point whose nearest node is d away
+is between d - h and d from that contour: the nearest nodes decide the
+distance test, except in a band of one spacing above the floor, which goes
+to :func:`distance_to_boundary`.  The same pass gives the 256-node winding
+sums of the points that it does not refuse.
+Random interior points come from one rejection sampler built on the
+oracle, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
 spectrally accurate for every contour integral built on top of them.
 
@@ -72,8 +71,8 @@ _NEAR_SPACINGS = 2.0
 # takes three to five steps, _PROJECTION_STEPS at most.
 _PROJECTION_TOL = 1e-12
 _PROJECTION_STEPS = 16
-# The distance screen measures exactly the points whose nearest node lies
-# from a relative _SCREEN_SLACK below the threshold to one spacing above it.
+# The oracle measures exactly the points whose nearest node lies from a
+# relative _SCREEN_SLACK below the distance floor to one spacing above it.
 _SCREEN_SLACK = 1e-9
 # The interior sampler draws from the bounding box in at most _SAMPLER_ROUNDS
 # rounds.  A round draws 1.25 times the missing count over the acceptance
@@ -304,78 +303,41 @@ def _nearest_nodes(grid: _WindingGrid, w: np.ndarray):
     return j, d
 
 
-def _contour_query(contour: Contour, w: np.ndarray, wind: bool):
-    """Distance from each point of a 1-D array w to one analytic contour and,
-    if ``wind``, the contour's orientation-signed winding number about it.
+def _winding_sums(contour: Contour, blk, z, zz, d2, rows) -> np.ndarray:
+    """Rounded trapezoid winding sums, without the orientation flag, of the
+    points ``rows`` of one ``_node_blocks`` block, from its ``d2``.
 
-    Points farther than ``_NEAR_SPACINGS`` node spacings take the rounded
-    trapezoid winding sum; nearer ones are inside exactly when they lie on the
-    parametrization's inner side of the tangent at their projection.  Raises
-    NonconvergentWindingError when a far point's sum is not near -1, 0 or 1.
-    Points on the curve get distance 0 and an arbitrary winding.  Without
-    ``wind`` every distance is exact; with it, points beyond ``reach`` are
-    not projected and get their nearest node's distance, an upper bound.
+    The rows are copied out while they are at most half the block, so the
+    copy stays within 1 MB; otherwise the whole block is summed in place.
+    Raises NonconvergentWindingError when a sum is not near -1, 0 or 1.
     """
-    grid = _winding_grid(contour)
-    dist = np.empty(len(w))
-    windings = np.zeros(len(w), dtype=int)
-    for start, blk, z, zz, d2, j, d in _node_blocks(grid, w):
-        proj = np.flatnonzero(d < grid.reach) if wind else np.arange(len(blk))
-        if proj.size:
-            foot, tangent = _project(contour, grid, blk[proj], j[proj])
-            d[proj] = np.abs(foot - blk[proj])
-        dist[start : start + len(blk)] = d
-        if not wind:
-            continue
-        # sum(weights / (t - z)) = sum(weights * conj(t) / d2) - conj(z) * sum(weights / d2)
-        d2 += zz[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.reciprocal(d2, out=d2) @ grid.moments
-            est = (s[:, 0] + 1j * s[:, 1] - np.conj(z) * (s[:, 2] + 1j * s[:, 3])) / (2.0j * np.pi)
-            raw = np.round(est.real)
-            far = ~(d < grid.near)
-            bad = far & ~((np.abs(est - raw) <= _WINDING_SLACK) & (np.abs(raw) <= 1))
-        if bad.any():
-            raise NonconvergentWindingError(
-                f"winding estimate {est[bad][:3]} at {blk[bad][:3]} is not near -1, 0 or 1 "
-                f"(contour {contour.label!r})"
-            )
-        if proj.size:
-            close = ~far[proj]
-            inner = grid.sense * np.imag(np.conj(tangent) * (blk[proj] - foot)) > 0
-            raw[proj[close]] = grid.sense * inner[close]
-        windings[start : start + len(blk)] = contour.orientation * raw.astype(int)
-    return dist, windings
+    if 2 * len(rows) <= len(blk):
+        blk, z, zz, d2 = blk[rows], z[rows], zz[rows], d2[rows]
+        rows = slice(None)
+    # sum(weights / (t - z)) = sum(weights * conj(t) / d2) - conj(z) * sum(weights / d2)
+    d2 += zz[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (np.reciprocal(d2, out=d2) @ _winding_grid(contour).moments)[rows]
+    blk, z = blk[rows], z[rows]
+    est = (s[:, 0] + 1j * s[:, 1] - np.conj(z) * (s[:, 2] + 1j * s[:, 3])) / (2.0j * np.pi)
+    raw = np.round(est.real)
+    bad = ~((np.abs(est - raw) <= _WINDING_SLACK) & (np.abs(raw) <= 1))
+    if bad.any():
+        raise NonconvergentWindingError(
+            f"winding estimate {est[bad][:3]} at {blk[bad][:3]} is not near -1, 0 or 1 "
+            f"(contour {contour.label!r})"
+        )
+    return raw.astype(int)
 
 
 def _in_box(grid: _WindingGrid, w: np.ndarray, pad: float):
     """Index of the points of a 1-D w inside ``grid.box`` padded by ``pad``,
     or ``slice(None)``, which copies nothing, when all of them are.  A point
     outside has winding 0 about the contour and lies more than ``pad`` plus
-    ``near`` from it; NaN points count as inside."""
+    ``near`` from it."""
     x0, x1, y0, y1 = grid.box
     out = (w.real < x0 - pad) | (w.real > x1 + pad) | (w.imag < y0 - pad) | (w.imag > y1 + pad)
     return np.flatnonzero(~out) if out.any() else slice(None)
-
-
-def _query(contours: Sequence[Contour], w: np.ndarray, floor: float):
-    """The (points, contours) windings of each point of a 1-D array w, and a
-    distance that is at most ``floor`` exactly where the point's distance to
-    the boundary is.
-
-    A contour is queried only at the points inside its ``box`` padded by
-    ``floor``: farther points have winding 0 about it and lie more than
-    ``floor`` plus ``near`` from it, so it adds ``inf`` to their distance.
-    Elsewhere the distance is the smallest ``_contour_query`` distance,
-    exact within ``near`` of a contour.
-    """
-    dist = np.full(len(w), np.inf)
-    windings = np.zeros((len(w), len(contours)), dtype=int)
-    for k, c in enumerate(contours):
-        sel = _in_box(_winding_grid(c), w, floor)
-        d, windings[sel, k] = _contour_query(c, w[sel], wind=True)
-        dist[sel] = np.minimum(dist[sel], d)
-    return dist, windings
 
 
 def _finite_points(w) -> np.ndarray:
@@ -395,58 +357,61 @@ def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     """
     w = _finite_points(w)
     flat = w.reshape(-1)
-    dist = np.min([_contour_query(c, flat, wind=False)[0] for c in domain.contours], axis=0)
+    dist = np.full(len(flat), np.inf)
+    for c in domain.contours:
+        grid = _winding_grid(c)
+        foot, _ = _project(c, grid, flat, _nearest_nodes(grid, flat)[0])
+        dist = np.minimum(dist, np.abs(foot - flat))
     return dist.reshape(w.shape)
 
 
-def _beyond(domain: DomainBoundary, w, threshold: float) -> np.ndarray:
-    """``distance_to_boundary(domain, w) > threshold`` for finite points and
-    False for the others, same shape as w.
+def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
+    """Region labels of an array w of finite points, same shape, with -1
+    where ``distance_to_boundary(domain, w) <= floor``.
 
-    The nearest node of each contour bounds a point's distance d: d is at
-    most the nearest node distance and at least that less one node spacing.
-    So a point is refused when some nearest node is within ``threshold``
-    and kept when every nearest node, less its spacing, is beyond it; only
-    the points in between, a band about one spacing wide, are measured by
-    :func:`distance_to_boundary`.  The band starts a relative
-    ``_SCREEN_SLACK`` below ``threshold``, so rounding in either distance
-    cannot flip a verdict.
+    Each contour makes one ``_node_blocks`` pass over the points inside its
+    ``box`` padded by ``floor``; the others have winding 0 about it and lie
+    more than ``floor`` plus ``near`` from it.  A point whose nearest node is
+    d away lies between d - ``spacing`` and d from the contour, so it is
+    refused when some d is within ``floor``, kept when every d less its
+    spacing is beyond it, and measured by :func:`distance_to_boundary` in
+    between: a band about one spacing wide, from a relative ``_SCREEN_SLACK``
+    below ``floor`` so that rounding cannot flip a verdict.  The same block
+    gives the winding sums of the points beyond ``near`` that its nearest
+    node does not refuse; kept points within ``near`` take the side of the
+    tangent at their projection.  Raises NonconvergentWindingError when a
+    sum is not near -1, 0 or 1, or a winding is not one these holes allow.
     """
-    w = np.asarray(w, dtype=complex)
     flat = w.reshape(-1)
-    near = np.full(len(flat), np.inf)
-    low = np.full(len(flat), np.inf)
-    for c in domain.contours:
+    refuse = floor * (1.0 - _SCREEN_SLACK)
+    near, low = np.full((2, len(flat)), np.inf)
+    windings = np.zeros((len(flat), len(domain.contours)), dtype=int)
+    sides = []
+    for k, c in enumerate(domain.contours):
         grid = _winding_grid(c)
-        # A contour whose padded box a point is outside is beyond threshold
-        # from it, so it can neither refuse the point nor hold it in the band.
-        sel = _in_box(grid, flat, threshold)
-        _, d = _nearest_nodes(grid, flat[sel])
-        near[sel] = np.minimum(near[sel], d)
-        low[sel] = np.minimum(low[sel], d - grid.spacing)
-    keep = low > threshold
-    band = np.flatnonzero(~keep & (near > threshold * (1.0 - _SCREEN_SLACK)))
+        sel = _in_box(grid, flat, floor)
+        index = np.arange(len(flat))[sel]
+        for start, blk, z, zz, d2, j, d in _node_blocks(grid, flat[sel]):
+            rows = index[start : start + len(blk)]
+            near[rows] = np.minimum(near[rows], d)
+            low[rows] = np.minimum(low[rows], d - grid.spacing)
+            live, close = d > refuse, d < grid.near
+            far = np.flatnonzero(live & ~close)
+            if far.size:
+                windings[rows[far], k] = c.orientation * _winding_sums(c, blk, z, zz, d2, far)
+            sides.append((k, rows[live & close], j[live & close]))
+    out = near <= refuse
+    band = np.flatnonzero(~out & ~(low > floor))
     if band.size:
-        keep[band] = distance_to_boundary(domain, flat[band]) > threshold
-    return (keep & np.isfinite(flat)).reshape(w.shape)
-
-
-def classify_points(domain: DomainBoundary, w) -> np.ndarray:
-    """Region labels for a batch of points (see module docstring).
-
-    Raises BoundaryProximityError for points within :func:`boundary_tolerance`
-    of the boundary and NonFiniteDataError for NaN or infinite ones.  A
-    contour's winding sum runs only over the points inside its node bounding
-    box, padded by that floor and three node spacings; the others have
-    winding 0 about it, exactly.
-    """
-    w = np.atleast_1d(_finite_points(w))
-    flat = w.reshape(-1)
-    tol = boundary_tolerance(domain)
-    dist, windings = _query(domain.contours, flat, tol)
-    close = dist <= tol
-    if close.any():
-        raise BoundaryProximityError(f"points too close to the boundary: {flat[close][:3]}")
+        out[band] = distance_to_boundary(domain, flat[band]) <= floor
+    for k, rows, j in sides:
+        rows, j = rows[~out[rows]], j[~out[rows]]
+        if rows.size:
+            c = domain.contours[k]
+            grid = _winding_grid(c)
+            foot, tangent = _project(c, grid, flat[rows], j)
+            inner = grid.sense * np.imag(np.conj(tangent) * (flat[rows] - foot)) > 0
+            windings[rows, k] = c.orientation * grid.sense * inner
     outer = windings[:, 0]
     if (outer < 0).any():
         raise NonconvergentWindingError("unexpected winding about the outer contour")
@@ -455,7 +420,21 @@ def classify_points(domain: DomainBoundary, w) -> np.ndarray:
     labels = np.where(outer == 1, 0, 1)
     for k in range(1, len(domain.contours)):
         labels[(outer == 1) & (windings[:, k] == -1)] = k + 1
+    labels[out] = -1
     return labels.reshape(w.shape)
+
+
+def classify_points(domain: DomainBoundary, w) -> np.ndarray:
+    """Region labels for a batch of points (see module docstring).
+
+    Raises BoundaryProximityError for points within :func:`boundary_tolerance`
+    of the boundary and NonFiniteDataError for NaN or infinite ones.
+    """
+    w = np.atleast_1d(_finite_points(w))
+    labels = _regions(domain, w, boundary_tolerance(domain))
+    if (labels < 0).any():
+        raise BoundaryProximityError(f"points too close to the boundary: {w[labels < 0][:3]}")
+    return labels
 
 
 def bounding_box(domain: DomainBoundary) -> tuple[float, float, float, float]:
@@ -472,18 +451,13 @@ def interior_mask(domain: DomainBoundary, w, min_distance: float) -> np.ndarray:
 
     The distance test runs at the larger of ``min_distance`` and
     :func:`boundary_tolerance`, and its verdict is that of
-    ``distance_to_boundary(domain, w) > threshold``: each contour's nearest
-    node decides it, except in a band about one node spacing wide above the
-    threshold, which :func:`distance_to_boundary` measures.  Only the points
-    past it are classified, by :func:`classify_points`, and since the
-    threshold is never below the classification floor no point is refused.
+    ``distance_to_boundary(domain, w) > threshold``.  NaN and infinite
+    points are False.
     """
     w = np.asarray(w, dtype=complex)
-    flat = w.reshape(-1)
-    keep = _beyond(domain, flat, max(min_distance, boundary_tolerance(domain)))
-    if keep.any():
-        keep[keep] = classify_points(domain, flat[keep]) == 0
-    return keep.reshape(w.shape)
+    keep = np.asarray(np.isfinite(w))
+    keep[keep] = _regions(domain, w[keep], max(min_distance, boundary_tolerance(domain))) == 0
+    return keep
 
 
 def sample_interior(domain: DomainBoundary, count: int, rng, min_distance: float) -> np.ndarray:
@@ -646,22 +620,21 @@ def _check_simple(contour: Contour) -> None:
 
 def _check_nesting(domain: DomainBoundary) -> None:
     """Reject a hole that touches another contour, leaves the outer one or
-    is inside another hole, at 32 samples queried against the others."""
+    is inside another hole, at its validation samples classified against
+    the others."""
     contours = domain.contours
-    if len(contours) < 2:
-        return
-    tol = boundary_tolerance(domain)
     try:
         for i, hole in enumerate(contours[1:], start=1):
             others = contours[:i] + contours[i + 1:]
-            dist, wind = _query(others, _dense_points(hole)[:: VALIDATION_GRID // 32], tol)
-            if (dist <= tol).any():
-                raise InvalidGeometryError("contours touch at validation resolution")
-            if not (wind[:, 0] == 1).all():
+            try:
+                labels = classify_points(DomainBoundary(others), _dense_points(hole))
+            except BoundaryProximityError as exc:
+                raise InvalidGeometryError("contours touch at validation resolution") from exc
+            if (labels == 1).any():
                 raise InvalidGeometryError(
                     f"hole contour {hole.label!r} is not inside the outer contour")
-            for other, w in zip(others[1:], wind[:, 1:].T):
-                if w.any():
+            for k, other in enumerate(others[1:], start=2):
+                if (labels == k).any():
                     raise InvalidGeometryError(
                         f"hole contours {hole.label!r} and {other.label!r} are nested")
     except NonconvergentWindingError as exc:

@@ -28,9 +28,8 @@ from .cauchy import (
 from .errors import RootFindingError
 from .geometry import (
     DomainBoundary,
-    _beyond,
+    _regions,
     bounding_box,
-    classify_points,
     domain_diameter,
     interior_mask,
     sample_interior,
@@ -297,15 +296,15 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
     while done < samples:
         draw = max(samples - done, 64)
         w = (cx + rng.uniform(-hx, hx, (draw, n))) + 1j * (cy + rng.uniform(-hy, hy, (draw, n)))
-        w = w[_beyond(domain, w, floor).all(axis=1)]
+        w = w[(_regions(domain, w, floor) >= 0).all(axis=1)]
         if len(w) == 0:
             continue
         rts, _ = desymmetrize_batch(symmetrize(w))
-        rts = rts[_beyond(domain, rts, floor).all(axis=1)]
-        if len(rts) == 0:
+        labels = _regions(domain, rts, floor)
+        labels = labels[(labels >= 0).all(axis=1)]
+        if len(labels) == 0:
             continue
-        labels = classify_points(domain, rts)
-        take = min(len(rts), samples - done)
+        take = min(len(labels), samples - done)
         for row in labels[:take]:
             sig = tuple(int(c) for c in np.bincount(row, minlength=domain.kappa))
             counts[sig] = counts.get(sig, 0) + 1

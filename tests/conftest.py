@@ -3,7 +3,14 @@ import pytest
 
 import symprod as sp
 from symprod.errors import BoundaryProximityError, InvalidGeometryError
-from symprod.geometry import _check_simple, _contour_query, _dense_points, _dense_tangents
+from symprod.geometry import (
+    _check_simple,
+    _dense_points,
+    _dense_tangents,
+    _nearest_nodes,
+    _project,
+    _winding_grid,
+)
 
 
 @pytest.fixture(scope="session")
@@ -77,12 +84,30 @@ class OracleReference:
     public queries must match it exactly."""
 
     @staticmethod
-    def distance(domain, w):
-        return np.min([_contour_query(c, w, wind=False)[0] for c in domain.contours], axis=0)
+    def _contour(contour, w):
+        """Distance from every point of w to one contour and the contour's
+        orientation-signed winding about it: the rounded winding sum, or
+        the tangent side at the projection within ``near`` of the curve."""
+        grid = _winding_grid(contour)
+        j, d = _nearest_nodes(grid, w)
+        foot, tangent = _project(contour, grid, w, j)
+        weights = (2 * np.pi / len(grid.nodes)) * grid.tangents
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = np.concatenate([
+                (weights / (grid.nodes - w[k : k + 512, None])).sum(axis=1)
+                for k in range(0, len(w), 512)
+            ] or [np.zeros(0)]) / (2j * np.pi)
+            side = grid.sense * (grid.sense * np.imag(np.conj(tangent) * (w - foot)) > 0)
+            winding = np.where(d < grid.near, side, np.round(est.real)).astype(int)
+        return np.abs(foot - w), contour.orientation * winding
 
-    @staticmethod
-    def labels(domain, w):
-        windings = np.stack([_contour_query(c, w, wind=True)[1] for c in domain.contours], axis=1)
+    @classmethod
+    def distance(cls, domain, w):
+        return np.min([cls._contour(c, w)[0] for c in domain.contours], axis=0)
+
+    @classmethod
+    def labels(cls, domain, w):
+        windings = np.stack([cls._contour(c, w)[1] for c in domain.contours], axis=1)
         outer = windings[:, 0]
         labels = np.where(outer == 1, 0, 1)
         for k in range(1, len(domain.contours)):
@@ -103,7 +128,6 @@ class OracleReference:
         tol = sp.geometry.boundary_tolerance(domain)
         dist = cls.distance(domain, w)
         assert np.array_equal(sp.distance_to_boundary(domain, w), dist, equal_nan=True)
-        assert np.array_equal(sp.geometry._beyond(domain, w, threshold), dist > threshold)
         assert np.array_equal(sp.interior_mask(domain, w, threshold),
                               cls.mask(domain, w, max(threshold, tol)))
         clear = w[dist > tol]

@@ -5,6 +5,7 @@ import symprod as sp
 from symprod.errors import (
     BoundaryProximityError,
     InvalidGeometryError,
+    NonconvergentWindingError,
     NonFiniteDataError,
     SamplingError,
 )
@@ -62,37 +63,45 @@ def test_star_small_ripple_accepted():
     ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45", "are nested"),
     # a hole whose first validation sample lies on the outer circle
     ("disc 0 0 1 + hole disc 0.5 0 0.5", "contours touch at validation resolution"),
+    # two holes that cross in a lens about 0.09 rad wide, between every
+    # 64th validation sample of the first
+    ("disc 0 0 3 + hole disc 0 0 1 + hole disc 1.9884132802571408 0.1954907335324023 1",
+     "are nested"),
 ])
 def test_invalid_nesting_rejected(descriptor, message):
     with pytest.raises(InvalidGeometryError, match=message):
         sp.build_domain(descriptor)
 
 
-def _windings(contours, w):
-    """Per-contour, orientation-signed windings of the boundary oracle."""
+def _regions(contours, w):
+    """Labels of the boundary oracle at the classification floor, without
+    the validation of a built domain."""
+    domain = sp.geometry.DomainBoundary(tuple(contours))
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    return sp.geometry._query(tuple(contours), w, 0.0)[1]
+    return sp.geometry._regions(domain, w, sp.geometry.boundary_tolerance(domain))
 
 
 def test_winding_number_basic(unit_disc):
-    assert _windings(unit_disc.contours, [0.0, 2.0]).tolist() == [[1], [0]]
+    assert _regions(unit_disc.contours, [0.0, 2.0]).tolist() == [0, 1]
 
 
 def test_winding_number_annulus_hole(annulus_domain):
-    # +1 from the outer circle, -1 from the hole
-    assert _windings(annulus_domain.contours, 0.1).tolist() == [[1, -1]]
+    # +1 from the outer circle and -1 from the hole put 0.1 in the hole.
+    assert _regions(annulus_domain.contours, 0.1).tolist() == [2]
 
 
 def test_winding_orientation_flip():
     plus = sp.geometry.circle_contour(0, 1, orientation=1)
     minus = sp.geometry.circle_contour(0, 1, orientation=-1)
-    assert _windings([plus, minus], 0.2 + 0.1j).tolist() == [[1, -1]]
+    # Winding -1 about the second copy puts the point in its "hole"; winding
+    # -1 about a negatively oriented outer contour is refused.
+    assert _regions([plus, minus], 0.2 + 0.1j).tolist() == [2]
+    with pytest.raises(NonconvergentWindingError, match="outer contour"):
+        _regions([minus, plus], 0.2 + 0.1j)
 
 
 def test_winding_boundary_proximity(unit_disc):
-    tol = sp.geometry.boundary_tolerance(unit_disc)
-    dist, _ = sp.geometry._query(unit_disc.contours, np.array([1.0 + 1e-9j]), tol)
-    assert dist[0] <= tol
+    assert _regions(unit_disc.contours, [1.0 + 1e-9j, 0.5]).tolist() == [-1, 0]
     with pytest.raises(BoundaryProximityError):
         sp.classify_points(unit_disc, 1.0 + 1e-9j)
 
@@ -228,6 +237,7 @@ def test_sample_interior(descriptor):
     assert (sp.distance_to_boundary(domain, pts) > margin).all()
     assert sp.interior_mask(domain, pts.reshape(20, 25), margin).all()
     assert not sp.interior_mask(domain, [10.0], margin).any()
+    assert sp.interior_mask(domain, 0.0, margin).shape == ()
     assert np.array_equal(pts, sp.sample_interior(domain, 500, np.random.default_rng(3), margin))
 
     tuples = _separated_tuples(domain, 3, 50, np.random.default_rng(4), margin, separation=margin)
@@ -314,6 +324,23 @@ def _probes(domain, threshold, rng):
     return np.concatenate(pts)
 
 
+def _count_oracle_work(monkeypatch):
+    """Record the sizes of the ``distance_to_boundary`` calls in a list and
+    the rows that the ``_node_blocks`` passes of each winding grid scan in a
+    dict keyed by the grid's id."""
+    measured, scanned = [], {}
+    exact, blocks = sp.geometry.distance_to_boundary, sp.geometry._node_blocks
+
+    def node_blocks(grid, pts):
+        scanned[id(grid)] = scanned.get(id(grid), 0) + len(pts)
+        return blocks(grid, pts)
+
+    monkeypatch.setattr(sp.geometry, "distance_to_boundary",
+                        lambda d, pts: measured.append(np.size(pts)) or exact(d, pts))
+    monkeypatch.setattr(sp.geometry, "_node_blocks", node_blocks)
+    return measured, scanned
+
+
 def _oracle_domain(name):
     if name != "turned hole":
         return sp.build_domain(name)
@@ -335,26 +362,42 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
     threshold = factor * sp.domain_diameter(domain)
     w = _probes(domain, threshold, np.random.default_rng(7))
 
-    measured, queried = [], []
-    exact, query = sp.geometry.distance_to_boundary, sp.geometry._contour_query
-    monkeypatch.setattr(sp.geometry, "distance_to_boundary",
-                        lambda d, pts: measured.append(np.size(pts)) or exact(d, pts))
-    monkeypatch.setattr(sp.geometry, "_contour_query",
-                        lambda c, pts, wind: queried.append((c, len(pts))) or query(c, pts, wind))
-    sp.geometry._beyond(domain, w, threshold)
-    # The screen decides most points and measures a band of them exactly.
+    tol = sp.geometry.boundary_tolerance(domain)
+    clear = w[oracle_reference.distance(domain, w) > tol]
+    measured, scanned = _count_oracle_work(monkeypatch)
+    sp.interior_mask(domain, w, threshold)
+    # The nearest nodes decide most points and a band of them is measured
+    # exactly.
     assert 0 < sum(measured) < len(w) / 2
-    queried.clear()
-    floor = max(threshold, sp.geometry.boundary_tolerance(domain))
-    sp.classify_points(domain, w[oracle_reference.distance(domain, w) > floor])
-    sizes = dict((c, n) for c, n in queried if n)
-    if len(domain.contours) > 1:
+    measured.clear(), scanned.clear()
+    sp.classify_points(domain, clear)
+    for hole in domain.contours[1:]:
         # Hole winding sums run only inside the holes' boxes.
-        assert all(sizes.get(c, 0) < sizes[domain.contours[0]] for c in domain.contours[1:])
+        grid = sp.geometry._winding_grid(hole)
+        inside = np.arange(len(clear))[sp.geometry._in_box(grid, clear, tol)]
+        assert scanned.get(id(grid), 0) <= len(inside) + sum(measured) < len(clear)
     monkeypatch.undo()
+    floor = max(threshold, tol)
 
     dist = oracle_reference.check(domain, w, threshold)
     assert (dist <= floor).any() and (dist > floor).any()
+
+
+def test_interior_mask_scans_each_contour_once(annulus_domain, monkeypatch):
+    # One nearest-node pass per contour serves the distance test and the
+    # winding sums: a contour scans its in-box points once, plus the band
+    # that distance_to_boundary measures on every contour.
+    threshold = 5e-3 * sp.domain_diameter(annulus_domain)
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
+    measured, scanned = _count_oracle_work(monkeypatch)
+    mask = sp.interior_mask(annulus_domain, w, threshold)
+    monkeypatch.undo()
+    assert mask.any() and sum(measured) > 0
+    for c in annulus_domain.contours:
+        grid = sp.geometry._winding_grid(c)
+        inside = np.arange(len(w))[sp.geometry._in_box(grid, w, threshold)]
+        assert scanned[id(grid)] <= len(inside) + sum(measured)
 
 
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)

@@ -40,6 +40,9 @@ CASES = [
 ] + [
     ["identities", "--domain", "disc 0 0 1", "--n", "5"],
     ["propermap", "--domain", "disc 0 0 1", "--propermap", "blaschke 0.5", "--n", "3"],
+    # The census at arity 3, with one hole and with two.
+    ["components", "--domain", "annulus 0 0 0.3 1", "--n", "3"],
+    ["components", "--domain", README_DOMAINS[-1], "--n", "3"],
     # Thin ellipses.
     ["transform", "--domain", "ellipse 0 0 1 0.2"],
     ["transform", "--domain", "ellipse 0 0 1 0.25"],
@@ -49,6 +52,9 @@ CASES = [
     ["transform", "--domain", "disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3"],
     ["transform", "--domain", "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45"],
     ["transform", "--domain", "disc 0 0 1 + hole disc 0.5 0 0.5"],
+    # Two holes that cross between every 64th validation sample of the first.
+    ["transform", "--domain",
+     "disc 0 0 3 + hole disc 0 0 1 + hole disc 1.9884132802571408 0.1954907335324023 1"],
     # No room for the interior points, and a pole on a quadrature node.
     ["transform", "--domain", "annulus 0 0 0.9 1"],
     ["transform", "--domain", "disc 0 0 3", "--phi", "pole 3 0 1"],
