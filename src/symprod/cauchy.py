@@ -5,11 +5,11 @@ Everything here evaluates integrals of the form
     (2*pi*i)^{-1} * integral over Gamma of phi(t) / p(z, t) dt
 
 by the periodic trapezoid rule on an equispaced boundary grid.  Every
-transform only builds its kernel values p(z, t_j) (and, for the derivative
-and power-sum variants, a numerator in place of phi); the one sum is
-:func:`_trapezoid` and the one kernel-magnitude floor, a per-row mask, is
-:func:`_floor_refusals`; :func:`_kernel_integral` applies both.  Three named
-kernels matter downstream:
+transform checks its region with :func:`_require_inside`, builds its kernel
+values p(z, t_j) (and, for the derivative and power-sum variants, a
+numerator in place of phi) and hands them to :func:`_kernel_integral`, the
+one sum and the one kernel-magnitude floor, which refuses the whole call.
+Three named kernels matter downstream:
 
 * ``t - z``                       the classical Cauchy transform,
 * ``prod_j (t - w_j)``            the multi-node transform on the Cartesian
@@ -119,43 +119,31 @@ def product_eval(nodes, t) -> np.ndarray:
     return np.prod(t - w[..., None], axis=-2)
 
 
-def _floor_refusals(samples: BoundarySamples, kern: np.ndarray, degree: int):
-    """Per-row refusal mask of the kernel floor, and the error to raise.
+def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
+    """(2*pi*i)^{-1} * sum_j numerator_j * w_j / p(z, t_j) over the last axis
+    of the kernel values ``kern`` (..., M).
 
-    A row of ``kern`` (..., M) is refused when min_j |p(z, t_j)| is at most
-    ``KERNEL_FLOOR * diameter^degree``.  Returns the boolean mask (...) and,
-    when any row is refused, a :class:`KernelProximityError` whose
-    ``refused`` attribute is that mask; otherwise ``None``.
+    ``numerator`` defaults to the boundary data.  This is the one kernel
+    floor: the whole call raises :class:`KernelProximityError` if
+    min_j |p(z, t_j)| of any row is at most ``KERNEL_FLOOR * diameter^degree``.
     """
     floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
     mins = np.abs(kern).min(axis=-1)
-    refused = mins <= floor
-    if not refused.any():
-        return refused, None
-    error = KernelProximityError(
-        f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
-    )
-    error.refused = refused
-    return refused, error
-
-
-def _trapezoid(samples: BoundarySamples, kern: np.ndarray, numerator=None):
-    """(2*pi*i)^{-1} * sum_j numerator_j * w_j / kern_j over the last axis."""
+    if (mins <= floor).any():
+        raise KernelProximityError(
+            f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
+        )
     values = samples.values if numerator is None else numerator
     return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
 
 
-def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
-    """:func:`_trapezoid` of the kernel values p(z, t_j), shape (..., M).
-
-    ``numerator`` defaults to the boundary data.  Refuses the whole call with
-    :class:`KernelProximityError` when any row is below the kernel floor
-    (:func:`_floor_refusals`).
-    """
-    _, error = _floor_refusals(samples, kern, degree)
-    if error is not None:
-        raise error
-    return _trapezoid(samples, kern, numerator)
+def _require_inside(domain, points) -> None:
+    """Raise :class:`WrongRegionError` unless every point lies inside the
+    domain; :func:`classify_points` also enforces the distance floor."""
+    points = np.asarray(points, dtype=complex).reshape(-1)
+    outside = classify_points(domain, points) != 0
+    if outside.any():
+        raise WrongRegionError(f"points outside the domain: {points[outside][:3]}")
 
 
 def _require_roots_inside(domain, z) -> np.ndarray:
@@ -167,8 +155,7 @@ def _require_roots_inside(domain, z) -> np.ndarray:
 
     z = np.asarray(z, dtype=complex)
     roots, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
-    if (classify_points(domain, roots.reshape(-1)) != 0).any():
-        raise WrongRegionError("kernel roots outside the domain")
+    _require_inside(domain, roots)
     return roots
 
 
@@ -184,11 +171,8 @@ def cauchy_transform(samples: BoundarySamples, z):
     array of points; raises if any point is outside the domain or too close
     to the boundary.
     """
-    domain = samples.grid.domain
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    labels = classify_points(domain, zs)   # also enforces the distance floor
-    if (labels != 0).any():
-        raise WrongRegionError(f"points not inside the domain: {zs[labels != 0][:3]}")
+    _require_inside(samples.grid.domain, zs)
     out = _kernel_integral(samples, samples.grid.nodes - zs[..., None], 1)
     return out if np.ndim(z) else complex(out[0])
 
@@ -201,14 +185,10 @@ def norlund_transform(samples: BoundarySamples, w):
     computed in canonical coordinate order).  For n = 1 this is the Cauchy
     transform.
     """
-    domain = samples.grid.domain
     ws = np.asarray(w, dtype=complex)
     if ws.ndim == 0:
         raise ValueError("w must supply at least one coordinate")
-    flat = ws.reshape(-1)
-    labels = classify_points(domain, flat)
-    if (labels != 0).any():
-        raise WrongRegionError(f"node coordinates outside the domain: {flat[labels != 0][:3]}")
+    _require_inside(samples.grid.domain, ws)
     out = _kernel_integral(samples, product_eval(ws, samples.grid.nodes), ws.shape[-1])
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -272,11 +252,9 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
     kernel roots of all rows are found and classified once, and the root
     product once: order k uses its power k+1, of degree n*(k+1).
 
-    The kernel floor is applied per row and order.  If it refuses any
-    evaluation, the whole call raises :class:`KernelProximityError` before
-    summing anything; the error's ``refused`` attribute is a boolean array of
-    the values' shape marking the refused entries, so that a caller can
-    evaluate the accepted ones again.
+    Each order makes one :func:`_kernel_integral` call over all rows and its
+    multi-indices, so the kernel floor refuses the whole call at the first
+    order where any row falls below it.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
@@ -289,25 +267,15 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
     roots = _require_roots_inside(samples.grid.domain, rows)
     nodes = samples.grid.nodes
     prod = product_eval(roots, nodes) if orders.any() else None
-    # A Python int exponent: numpy squares by a different path for np.int64.
-    kerns = {k: monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
-             for k in sorted(set(orders.tolist()))}
-    refused = np.zeros((len(rows), len(gammas)), dtype=bool)
-    first_error = None
-    for k, kern in kerns.items():
-        by_row, error = _floor_refusals(samples, kern, n * (k + 1))
-        refused[:, orders == k] = by_row[:, None]
-        if first_error is None:
-            first_error = error
-    shape = z.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ())
-    if first_error is not None:
-        first_error.refused = refused.reshape(shape)
-        raise first_error
     out = np.empty((len(rows), len(gammas)), dtype=complex)
-    for i, (row, k) in enumerate(zip(gammas, orders)):
-        numerator = samples.values * derivative_weight_values(row, n, nodes) if k else None
-        out[:, i] = _trapezoid(samples, kerns[k], numerator)
-    out = out.reshape(shape)
+    for k in sorted(set(orders.tolist())):
+        # A Python int exponent: numpy squares by a different path for np.int64.
+        kern = monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
+        numerator = samples.values * np.stack(
+            [derivative_weight_values(row, n, nodes) for row, o in zip(gammas, orders) if o == k]
+        ) if k else None
+        out[:, orders == k] = _kernel_integral(samples, kern[:, None, :], n * (k + 1), numerator)
+    out = out.reshape(z.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ()))
     return complex(out) if out.ndim == 0 else out
 
 

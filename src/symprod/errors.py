@@ -28,13 +28,8 @@ class WrongRegionError(SymprodError):
 
 
 class KernelProximityError(SymprodError):
-    """The kernel polynomial nearly vanishes somewhere on the quadrature grid.
-
-    ``refused`` is a boolean array that marks which evaluations of the call
-    the kernel floor refused (shaped like the call's values), or ``None``.
-    """
-
-    refused = None
+    """The kernel polynomial nearly vanishes somewhere on the quadrature grid:
+    the kernel floor refuses the whole call."""
 
 
 class CoincidentNodesError(SymprodError):

@@ -165,13 +165,13 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     The composed kernel of order |gamma| has degree n*(|gamma|+1) and the
     floor ``KERNEL_FLOOR * diameter^(n*(|gamma|+1))``.  Tuples sit 0.37
     diameters deep, which clears it while n*(|gamma|+1) <= 9.  Past that the
-    floor refuses some (tuple, multi-index) entries; the call's refusal mask
-    names them, the accepted entries are evaluated again (one call per set of
-    accepted multi-indices) and the refused ones are skipped.  If the floor
-    refuses every tuple of an arity at one order (on the unit disc, order 2
-    from n = 5), that order is unchecked and the suite reports an infinite
-    residual, so it fails.  A domain too thin for the sampling depth, such
-    as a narrow annulus, places no tuples, and the arity makes no comparison.
+    floor refuses the whole call; :func:`_accepted_derivatives` then
+    evaluates the entries again by order, then by tuple, and skips those
+    it refuses.  If the floor refuses every tuple of an arity at one order
+    (on the unit disc, order 2 from n = 5), that order is unchecked and the
+    suite reports an infinite residual, so it fails.  A domain too thin for
+    the sampling depth, such as a narrow annulus, places no tuples, and the
+    arity makes no comparison.
     """
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
@@ -226,23 +226,28 @@ def _abs(x: np.ndarray) -> np.ndarray:
 
 def _accepted_derivatives(gammas, samples, zs):
     """Derivatives (B, G) of ``cauchy.derivative_symmetrized`` and the mask of
-    the entries that the kernel floor accepted; refused entries read 0.
+    the entries that the kernel floor accepted; the others read 0.
 
-    One call for all entries; if it is refused, the rows are grouped by the
-    multi-indices they accept and each group is evaluated again on those.
+    One call for all entries; if the floor refuses it, one call per order
+    over all tuples, and one call per tuple within an order it refuses.  The
+    floor refuses all of a tuple's multi-indices of one order together.
     """
-    try:
-        return (cauchy.derivative_symmetrized(gammas, samples, zs),
-                np.ones((len(zs), len(gammas)), dtype=bool))
-    except KernelProximityError as exc:
-        accepted = ~exc.refused
-    got = np.zeros(accepted.shape, dtype=complex)
-    patterns, group = np.unique(accepted, axis=0, return_inverse=True)
-    for i, pattern in enumerate(patterns):
-        rows = group.reshape(-1) == i
-        if pattern.any():
-            got[np.ix_(rows, pattern)] = cauchy.derivative_symmetrized(
-                gammas[pattern], samples, zs[rows])
+    got = np.zeros((len(zs), len(gammas)), dtype=complex)
+    accepted = np.ones(got.shape, dtype=bool)
+
+    def evaluate(rows, cols):
+        try:
+            got[np.ix_(rows, cols)] = cauchy.derivative_symmetrized(gammas[cols], samples, zs[rows])
+        except KernelProximityError:
+            return False
+        return True
+
+    tuples, orders = np.arange(len(zs)), gammas.sum(axis=1)
+    if not evaluate(tuples, orders >= 0):
+        for k in np.unique(orders):
+            if not evaluate(tuples, orders == k):
+                for b in tuples:
+                    accepted[b, orders == k] = evaluate([b], orders == k)
     return got, accepted
 
 

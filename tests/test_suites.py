@@ -93,41 +93,49 @@ def _deep_symmetric_points(domain, n, count, seed):
     return sp.symmetrize(tuples)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n, monkeypatch):
     samples = sp.boundary_samples(disc_grid, catalog.pole_phi(3.0))
     zs = _deep_symmetric_points(unit_disc, n, 8, seed=n)
     gammas = np.array(suites._multi_indices(n))
+    orders = gammas.sum(axis=1)
     single = np.zeros((len(zs), len(gammas)), dtype=complex)
     refused = np.zeros(single.shape, dtype=bool)
     for b, z in enumerate(zs):
         for i, gamma in enumerate(gammas):
             try:
                 single[b, i] = sp.derivative_symmetrized(gamma, samples, z)
-            except KernelProximityError as exc:
+            except KernelProximityError:
                 refused[b, i] = True
-                assert exc.refused.shape == () and exc.refused
                 continue
             assert isinstance(single[b, i].item(), complex)
             assert single[b, i] == derivative_reference(gamma, samples, z)
-    # Only n = 4 reaches the floor here (0.37^12 < 1e-4): some entries, not all.
-    assert refused.any() == (n == 4) and not refused.all()
+    # The floor reaches order 2 from n = 4 (0.37^12 < 1e-4): some tuples at
+    # n = 4, every tuple at n = 5.  It refuses a tuple's whole order.
+    second = refused[:, orders == 2]
+    assert not refused[:, orders < 2].any() and (second == second[:, :1]).all()
+    assert second.any() == (n >= 4) and second.all() == (n == 5)
     if refused.any():
-        with pytest.raises(KernelProximityError) as info:
+        with pytest.raises(KernelProximityError):
             sp.derivative_symmetrized(gammas, samples, zs)
-        assert info.value.refused.shape == refused.shape
-        assert (info.value.refused == refused).all()
+    calls = []
+    monkeypatch.setattr(cauchy, "derivative_symmetrized",
+                        lambda *args: calls.append(args) or sp.derivative_symmetrized(*args))
+    got, accepted = suites._accepted_derivatives(gammas, samples, zs)
+    assert (accepted == ~refused).all() and (got == single).all()
+    # One call, or one per order and one per tuple of the refused order.
+    assert len(calls) == (1 + suites._MAX_ORDER + 1 + len(zs) if refused.any() else 1)
     for pattern in np.unique(~refused, axis=0):
         rows = (~refused == pattern).all(axis=1)
         batch = sp.derivative_symmetrized(gammas[pattern], samples, zs[rows])
         assert batch.shape == (rows.sum(), pattern.sum())
         assert (batch == single[np.ix_(rows, pattern)]).all()
-    ok = ~refused.any(axis=1)
     # Leading dimensions broadcast: (2, k, n) points with one multi-index.
-    stacked = np.stack([zs[ok], zs[ok][::-1]])
-    got = sp.derivative_symmetrized(gammas[-1], samples, stacked)
+    i = np.flatnonzero(orders == 1)[-1]
+    stacked = np.stack([zs, zs[::-1]])
+    got = sp.derivative_symmetrized(gammas[i], samples, stacked)
     assert got.shape == stacked.shape[:-1]
-    assert (got[0] == single[ok, -1]).all() and (got[1] == single[ok, -1][::-1]).all()
+    assert (got[0] == single[:, i]).all() and (got[1] == single[::-1, i]).all()
 
 
 def test_derivative_stack_validation(disc_grid):
