@@ -5,8 +5,10 @@ Everything here evaluates integrals of the form
     (2*pi*i)^{-1} * integral over Gamma of phi(t) / p(z, t) dt
 
 by the periodic trapezoid rule on an equispaced boundary grid.  Every
-transform checks its region with :func:`_require_inside`, builds its kernel
-values p(z, t_j) (and, for the derivative and power-sum variants, a
+transform checks its region with :func:`_require_inside` or, for the kernel
+roots of coefficient tuples, :func:`_require_roots_inside`, whose certified
+:class:`_Inside` sets it takes unchecked in place of arrays.  It builds its
+kernel values p(z, t_j) (and, for the derivative and power-sum variants, a
 numerator in place of phi) and hands them to :func:`_kernel_integral`, the
 one sum and the one kernel-magnitude floor, which refuses the whole call.
 Three named kernels matter downstream:
@@ -39,7 +41,7 @@ from .errors import (
     NonFiniteDataError,
     WrongRegionError,
 )
-from .geometry import BoundaryGrid, classify_points, domain_diameter
+from .geometry import BoundaryGrid, DomainBoundary, classify_points, domain_diameter
 from .roots import derivative_coefficients, horner, monic_coefficients
 
 # Reject kernel evaluation when min_j |p(z, t_j)| falls below this factor
@@ -137,26 +139,46 @@ def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, nu
     return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
 
 
-def _require_inside(domain, points) -> None:
-    """Raise :class:`WrongRegionError` unless every point lies inside the
-    domain; :func:`classify_points` also enforces the distance floor."""
-    points = np.asarray(points, dtype=complex).reshape(-1)
-    outside = classify_points(domain, points) != 0
+@dataclass(frozen=True, eq=False)
+class _Inside:
+    """Points inside ``domain``, or coefficient tuples (..., n) whose kernel
+    ``roots`` (same shape) are; indexing slices both, and as an array it is points."""
+
+    domain: DomainBoundary
+    points: np.ndarray
+    roots: np.ndarray | None
+
+    def __getitem__(self, key) -> _Inside:
+        roots = None if self.roots is None else self.roots[key]
+        return _Inside(self.domain, self.points[key], roots)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+
+def _require_inside(domain, points) -> _Inside:
+    """``points`` certified inside the domain, or :class:`WrongRegionError`
+    (:func:`classify_points` enforces the floor); as given if so already."""
+    if isinstance(points, _Inside) and points.domain is domain and points.roots is None:
+        return points
+    points = np.asarray(points, dtype=complex)
+    outside = classify_points(domain, points.reshape(-1)) != 0
     if outside.any():
-        raise WrongRegionError(f"points outside the domain: {points[outside][:3]}")
+        raise WrongRegionError(f"points outside the domain: {points.reshape(-1)[outside][:3]}")
+    return _Inside(domain, points, None)
 
 
-def _require_roots_inside(domain, z) -> np.ndarray:
-    """Roots (B, n) of the coefficient-form kernels of ``z`` (..., n).
-
-    Raises :class:`WrongRegionError` unless every root lies inside the domain.
-    """
+def _require_roots_inside(domain, z) -> _Inside:
+    """Coefficient tuples ``z`` (..., n) with their kernel roots certified
+    inside the domain, or :class:`WrongRegionError`; as given if so already."""
+    if isinstance(z, _Inside) and z.domain is domain and z.roots is not None:
+        return z
     from .symmetric import desymmetrize_batch  # local import to avoid a cycle
 
     z = np.asarray(z, dtype=complex)
     roots, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
     _require_inside(domain, roots)
-    return roots
+    return _Inside(domain, z, roots.reshape(z.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +193,9 @@ def cauchy_transform(samples: BoundarySamples, z):
     array of points; raises if any point is outside the domain or too close
     to the boundary.
     """
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    _require_inside(samples.grid.domain, zs)
-    out = _kernel_integral(samples, samples.grid.nodes - zs[..., None], 1)
-    return out if np.ndim(z) else complex(out[0])
+    zs = _require_inside(samples.grid.domain, z).points
+    out = _kernel_integral(samples, samples.grid.nodes - np.atleast_1d(zs)[..., None], 1)
+    return out if zs.ndim else complex(out[0])
 
 
 def norlund_transform(samples: BoundarySamples, w):
@@ -185,10 +206,9 @@ def norlund_transform(samples: BoundarySamples, w):
     computed in canonical coordinate order).  For n = 1 this is the Cauchy
     transform.
     """
-    ws = np.asarray(w, dtype=complex)
-    if ws.ndim == 0:
+    if np.ndim(w) == 0:
         raise ValueError("w must supply at least one coordinate")
-    _require_inside(samples.grid.domain, ws)
+    ws = _require_inside(samples.grid.domain, w).points
     out = _kernel_integral(samples, product_eval(ws, samples.grid.nodes), ws.shape[-1])
     return complex(out) if np.ndim(out) == 0 else out
 
@@ -197,13 +217,13 @@ def symmetrized_transform(samples: BoundarySamples, z, check_region: bool = True
     """Transform with the coefficient-form kernel, restricted to the
     symmetric product.
 
-    ``z`` has shape (..., n) in coefficient space.  With ``check_region``
-    the roots of the kernel polynomial are found and classified; evaluation
-    is refused unless all of them lie inside the domain.
+    ``z`` has shape (..., n) in coefficient space.  Evaluation is refused
+    unless every root of the kernel polynomial lies inside the domain;
+    ``check_region=False``, which nothing in the package passes, skips that.
     """
-    zs = np.asarray(z, dtype=complex)
     if check_region:
-        _require_roots_inside(samples.grid.domain, zs)
+        z = _require_roots_inside(samples.grid.domain, z)
+    zs = np.asarray(z, dtype=complex)
     out = _kernel_integral(samples, monic_eval(zs, samples.grid.nodes), zs.shape[-1])
     return complex(out) if zs.ndim == 1 else out
 
@@ -249,22 +269,22 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
     ``z`` has shape (..., n); ``gamma`` is one multi-index (n,) or a stack
     (G, n).  The values have shape (...) for one multi-index and (..., G)
     for a stack; a 1-d ``z`` with one multi-index gives a ``complex``.  The
-    kernel roots of all rows are found and classified once, and the root
-    product once: order k uses its power k+1, of degree n*(k+1).
+    kernel roots of all rows (``z.roots`` of a certified set) and their
+    product are formed once: order k uses its power k+1, of degree n*(k+1).
 
     Each order makes one :func:`_kernel_integral` call over all rows and its
     multi-indices, so the kernel floor refuses the whole call at the first
     order where any row falls below it.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
+    zs = np.asarray(z, dtype=complex)
+    n = zs.shape[-1]
     g = np.asarray(gamma, dtype=int)
     if g.ndim not in (1, 2):
         raise ValueError(f"gamma must be a multi-index (n,) or a stack (G, n), not {g.shape}")
     gammas = [_validated_multiindex(row, n) for row in np.atleast_2d(g)]
     orders = np.array([int(row.sum()) for row in gammas], dtype=int)
-    rows = z.reshape(-1, n)
-    roots = _require_roots_inside(samples.grid.domain, rows)
+    rows = zs.reshape(-1, n)
+    roots = _require_roots_inside(samples.grid.domain, z).roots.reshape(-1, n)
     nodes = samples.grid.nodes
     prod = product_eval(roots, nodes) if orders.any() else None
     out = np.empty((len(rows), len(gammas)), dtype=complex)
@@ -275,7 +295,7 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
             [derivative_weight_values(row, n, nodes) for row, o in zip(gammas, orders) if o == k]
         ) if k else None
         out[:, orders == k] = _kernel_integral(samples, kern[:, None, :], n * (k + 1), numerator)
-    out = out.reshape(z.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ()))
+    out = out.reshape(zs.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ()))
     return complex(out) if out.ndim == 0 else out
 
 

@@ -152,7 +152,7 @@ def _cmd_transform(cfg: dict):
     tuples = suites._separated_tuples(domain, n, cfg["samples"], rng,
                                       min_distance=0.1, separation=0.02)
     zs = symmetric.symmetrize(tuples)
-    vals = cauchy.symmetrized_transform(samples, zs, check_region=False)
+    vals = cauchy.symmetrized_transform(samples, zs)
     header = [f"z{j}_{p}" for j in range(n) for p in ("re", "im")] + ["value_re", "value_im"]
     rows = [
         [c for j in range(n) for c in (z[j].real, z[j].imag)] + [v.real, v.imag]

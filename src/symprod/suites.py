@@ -72,15 +72,15 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
-    zs = geometry.sample_interior(domain, points, rng, 0.1)
+    zs = cauchy._require_inside(domain, geometry.sample_interior(domain, points, rng, 0.1))
     data = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
     for phi, samples in data:
         exact = phi.holomorphic_extension()
         got = cauchy.cauchy_transform(samples, zs)
-        worst = max(worst, float(np.abs(got - exact(zs)).max()))
-        comparisons += len(zs)
+        worst = max(worst, float(np.abs(got - exact(zs.points)).max()))
+        comparisons += len(got)
     return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
 
 
@@ -95,12 +95,12 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     worst = 0.0
     comparisons = 0
     for n in arities:
-        tuples = _separated_tuples(domain, n, points, rng)
+        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
         for _, samples in data:
             lhs = cauchy.norlund_transform(samples, tuples)
-            ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples)
+            ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
             worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
-            comparisons += len(tuples)
+            comparisons += len(lhs)
     return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
 
 
@@ -142,13 +142,14 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     worst = 0.0
     comparisons = 0
     for n in arities:
-        tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
-        zs = symmetric.symmetrize(tuples)
+        tuples = cauchy._require_inside(domain, _separated_tuples(
+            domain, n, points, rng, min_distance=0.2, separation=0.05))
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
         for _, samples in data:
-            lhs = cauchy.symmetrized_transform(samples, zs, check_region=False)
+            lhs = cauchy.symmetrized_transform(samples, zs)
             rhs = cauchy.norlund_transform(samples, tuples)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
-            comparisons += len(tuples)
+            comparisons += len(lhs)
     return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
 
 
@@ -161,6 +162,7 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     call evaluates every tuple at every multi-index up to ``_MAX_ORDER``, and
     one :func:`cauchy.symmetrized_transform` call evaluates every point of
     the finite-difference stencils (step 1e-4) that the accepted entries use.
+    The tuples and the stencil points in use are checked once per arity.
 
     The composed kernel of order |gamma| has degree n*(|gamma|+1) and the
     floor ``KERNEL_FLOOR * diameter^(n*(|gamma|+1))``.  Tuples sit 0.37
@@ -186,19 +188,20 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
                                        separation=0.08)
         except SamplingError:
             continue
-        zs = symmetric.symmetrize(tuples)
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
         gammas = np.array(_multi_indices(n))
         orders = gammas.sum(axis=1)
         offsets, uses, coefs, denominators = _stencils(gammas, 1e-4)
         touches = (uses[:, :, None] == np.arange(len(offsets))).any(axis=1)   # (G, P)
-        shifted = zs[:, None, :] + offsets
-        for _, samples in data:
-            got, accepted = _accepted_derivatives(gammas, samples, zs)
-            # Only the stencil points of accepted entries are evaluated.
-            need = (accepted[:, :, None] & touches).any(axis=1)
-            f = np.zeros(shifted.shape[:2], dtype=complex)
+        runs = [(samples, *_accepted_derivatives(gammas, samples, zs)) for _, samples in data]
+        # Only the stencil points of accepted entries are checked, once, and evaluated.
+        needs = [(accepted[:, :, None] & touches).any(axis=1) for *_, accepted in runs]
+        used = np.any(needs, axis=0)
+        stencil = cauchy._require_roots_inside(domain, (zs.points[:, None, :] + offsets)[used])
+        for (samples, got, accepted), need in zip(runs, needs):
+            f = np.zeros(need.shape, dtype=complex)
             if need.any():
-                f[need] = cauchy.symmetrized_transform(samples, shifted[need], check_region=False)
+                f[need] = cauchy.symmetrized_transform(samples, stencil[need[used]])
             ref = _stencil_values(f, uses, coefs, denominators)
             scale = _abs(ref)
             keep = accepted & ~(scale < 1e-2)
@@ -231,8 +234,10 @@ def _accepted_derivatives(gammas, samples, zs):
     One call for all entries; if the floor refuses it, one call per order
     over all tuples, and one call per tuple within an order it refuses.  The
     floor refuses all of a tuple's multi-indices of one order together.
+    Every retry slices one certified set of the tuples and their roots.
     """
-    got = np.zeros((len(zs), len(gammas)), dtype=complex)
+    zs = cauchy._require_roots_inside(samples.grid.domain, zs)
+    got = np.zeros((len(zs.points), len(gammas)), dtype=complex)
     accepted = np.ones(got.shape, dtype=bool)
 
     def evaluate(rows, cols):
@@ -242,7 +247,7 @@ def _accepted_derivatives(gammas, samples, zs):
             return False
         return True
 
-    tuples, orders = np.arange(len(zs)), gammas.sum(axis=1)
+    tuples, orders = np.arange(len(got)), gammas.sum(axis=1)
     if not evaluate(tuples, orders >= 0):
         for k in np.unique(orders):
             if not evaluate(tuples, orders == k):
@@ -318,12 +323,12 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     comparisons = 0
     for n in arities:
         tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
-        zs = symmetric.symmetrize(tuples)
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
         for fun in funs:
             samples = cauchy.boundary_samples(grid, lambda t, theta: fun(t), description=fun.label)
             roots_vals = fun(tuples)
             for ell in range(1, n + 1):
-                got = symmetric.power_sum_transform(samples, ell, zs, check_region=False)
+                got = symmetric.power_sum_transform(samples, ell, zs)
                 ref = (roots_vals**ell).sum(axis=-1)
                 worst = max(worst, float(np.abs(got - ref).max()))
                 comparisons += len(tuples)
@@ -354,14 +359,14 @@ def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0)
     worst = 0.0
     comparisons = 0
     for n in (2, 3, 4):
-        tuples = _separated_tuples(domain, n, points, rng)
+        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
         for _, samples in data:
             base = cauchy.norlund_transform(samples, tuples)
             for _ in range(3):
                 perm = rng.permutation(n)
                 other = cauchy.norlund_transform(samples, tuples[:, perm])
                 worst = max(worst, float(np.abs(other - base).max()))
-                comparisons += len(tuples)
+                comparisons += len(base)
     return SuiteResult("permutation_invariance", worst, 0.0, comparisons)
 
 

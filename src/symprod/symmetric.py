@@ -337,7 +337,7 @@ def newton_map(p) -> np.ndarray:
     return e[..., 1:]
 
 
-def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: bool = True):
+def power_sum_transform(f_samples: BoundarySamples, ell: int, z):
     """Boundary integral of f^ell times the logarithmic derivative of the
     coefficient-form kernel; equals the ell-th power sum of f over the
     kernel roots by residue calculus.
@@ -347,9 +347,7 @@ def power_sum_transform(f_samples: BoundarySamples, ell: int, z, check_region: b
     """
     if ell < 1:
         raise ValueError("power must be >= 1")
-    z = np.asarray(z, dtype=complex)
-    if check_region:
-        _require_roots_inside(f_samples.grid.domain, z)
+    z = _require_roots_inside(f_samples.grid.domain, z).points
     out = _power_sum_integrals(f_samples, z, [ell])[..., 0]
     return complex(out) if z.ndim == 1 else out
 
@@ -372,7 +370,5 @@ def symmetric_power_map(f_samples: BoundarySamples, z) -> np.ndarray:
     and so has the result; evaluation is refused with
     :class:`WrongRegionError` unless every kernel root lies inside the
     domain."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    _require_roots_inside(f_samples.grid.domain, z)
-    return newton_map(_power_sum_integrals(f_samples, z, range(1, n + 1)))
+    z = _require_roots_inside(f_samples.grid.domain, z).points
+    return newton_map(_power_sum_integrals(f_samples, z, range(1, z.shape[-1] + 1)))

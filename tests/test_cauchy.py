@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog
+from symprod import catalog, cauchy, symmetric
 from symprod.cauchy import _kernel_integral
 from symprod.errors import (
     BoundaryProximityError,
@@ -156,7 +156,7 @@ def test_factorization_identity_batch(grids, rng):
     for n in (1, 2, 3):
         w = 0.8 * (rng.random((200, n)) - 0.5) + 0.8j * (rng.random((200, n)) - 0.5)
         z = sp.symmetrize(w)
-        lhs = sp.symmetrized_transform(pole, z, check_region=False)
+        lhs = sp.symmetrized_transform(pole, z)
         rhs = sp.norlund_transform(pole, w)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -222,14 +222,71 @@ def test_truncated_pv_radius_validation(grids):
 def test_kernel_floor_rejection(grids):
     _, grid = grids
     sq = phi_samples(grid, catalog.monomial_phi(2))
-    # root very close to the boundary trips the kernel floor
+    # A root 5e-5 from the circle passes the region check, and the kernel
+    # floor refuses it: kernel minimum about 4.5e-5 against a floor of 4e-4.
     z = sp.symmetrize(np.array([0.99995, 0.1]))
     with pytest.raises(KernelProximityError):
-        sp.symmetrized_transform(sq, z, check_region=False)
+        sp.symmetrized_transform(sq, z)
     # the Cauchy kernel has the same floor (degree 1): 1e-4 from the circle
     # its quadrature error would be about 40
     with pytest.raises(KernelProximityError):
         sp.cauchy_transform(sq, 1.0 - 1e-4)
+
+
+
+def test_certified_set_is_checked_again_on_another_domain(grids, annulus_domain):
+    disc, grid = grids
+    ring = phi_samples(sp.sample_boundary(annulus_domain, 256), catalog.monomial_phi(2))
+    # 0.1 lies inside the disc and in the annulus's hole.
+    points = cauchy._require_inside(disc, [0.1, 0.6])
+    assert cauchy._require_inside(disc, points) is points
+    with pytest.raises(WrongRegionError):
+        sp.cauchy_transform(ring, points)
+    with pytest.raises(WrongRegionError):
+        sp.norlund_transform(ring, points)
+    z = cauchy._require_roots_inside(disc, sp.symmetrize(np.array([0.1, 0.6])))
+    assert cauchy._require_roots_inside(disc, z) is z
+    with pytest.raises(WrongRegionError):
+        sp.symmetrized_transform(ring, z)
+    with pytest.raises(WrongRegionError):
+        sp.power_sum_transform(ring, 1, z)
+    # The same sets on their own domain pass as they are.
+    sq = phi_samples(grid, catalog.monomial_phi(2))
+    assert (sp.cauchy_transform(sq, points) == sp.cauchy_transform(sq, [0.1, 0.6])).all()
+    assert sp.symmetrized_transform(sq, z) == sp.symmetrized_transform(sq, z.points)
+
+
+def test_point_set_gets_its_roots_found_and_checked(grids, monkeypatch):
+    disc, grid = grids
+    sq = phi_samples(grid, catalog.monomial_phi(2))
+    # Coefficients (0.7, -0.78) lie in the disc; their roots are -0.6 and 1.3.
+    z = sp.symmetrize(np.array([-0.6, 1.3]))
+    points = cauchy._require_inside(disc, z)
+    assert points.roots is None
+    calls = []
+    find = symmetric.desymmetrize_batch
+    monkeypatch.setattr(symmetric, "desymmetrize_batch", lambda zz: calls.append(zz) or find(zz))
+    with pytest.raises(WrongRegionError):
+        sp.symmetrized_transform(sq, points)
+    with pytest.raises(WrongRegionError):
+        sp.derivative_symmetrized((1, 0), sq, points)
+    with pytest.raises(WrongRegionError):
+        sp.symmetric_power_map(sq, points)
+    assert len(calls) == 3
+
+
+def test_certified_rows_keep_their_roots(unit_disc, rng):
+    w = 0.5 * (rng.random((8, 5)) - 0.5) + 0.5j * (rng.random((8, 5)) - 0.5)
+    z = sp.symmetrize(w)
+    inside = cauchy._require_roots_inside(unit_disc, z)
+    assert inside.roots.shape == z.shape
+    for rows in ([3], [0, 2, 5], np.arange(8) % 3 == 0, slice(1, 7, 2)):
+        part = inside[rows]
+        fresh = cauchy._require_roots_inside(unit_disc, z[rows])
+        assert (part.points == z[rows]).all()
+        assert part.roots.tobytes() == fresh.roots.tobytes()
+    # As an array the set reads as its points.
+    assert np.asarray(inside) is inside.points
 
 
 def test_reproduction_on_annulus(annulus_domain):

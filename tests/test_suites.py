@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog, cauchy, suites
+from symprod import catalog, cauchy, suites, symmetric
 from symprod.errors import KernelProximityError, NonFiniteDataError, SamplingError
 
 
@@ -16,9 +16,9 @@ def derivative_reference(gamma, samples, z) -> complex:
     n = z.shape[-1]
     g = np.asarray(gamma, dtype=int)
     order = int(g.sum())
-    roots = cauchy._require_roots_inside(samples.grid.domain, z)[0]
+    roots = cauchy._require_roots_inside(samples.grid.domain, z).roots
     if order == 0:
-        return sp.symmetrized_transform(samples, z, check_region=False)
+        return sp.symmetrized_transform(samples, z)
     values = samples.values * cauchy.derivative_weight_values(g, n, samples.grid.nodes)
     kern = cauchy.product_eval(roots, samples.grid.nodes) ** (order + 1)
     return complex(cauchy._kernel_integral(samples, kern, n * (order + 1), numerator=values))
@@ -67,7 +67,7 @@ def derivative_suite_reference(domain, points, seed, arities, nodes=256):
             samples = sp.boundary_samples(grid, phi)
 
             def ev(zz, samples=samples):
-                return sp.symmetrized_transform(samples, zz, check_region=False)
+                return sp.symmetrized_transform(samples, zz)
 
             for z in zs:
                 for gamma in suites._multi_indices(n):
@@ -118,13 +118,20 @@ def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n, monkey
     if refused.any():
         with pytest.raises(KernelProximityError):
             sp.derivative_symmetrized(gammas, samples, zs)
-    calls = []
+    calls, root_calls, region_calls = [], [], []
     monkeypatch.setattr(cauchy, "derivative_symmetrized",
                         lambda *args: calls.append(args) or sp.derivative_symmetrized(*args))
+    find, classify = symmetric.desymmetrize_batch, cauchy.classify_points
+    monkeypatch.setattr(symmetric, "desymmetrize_batch",
+                        lambda z: root_calls.append(z) or find(z))
+    monkeypatch.setattr(cauchy, "classify_points",
+                        lambda *args: region_calls.append(args) or classify(*args))
     got, accepted = suites._accepted_derivatives(gammas, samples, zs)
     assert (accepted == ~refused).all() and (got == single).all()
     # One call, or one per order and one per tuple of the refused order.
     assert len(calls) == (1 + suites._MAX_ORDER + 1 + len(zs) if refused.any() else 1)
+    # The retries slice one checked set: its roots are found and classified once.
+    assert len(root_calls) == len(region_calls) == 1
     for pattern in np.unique(~refused, axis=0):
         rows = (~refused == pattern).all(axis=1)
         batch = sp.derivative_symmetrized(gammas[pattern], samples, zs[rows])

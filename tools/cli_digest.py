@@ -41,6 +41,8 @@ CASES = [
     ["identities", "--domain", "disc 0 0 1", "--n", "5"],
     # The kernel floor refuses order 2 of some tuples only.
     ["identities", "--domain", "disc 0 0 1", "--n", "4", "--samples", "200"],
+    # The floor refuses order 2 of every tuple, so every tuple is retried.
+    ["identities", "--domain", "disc 0 0 1", "--n", "5", "--samples", "200"],
     ["propermap", "--domain", "disc 0 0 1", "--propermap", "blaschke 0.5", "--n", "3"],
     # The census at arity 3, with one hole and with two.
     ["components", "--domain", "annulus 0 0 0.3 1", "--n", "3"],
