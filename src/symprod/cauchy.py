@@ -264,7 +264,7 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
     derivative weight, then apply the multi-node transform with all kernel
     roots repeated |gamma|+1 times.  The contour form stays well defined at
     the coincident nodes.  Order 0 is the symmetrized transform itself.
-    Agrees with finite differences of :func:`symmetrized_transform`.
+    Agrees with Taylor coefficients of :func:`symmetrized_transform` on circles.
 
     ``z`` has shape (..., n); ``gamma`` is one multi-index (n,) or a stack
     (G, n).  The values have shape (...) for one multi-index and (..., G)

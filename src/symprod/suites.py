@@ -9,6 +9,7 @@ The CLI ``identities`` subcommand and the acceptance tests both run these.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,10 @@ from .errors import KernelProximityError, NonFiniteDataError, SamplingError
 DEFAULT_NODES = 256
 # Rounds of twice the missing rows that _separated_tuples draws before it gives up.
 _TUPLE_ROUNDS = 5
-_MAX_ORDER = 2             # derivative orders checked; _stencils goes no higher
+_MAX_ORDER = 2             # derivative orders checked; _chain_rule_weights goes no higher
+_CIRCLE_POINTS = 8         # points per Cauchy circle of derivative_factorization_suite
+_CIRCLE_RADIUS = 0.05      # and its radius in root space, in domain diameters
+_RESOLUTION = 1e-5         # least residual scale, as a fraction of the quadrature terms' size
 _NEWTON_TUPLES = 125       # tuples per arity of newton_consistency_suite
 _NEWTON_MAX_ARITY = 8
 
@@ -95,12 +99,15 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     worst = 0.0
     comparisons = 0
     for n in arities:
-        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-        for _, samples in data:
-            lhs = cauchy.norlund_transform(samples, tuples)
-            ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
-            worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
-            comparisons += len(lhs)
+        try:
+            tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
+            for _, samples in data:
+                lhs = cauchy.norlund_transform(samples, tuples)
+                ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
+                worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
+                comparisons += len(lhs)
+        except (SamplingError, KernelProximityError):
+            worst = float("inf")    # no tuples placed, or the floor refused them: unchecked
     return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
 
 
@@ -145,24 +152,33 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
         tuples = cauchy._require_inside(domain, _separated_tuples(
             domain, n, points, rng, min_distance=0.2, separation=0.05))
         zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
-        for _, samples in data:
-            lhs = cauchy.symmetrized_transform(samples, zs)
-            rhs = cauchy.norlund_transform(samples, tuples)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-            comparisons += len(lhs)
+        try:
+            for _, samples in data:
+                lhs = cauchy.symmetrized_transform(samples, zs)
+                rhs = cauchy.norlund_transform(samples, tuples)
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+                comparisons += len(lhs)
+        except KernelProximityError:
+            worst = float("inf")    # the floor refused the arity: it goes unchecked
     return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
 
 
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
                                    arities=(1, 2, 3)) -> SuiteResult:
-    """Factorized derivative of the symmetrized transform against central
-    finite differences (relative error).
+    """Factorized derivatives of the symmetrized transform against its Taylor
+    coefficients on Cauchy circles in root space.
 
-    Per arity and boundary datum, one :func:`cauchy.derivative_symmetrized`
-    call evaluates every tuple at every multi-index up to ``_MAX_ORDER``, and
-    one :func:`cauchy.symmetrized_transform` call evaluates every point of
-    the finite-difference stencils (step 1e-4) that the accepted entries use.
-    The tuples and the stencil points in use are checked once per arity.
+    Per arity, the tuples' roots w get C(n+1, 2) directions u, from a
+    generator spawned off the tuple draws, and a circle w + zeta*u of
+    ``_CIRCLE_POINTS`` points along each.  One symmetrized transform call per
+    datum evaluates all circle points, and an FFT gives the Taylor
+    coefficients g_k of F(symmetrize(w + zeta*u)); the chain rule predicts
+    them from the derivatives (:func:`_chain_rule_weights`).  A residual
+    |g_k - c_k| is scaled by the largest sum of |terms| of c_k over the
+    arity's tuples and directions, or, where that is larger, by
+    ``_RESOLUTION`` times a bound on the size of the quadrature terms over
+    radius^k, which rounding resolves; it needs each entry of order <= k of
+    its tuple.
 
     The composed kernel of order |gamma| has degree n*(|gamma|+1) and the
     floor ``KERNEL_FLOOR * diameter^(n*(|gamma|+1))``.  Tuples sit 0.37
@@ -170,16 +186,21 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     floor refuses the whole call; :func:`_accepted_derivatives` then
     evaluates the entries again by order, then by tuple, and skips those
     it refuses.  If the floor refuses every tuple of an arity at one order
-    (on the unit disc, order 2 from n = 5), that order is unchecked and the
-    suite reports an infinite residual, so it fails.  A domain too thin for
-    the sampling depth, such as a narrow annulus, places no tuples, and the
-    arity makes no comparison.
+    (on the unit disc, order 2 from n = 5), or refuses the circle points,
+    that order is unchecked and the suite reports an infinite residual, so
+    it fails.  A domain too thin for the sampling depth, such as a narrow
+    annulus, places no tuples, and the arity makes no comparison.
     """
     rng = np.random.default_rng(seed)
+    direction_rng = rng.spawn(1)[0]
     grid = geometry.sample_boundary(domain, nodes)
     data = _boundary_data(grid, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
+    diameter = geometry.domain_diameter(domain)
     # Every kernel factor is at least 0.37 * diameter: 0.37^9 ~ 1.3e-4 > KERNEL_FLOOR.
-    depth = 0.37 * geometry.domain_diameter(domain)
+    depth = 0.37 * diameter
+    radius = _CIRCLE_RADIUS * diameter
+    zeta = radius * np.exp(2j * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
+    rho_k = radius ** np.arange(_MAX_ORDER + 1)
     worst = 0.0
     comparisons = 0
     for n in arities:
@@ -191,27 +212,35 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
         gammas = np.array(_multi_indices(n))
         orders = gammas.sum(axis=1)
-        offsets, uses, coefs, denominators = _stencils(gammas, 1e-4)
-        touches = (uses[:, :, None] == np.arange(len(offsets))).any(axis=1)   # (G, P)
-        runs = [(samples, *_accepted_derivatives(gammas, samples, zs)) for _, samples in data]
-        # Only the stencil points of accepted entries are checked, once, and evaluated.
-        needs = [(accepted[:, :, None] & touches).any(axis=1) for *_, accepted in runs]
-        used = np.any(needs, axis=0)
-        stencil = cauchy._require_roots_inside(domain, (zs.points[:, None, :] + offsets)[used])
-        for (samples, got, accepted), need in zip(runs, needs):
-            f = np.zeros(need.shape, dtype=complex)
-            if need.any():
-                f[need] = cauchy.symmetrized_transform(samples, stencil[need[used]])
-            ref = _stencil_values(f, uses, coefs, denominators)
-            scale = _abs(ref)
-            keep = accepted & ~(scale < 1e-2)
-            if keep.any():
-                errors = _abs(got - ref)[keep] / scale[keep]
-                worst = max(worst, float(np.fmax.reduce(errors)))
-                comparisons += int(keep.sum())
-            if any(not accepted[:, orders == k].any() for k in range(_MAX_ORDER + 1)):
+        re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
+        u = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)   # (D, n)
+        # Roots that move at most _CIRCLE_RADIUS diameters stay 0.32 deep.  Certified once,
+        # they are carried with their coefficients, so no root finding runs for them.
+        w = tuples[:, None, None, :] + zeta[:, None] * u[:, None, :]                # (B, D, M, n)
+        w = cauchy._require_inside(domain, w).points
+        circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
+        weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
+        for _, samples in data:
+            got, accepted = _accepted_derivatives(gammas, samples, zs)
+            # (B, K): tuples whose entries of order <= k were all accepted.
+            checked = (accepted[:, None, :] | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
+            try:
+                values = cauchy.symmetrized_transform(samples, circles)     # (B, D, M)
+            except KernelProximityError:
                 worst = float("inf")
-    return SuiteResult("derivative_factorization", worst, 1e-5, comparisons)
+                continue
+            if not checked.any(axis=0).all():
+                worst = float("inf")    # an order that no tuple could check
+            taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
+            terms = got[:, None, None, :] * weights
+            mask = np.broadcast_to(checked[:, None, :], taylor.shape)
+            scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
+            # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
+            size = _abs(samples.values * grid.weights).sum() / (2 * np.pi * (0.32 * diameter)**n)
+            errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
+            worst = max(worst, float(np.fmax.reduce(errors[mask], initial=0.0)))
+            comparisons += int(mask.sum())
+    return SuiteResult("derivative_factorization", worst, 1e-9, comparisons)
 
 
 def _multi_indices(n: int) -> list[tuple[int, ...]]:
@@ -256,61 +285,27 @@ def _accepted_derivatives(gammas, samples, zs):
     return got, accepted
 
 
-def _stencils(gammas, h):
-    """Central-difference stencils of the multi-indices (order at most 2).
-
-    The difference of multi-index g at z is
-    ``sum_k coefs[g, k] * f(z + offsets[uses[g, k]]) / denominators[g]``,
-    summed in k order; unused slots have ``uses`` -1 and coefficient 0.
-    ``offsets`` (P, n) lists each displacement once.
-    """
-    n = gammas.shape[1]
-    offsets: dict[tuple, int] = {}
-    uses = np.full((len(gammas), 4), -1)
-    coefs = np.zeros((len(gammas), 4))
-    denominators = np.ones(len(gammas))
-
-    def step(i, sign):
-        e = np.zeros(n)
-        e[i] = sign * h
-        return e
-
-    for row, gamma in enumerate(gammas):
-        order = int(gamma.sum())
-        if order > 2:
-            raise ValueError(f"finite differences reach order 2, not {order}")
-        if order == 0:
-            pairs = [(np.zeros(n), 1.0)]
-        else:
-            i, j = np.flatnonzero(gamma)[[0, -1]]   # i == j unless gamma is mixed
-            if order == 1:
-                pairs, denominators[row] = [(step(i, 1), 1.0), (step(i, -1), -1.0)], 2 * h
-            elif i == j:
-                pairs = [(step(i, 1), 1.0), (np.zeros(n), -2.0), (step(i, -1), 1.0)]
-                denominators[row] = h**2
-            else:
-                pairs = [(step(i, a) + step(j, b), a * b) for a in (1, -1) for b in (1, -1)]
-                denominators[row] = 4 * h**2
-        for k, (offset, coef) in enumerate(pairs):
-            uses[row, k] = offsets.setdefault(tuple(offset), len(offsets))
-            coefs[row, k] = coef
-    return np.array(list(offsets)), uses, coefs, denominators
-
-
-def _stencil_values(f, uses, coefs, denominators):
-    """Differences (B, G) from the stencil-point values ``f`` (B, P).
-
-    Real and imaginary parts are summed and divided separately, which is
-    what Python's complex arithmetic does with real coefficients; numpy's
-    complex-by-real division would round differently.
-    """
-    out = np.empty((len(f), len(uses)), dtype=complex)
-    for part, values in ((out.real, f.real), (out.imag, f.imag)):
-        acc = coefs[:, 0] * values[:, uses[:, 0]]
-        for k in range(1, uses.shape[1]):
-            acc = acc + coefs[:, k] * values[:, uses[:, k]]
-        part[...] = acc / denominators
-    return out
+def _chain_rule_weights(gammas, w, u):
+    """Weights (..., K, G) taking the derivatives (..., G) of F at z(0) to the
+    Taylor coefficients c_k, k <= _MAX_ORDER = 2, of F(z(zeta)) for
+    z(zeta) = symmetrize(w + zeta*u): a_1^gamma / gamma! at k = |gamma|, and
+    a_2^gamma at k = |gamma| + 1 = 2.  The curve's coefficients a_k are those
+    of x^1..x^n in prod_j (1 + x*(w_j + zeta*u_j)), truncated after zeta^2."""
+    w, u = np.broadcast_arrays(w, u)
+    a = np.zeros((_MAX_ORDER + 1,) + w.shape[:-1] + (w.shape[-1] + 1,), dtype=complex)
+    a[0, ..., 0] = 1.0
+    for j in range(w.shape[-1]):
+        step = w[..., j, None] * a[..., :-1]
+        step[1:] += u[..., j, None] * a[:-1, ..., :-1]
+        a[..., 1:] += step
+    orders = gammas.sum(axis=1)
+    factorials = np.prod([[math.factorial(g) for g in row] for row in gammas], axis=1)
+    first = np.prod(a[1, ..., None, 1:] ** gammas, axis=-1) / factorials       # (..., G)
+    weights = np.zeros(first.shape[:-1] + (_MAX_ORDER + 1, len(gammas)), dtype=complex)
+    for k in range(_MAX_ORDER + 1):
+        weights[..., k, orders == k] = first[..., orders == k]
+    weights[..., 2, orders == 1] = np.prod(a[2, ..., None, 1:] ** gammas, axis=-1)[..., orders == 1]
+    return weights
 
 
 def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 2, 3)) -> SuiteResult:
@@ -324,14 +319,17 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     for n in arities:
         tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
         zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
-        for fun in funs:
-            samples = cauchy.boundary_samples(grid, lambda t, theta: fun(t), description=fun.label)
-            roots_vals = fun(tuples)
-            for ell in range(1, n + 1):
-                got = symmetric.power_sum_transform(samples, ell, zs)
-                ref = (roots_vals**ell).sum(axis=-1)
-                worst = max(worst, float(np.abs(got - ref).max()))
-                comparisons += len(tuples)
+        try:
+            for fun in funs:
+                samples = cauchy.boundary_samples(grid, lambda t, _: fun(t), description=fun.label)
+                roots_vals = fun(tuples)
+                for ell in range(1, n + 1):
+                    got = symmetric.power_sum_transform(samples, ell, zs)
+                    ref = (roots_vals**ell).sum(axis=-1)
+                    worst = max(worst, float(np.abs(got - ref).max()))
+                    comparisons += len(tuples)
+        except KernelProximityError:
+            worst = float("inf")    # the floor refused the arity: it goes unchecked
     return SuiteResult("power_sum_residues", worst, 1e-9, comparisons)
 
 

@@ -68,11 +68,11 @@ def test_criterion_05_derivative_factorization():
     domain = sp.disc(0, 1)
     res = suites.derivative_factorization_suite(domain, nodes=256, points=5, seed=0,
                                                 arities=(1, 2, 3))
-    ok = res.max_residual <= 1e-5 and res.comparisons >= 50
+    ok = res.max_residual <= 1e-9 and res.comparisons >= 50
     _report("criterion 5 (derivative factorization)", ok,
-            f"max relative error {res.max_residual:.3e} <= 1e-5 over {res.comparisons} comparisons")
+            f"max scaled error {res.max_residual:.3e} <= 1e-9 over {res.comparisons} comparisons")
     assert res.comparisons >= 50
-    assert res.max_residual <= 1e-5
+    assert res.max_residual <= 1e-9
 
 
 def test_criterion_06_component_census():

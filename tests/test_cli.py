@@ -97,6 +97,21 @@ def test_identities_fails_an_order_the_floor_refused(tmp_path, n, code):
     assert failures == (["derivative_factorization"] if code else [])
 
 
+def test_identities_past_the_floor_writes_a_report(tmp_path):
+    # From n = 8 the kernel floor refuses some arity of the multi-node and
+    # coefficient-form suites; each marks that arity unchecked and fails.
+    out = tmp_path / "ids_n8"
+    assert run(["identities", "--domain", "disc 0 0 1", "--n", "8", "--samples", "10",
+                "--out", str(out)]) == 1
+    rep = _read_report(out)
+    refusing = {"norlund_divided_difference", "pushforward_identity",
+                "derivative_factorization", "power_sum_residues"}
+    assert {"norlund_divided_difference", "derivative_factorization"} <= set(rep["failures"])
+    assert set(rep["failures"]) <= refusing
+    for name in rep["failures"]:
+        assert rep["results"][name]["max_residual"] == "inf"
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n"
@@ -233,6 +248,16 @@ def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor, n):
                 "--out", str(out)])
     assert code == 0
     assert _read_report(out)["results"]["route_agreement"] <= 1e-8
+
+
+def test_identities_derivative_factorization_off_center(tmp_path):
+    # The Taylor circles sit in root space around the tuples, so they follow
+    # the domain; the other suites compare absolute errors of values that
+    # grow with |w| there, and two of them fail.
+    out = tmp_path / "ids_off"
+    run(["identities", "--domain", "disc 5 5 1", "--n", "3", "--out", str(out)])
+    entry = _read_report(out)["results"]["derivative_factorization"]
+    assert entry["passed"] and entry["max_residual"] <= 1e-9 and entry["comparisons"] > 0
 
 
 @pytest.mark.parametrize("argv", [

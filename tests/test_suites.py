@@ -1,6 +1,6 @@
 """The batched derivative-factorization suite against the per-call loop it
-replaced: one derivative call per tuple and multi-index, and one
-finite-difference helper call per comparison."""
+replaced: one derivative call per tuple and multi-index, and one transform
+call per circle point with its own region check."""
 
 import numpy as np
 import pytest
@@ -24,35 +24,26 @@ def derivative_reference(gamma, samples, z) -> complex:
     return complex(cauchy._kernel_integral(samples, kern, n * (order + 1), numerator=values))
 
 
-def finite_difference_reference(f, z, gamma, h):
-    order = sum(gamma)
-    if order == 0:
-        return f(z)
-    first = [i for i, g in enumerate(gamma) if g > 0][0]
-    e = np.zeros(len(z), dtype=complex)
-    e[first] = h
-    if order == 1:
-        return (f(z + e) - f(z - e)) / (2 * h)
-    rest = list(gamma)
-    rest[first] -= 1
-    if rest[first] > 0:
-        second = first
-    else:
-        second = [i for i, g in enumerate(rest) if g > 0][0]
-    if second == first:
-        return (f(z + e) - 2 * f(z) + f(z - e)) / h**2
-    e2 = np.zeros(len(z), dtype=complex)
-    e2[second] = h
-    return (f(z + e + e2) - f(z + e - e2) - f(z - e + e2) + f(z - e - e2)) / (4 * h**2)
+def circle_taylor_reference(samples, w, u, radius):
+    """Taylor coefficients g_0..g_2 of F(symmetrize(w + zeta*u)) from one
+    transform call per point of the circle |zeta| = radius."""
+    m = suites._CIRCLE_POINTS
+    zeta = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    values = np.array([sp.symmetrized_transform(samples, sp.symmetrize(w + z * u)) for z in zeta])
+    return np.fft.fft(values)[: suites._MAX_ORDER + 1] / (m * radius ** np.arange(3))
 
 
 def derivative_suite_reference(domain, points, seed, arities, nodes=256):
     """(max_residual, comparisons) of the per-call loop; an arity whose tuples
-    were drawn but where the floor refused every call of one order reads inf."""
+    were drawn but where the floor refused every call of one order, or one
+    circle point, reads inf."""
     rng = np.random.default_rng(seed)
+    direction_rng = rng.spawn(1)[0]
     grid = sp.sample_boundary(domain, nodes)
     phis = [catalog.pole_phi(3.0), catalog.monomial_phi(6)]
-    depth = 0.37 * sp.domain_diameter(domain)
+    diameter = sp.domain_diameter(domain)
+    depth = 0.37 * diameter
+    radius = suites._CIRCLE_RADIUS * diameter
     worst = 0.0
     comparisons = 0
     for n in arities:
@@ -61,28 +52,47 @@ def derivative_suite_reference(domain, points, seed, arities, nodes=256):
                                               separation=0.08)
         except SamplingError:
             continue
-        zs = sp.symmetrize(tuples)
-        accepted_orders = set()
+        re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
+        directions = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)
+        gammas = suites._multi_indices(n)
         for phi in phis:
             samples = sp.boundary_samples(grid, phi)
-
-            def ev(zz, samples=samples):
-                return sp.symmetrized_transform(samples, zz)
-
-            for z in zs:
-                for gamma in suites._multi_indices(n):
+            rows = []      # (order, |g - c|, sum of |terms|) per compared coefficient
+            for w in tuples:
+                z = sp.symmetrize(w)
+                got = np.zeros(len(gammas), dtype=complex)
+                refused = set()
+                for i, gamma in enumerate(gammas):
                     try:
-                        got = derivative_reference(gamma, samples, z)
+                        got[i] = derivative_reference(gamma, samples, z)
                     except KernelProximityError:
+                        refused.add(sum(gamma))
+                for u in directions:
+                    try:
+                        taylor = circle_taylor_reference(samples, w, u, radius)
+                    except KernelProximityError:
+                        worst = float("inf")
                         continue
-                    accepted_orders.add(sum(gamma))
-                    ref = finite_difference_reference(ev, z, gamma, 1e-4)
-                    if abs(ref) < 1e-2:
-                        continue
-                    worst = max(worst, abs(got - ref) / abs(ref))
-                    comparisons += 1
-        if len(accepted_orders) <= suites._MAX_ORDER:
-            worst = float("inf")
+                    weights = suites._chain_rule_weights(np.array(gammas), w, u)
+                    for k in range(suites._MAX_ORDER + 1):
+                        if refused & set(range(k + 1)):
+                            continue
+                        terms = got * weights[k]
+                        rows.append((k, abs(taylor[k] - terms.sum()),
+                                     np.sum([abs(t) for t in terms])))
+            # Rounding floor: the size of a circle point's quadrature terms.
+            size = suites._abs(samples.values * grid.weights).sum() / (
+                2 * np.pi * (0.32 * diameter)**n)
+            for k in range(suites._MAX_ORDER + 1):
+                bound = max((s for order, _, s in rows if order == k), default=None)
+                if bound is None:
+                    worst = float("inf")
+                    continue
+                bound = max(bound, suites._RESOLUTION * size / radius**k)
+                for order, error, _ in rows:
+                    if order == k:
+                        worst = max(worst, error / bound)
+                        comparisons += 1
     return worst, comparisons
 
 
@@ -165,6 +175,62 @@ def test_derivative_suite_matches_per_call_loop(unit_disc, seed, arities):
     assert res.comparisons > 0
     # From n = 5 the floor refuses every second-order call on the unit disc.
     assert res.passed == (5 not in arities)
+
+
+def test_circle_points_take_no_root_finding(unit_disc, monkeypatch):
+    # The tuples' roots are found once per arity; the circle points carry theirs.
+    root_calls = []
+    find = symmetric.desymmetrize_batch
+    monkeypatch.setattr(symmetric, "desymmetrize_batch",
+                        lambda z: root_calls.append(z.shape) or find(z))
+    res = suites.derivative_factorization_suite(unit_disc, points=5, arities=(1, 2, 3))
+    assert res.passed and root_calls == [(5, 1), (5, 2), (5, 3)]
+
+
+def test_chain_rule_predicts_taylor_coefficients():
+    # F(z) = exp(c.z) has derivatives c^gamma F; its Taylor coefficients along
+    # zeta -> symmetrize(w + zeta*u) come from a 64-point FFT on a small circle.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4):
+        w, u, c = (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))) * 0.5
+        gammas = np.array(suites._multi_indices(n))
+        zeta = 0.01 * np.exp(2j * np.pi * np.arange(64) / 64)
+        curve = sp.symmetrize(w + zeta[:, None] * u)
+        derivatives = np.prod(c ** gammas, axis=1) * np.exp(c @ sp.symmetrize(w))
+        taylor = np.fft.fft(np.exp(curve @ c))[:3] / (64 * 0.01 ** np.arange(3))
+        predicted = suites._chain_rule_weights(gammas, w, u) @ derivatives
+        assert np.abs(predicted - taylor).max() < 1e-10 * np.abs(taylor).max()
+
+
+def test_derivative_suite_fails_a_perturbed_second_derivative(unit_disc, monkeypatch):
+    # A relative error of 1e-7 in one order-2 entry is 100 times the tolerance.
+    exact = cauchy.derivative_symmetrized
+
+    def perturbed(gammas, samples, z):
+        out = exact(gammas, samples, z)
+        second = np.flatnonzero(np.atleast_2d(gammas).sum(axis=1) == 2)
+        if len(second):
+            out[..., second[0]] *= 1 + 1e-7
+        return out
+
+    assert suites.derivative_factorization_suite(unit_disc).passed
+    monkeypatch.setattr(cauchy, "derivative_symmetrized", perturbed)
+    res = suites.derivative_factorization_suite(unit_disc)
+    assert not res.passed and 1e-9 < res.max_residual < 1e-6
+
+
+def test_derivative_suite_scale_has_a_rounding_floor(unit_disc):
+    # These three arity-1 tuples lie within 0.035 of the origin, where z^6 is
+    # below 2e-9 and its quadrature sums agree to 2e-17: relative to z^6
+    # alone that read 1e-8.
+    res = suites.derivative_factorization_suite(unit_disc, points=3, seed=4157521878,
+                                                arities=(1,))
+    assert res.passed and res.max_residual < 1e-11
+
+
+def test_derivative_suite_fails_past_the_floor_without_raising(unit_disc):
+    res = suites.derivative_factorization_suite(unit_disc, arities=(8,))
+    assert not res.passed
 
 
 def test_non_finite_data_are_refused_not_compared():

@@ -43,6 +43,9 @@ CASES = [
     ["identities", "--domain", "disc 0 0 1", "--n", "4", "--samples", "200"],
     # The floor refuses order 2 of every tuple, so every tuple is retried.
     ["identities", "--domain", "disc 0 0 1", "--n", "5", "--samples", "200"],
+    # Off the origin, and past the floor of the multi-node and coefficient-form suites.
+    ["identities", "--domain", "disc 5 5 1", "--n", "3"],
+    ["identities", "--domain", "disc 0 0 1", "--n", "8", "--samples", "10"],
     ["propermap", "--domain", "disc 0 0 1", "--propermap", "blaschke 0.5", "--n", "3"],
     # The census at arity 3, with one hole and with two.
     ["components", "--domain", "annulus 0 0 0.3 1", "--n", "3"],
