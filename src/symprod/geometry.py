@@ -11,13 +11,15 @@ bounded memory.  :func:`distance_to_boundary` projects every point onto
 every contour's analytic parametrization, so it is exact to rounding.
 :func:`classify_points` and :func:`interior_mask` share one oracle that
 makes one nearest-node pass per contour over the points inside the
-contour's node bounding box, padded by the distance floor and three
-spacings; a point outside it has winding 0 about that contour and lies
-beyond the floor.  A node lies on the curve and every curve point lies
-within a node spacing h of a node, so a point whose nearest node is d away
-is between d - h and d from that contour: the nearest nodes decide the
-distance test, except in a band of one spacing above the floor, which goes
-to :func:`distance_to_boundary`.  The same pass gives the 256-node winding
+contour's node bounding box and inside the ring about the nodes' centre
+that holds every node, both padded by the distance floor and three
+spacings.  A point outside either lies beyond the floor from that contour,
+and its winding about it is that of the centre, one 256-node sum per
+contour, in the ring's inner disc and 0 elsewhere.  A node lies on the
+curve and every curve point lies within a node spacing h of a node, so a
+point whose nearest node is d away is between d - h and d from that
+contour: the nearest nodes decide the distance test, except in a band of
+one spacing above the floor, which goes to :func:`distance_to_boundary`.  The same pass gives the 256-node winding
 sums of the points that it does not refuse.
 Random interior points come from one rejection sampler built on the
 oracle, :func:`sample_interior`.
@@ -156,7 +158,10 @@ def _diameter(contours: tuple[Contour, ...]) -> float:
     # The diameter is attained on the outer contour; a coarse subsample is
     # plenty at validation resolution.
     sub = pts[:: max(1, len(pts) // 512)]
-    return float(np.abs(sub[:, None] - sub[None, :]).max())
+    # |a - b| and |b - a| round alike, so the upper triangle, in blocks of 64
+    # rows, has the same largest distance as the whole matrix.
+    return float(max(np.abs(sub[i0 : i0 + 64, None] - sub[None, i0:]).max()
+                     for i0 in range(0, len(sub), 64)))
 
 
 def domain_diameter(domain: DomainBoundary) -> float:
@@ -184,6 +189,15 @@ class _WindingGrid:
     (``near`` plus one spacing) away is farther than ``near`` from the curve,
     and so is every point outside ``box``, the nodes' (x_min, x_max, y_min,
     y_max) padded by ``reach``; about such a point the winding is 0.
+    ``r_in`` and ``r_out`` are the least and the largest node distance from
+    ``center``, less and plus ``reach``, so the curve lies in the ring
+    ``r_in + near <= |q - center| <= r_out - near``.  Every point of the
+    inner disc ``|w - center| < r_in`` is therefore farther than ``near``
+    from the curve and has ``inside``, the rounded winding sum of
+    ``center``, as its winding; every point beyond ``r_out`` is as far and
+    has winding 0.  ``r_in`` is at most 0, an empty inner disc, when the
+    nodes come within ``reach`` of the centre or its sum is not near -1, 0
+    or 1.
     """
 
     nodes: np.ndarray
@@ -196,6 +210,9 @@ class _WindingGrid:
     near: float
     reach: float
     box: tuple[float, float, float, float]
+    r_in: float
+    r_out: float
+    inside: int
     sense: int
 
 
@@ -214,12 +231,20 @@ def _winding_grid(contour: Contour) -> _WindingGrid:
     reach = near + spacing
     box = (float(nodes.real.min()) - reach, float(nodes.real.max()) + reach,
            float(nodes.imag.min()) - reach, float(nodes.imag.max()) + reach)
+    radii = np.abs(t)
+    r_in, r_out, inside = float(radii.min()) - reach, float(radii.max()) + reach, 0
+    if r_in > 0:
+        est = complex((weights / t).sum()) / (2.0j * np.pi)
+        inside = round(est.real)
+        if abs(est - inside) > _WINDING_SLACK or abs(inside) > 1:
+            r_in, inside = 0.0, 0
     return _WindingGrid(
         nodes, tangents, center,
         xy=-2.0 * np.stack([t.real, t.imag]),
         sq=t.real**2 + t.imag**2,
         moments=np.stack([tw.real, tw.imag, weights.real, weights.imag], axis=1),
-        spacing=spacing, near=near, reach=reach, box=box, sense=1 if area > 0 else -1,
+        spacing=spacing, near=near, reach=reach, box=box,
+        r_in=r_in, r_out=r_out, inside=inside, sense=1 if area > 0 else -1,
     )
 
 
@@ -330,14 +355,23 @@ def _winding_sums(contour: Contour, blk, z, zz, d2, rows) -> np.ndarray:
     return raw.astype(int)
 
 
-def _in_box(grid: _WindingGrid, w: np.ndarray, pad: float):
-    """Index of the points of a 1-D w inside ``grid.box`` padded by ``pad``,
-    or ``slice(None)``, which copies nothing, when all of them are.  A point
-    outside has winding 0 about the contour and lies more than ``pad`` plus
-    ``near`` from it."""
+def _screen(grid: _WindingGrid, w: np.ndarray, pad: float):
+    """The points of a 1-D w that one contour's node pass must scan, and
+    the points deep in its inner disc, as two index sets.
+
+    A point is scanned when it lies in ``grid.box`` and in the ring
+    ``r_in - pad <= |w - center| <= r_out + pad``; the first set is
+    ``slice(None)``, which copies nothing, when every point is.  A point
+    with ``|w - center| < r_in - pad`` is deep and has winding
+    ``grid.inside`` about the contour, and every other point has winding 0.
+    Deep and other points lie more than ``pad`` plus ``near`` from it.
+    """
     x0, x1, y0, y1 = grid.box
-    out = (w.real < x0 - pad) | (w.real > x1 + pad) | (w.imag < y0 - pad) | (w.imag > y1 + pad)
-    return np.flatnonzero(~out) if out.any() else slice(None)
+    r = np.abs(w - grid.center)
+    deep = r < grid.r_in - pad
+    skip = (deep | (r > grid.r_out + pad) | (w.real < x0 - pad) | (w.real > x1 + pad)
+            | (w.imag < y0 - pad) | (w.imag > y1 + pad))
+    return (np.flatnonzero(~skip) if skip.any() else slice(None)), np.flatnonzero(deep)
 
 
 def _finite_points(w) -> np.ndarray:
@@ -369,13 +403,14 @@ def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
     """Region labels of an array w of finite points, same shape, with -1
     where ``distance_to_boundary(domain, w) <= floor``.
 
-    Each contour makes one ``_node_blocks`` pass over the points inside its
-    ``box`` padded by ``floor``; the others have winding 0 about it and lie
-    more than ``floor`` plus ``near`` from it.  A point whose nearest node is
-    d away lies between d - ``spacing`` and d from the contour, so it is
-    refused when some d is within ``floor``, kept when every d less its
-    spacing is beyond it, and measured by :func:`distance_to_boundary` in
-    between: a band about one spacing wide, from a relative ``_SCREEN_SLACK``
+    Each contour makes one ``_node_blocks`` pass over the points that
+    :func:`_screen` finds in its ``box`` and its ring, padded by ``floor``;
+    the others lie more than ``floor`` plus ``near`` from it and have the
+    winding of its centre in the ring's inner disc and 0 elsewhere.  A point
+    whose nearest node is d away lies between d - ``spacing`` and d from the
+    contour, so it is refused when some d is within ``floor``, kept when
+    every d less its spacing is beyond it, and measured by
+    :func:`distance_to_boundary` in between: a band about one spacing wide, from a relative ``_SCREEN_SLACK``
     below ``floor`` so that rounding cannot flip a verdict.  The same block
     gives the winding sums of the points beyond ``near`` that its nearest
     node does not refuse; kept points within ``near`` take the side of the
@@ -389,7 +424,8 @@ def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
     sides = []
     for k, c in enumerate(domain.contours):
         grid = _winding_grid(c)
-        sel = _in_box(grid, flat, floor)
+        sel, deep = _screen(grid, flat, floor)
+        windings[deep, k] = c.orientation * grid.inside
         index = np.arange(len(flat))[sel]
         for start, blk, z, zz, d2, j, d in _node_blocks(grid, flat[sel]):
             rows = index[start : start + len(blk)]

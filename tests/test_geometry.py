@@ -279,9 +279,9 @@ def _probes(domain, threshold, rng):
     band (threshold, threshold + spacing], below it and beyond it; points
     half the classification floor outside every contour's extreme validation
     samples; points halfway from every contour's mid-node points to every
-    other contour's nearest nodes; and points just inside and just outside
-    every hole's box, padded by the classification floor and by the
-    threshold."""
+    other contour's nearest nodes; points just inside and just outside every
+    contour's ring, and every hole's box, padded by the classification floor
+    and by the threshold."""
     diam = sp.domain_diameter(domain)
     tol = sp.geometry.boundary_tolerance(domain)
     floor = max(threshold, tol)
@@ -310,6 +310,11 @@ def _probes(domain, threshold, rng):
                 other_grid = sp.geometry._winding_grid(other)
                 j, _ = sp.geometry._nearest_nodes(other_grid, mid)
                 pts.append((mid + other_grid.nodes[j]) / 2)
+        phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 25))
+        for pad in (tol, threshold):
+            for eps in (-1e-9 * diam, 1e-9 * diam):
+                radii = (grid.r_in - pad + eps, grid.r_out + pad + eps)
+                pts += [grid.center + r * phase for r in radii if r > 0]
         if k == 0:
             continue
         bx0, bx1, by0, by1 = grid.box
@@ -355,8 +360,11 @@ def _oracle_domain(name):
 # "disc 0 0 1 + hole disc 0.55 0 0.4" leaves a gap of two outer node
 # spacings at x = 0.95, where both contours are within a spacing of each
 # other's nearest nodes.
+# "ellipse 0 0 1 0.05" has an empty inner disc, and "disc 5 5 1" is off the
+# origin.
 @pytest.mark.parametrize("name", README_DESCRIPTORS + ["disc 0 0 1 + hole disc 0.55 0 0.4",
-                                                       "turned hole"])
+                                                       "turned hole", "ellipse 0 0 1 0.05",
+                                                       "disc 5 5 1"])
 def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference, monkeypatch):
     domain = _oracle_domain(name)
     threshold = factor * sp.domain_diameter(domain)
@@ -372,10 +380,10 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
     measured.clear(), scanned.clear()
     sp.classify_points(domain, clear)
     for hole in domain.contours[1:]:
-        # Hole winding sums run only inside the holes' boxes.
+        # Hole winding sums run only inside the holes' boxes and rings.
         grid = sp.geometry._winding_grid(hole)
-        inside = np.arange(len(clear))[sp.geometry._in_box(grid, clear, tol)]
-        assert scanned.get(id(grid), 0) <= len(inside) + sum(measured) < len(clear)
+        shell = np.arange(len(clear))[sp.geometry._screen(grid, clear, tol)[0]]
+        assert scanned.get(id(grid), 0) <= len(shell) + sum(measured) < len(clear)
     monkeypatch.undo()
     floor = max(threshold, tol)
 
@@ -385,19 +393,47 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
 
 def test_interior_mask_scans_each_contour_once(annulus_domain, monkeypatch):
     # One nearest-node pass per contour serves the distance test and the
-    # winding sums: a contour scans its in-box points once, plus the band
-    # that distance_to_boundary measures on every contour.
+    # winding sums: a contour scans the points of its shell, in its box and
+    # its ring, once, plus the band that distance_to_boundary measures on
+    # every contour.
     threshold = 5e-3 * sp.domain_diameter(annulus_domain)
     rng = np.random.default_rng(5)
+    # Uniform draws from the annulus's bounding box.
     w = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
     measured, scanned = _count_oracle_work(monkeypatch)
     mask = sp.interior_mask(annulus_domain, w, threshold)
     monkeypatch.undo()
     assert mask.any() and sum(measured) > 0
+    shells = []
     for c in annulus_domain.contours:
         grid = sp.geometry._winding_grid(c)
-        inside = np.arange(len(w))[sp.geometry._in_box(grid, w, threshold)]
-        assert scanned[id(grid)] <= len(inside) + sum(measured)
+        shells.append(np.arange(len(w))[sp.geometry._screen(grid, w, threshold)[0]])
+        assert scanned.get(id(grid), 0) <= len(shells[-1]) + sum(measured)
+    # The outer circle's shell holds about a fifth of the draws; the rest of
+    # its box is its inner disc or beyond its ring.
+    assert 0.15 * len(w) < len(shells[0]) < 0.25 * len(w)
+
+
+def test_nesting_scans_no_row_of_the_outer_grid(monkeypatch):
+    # Every validation sample of the hole lies in the outer circle's inner
+    # disc, so the nesting check labels all 2048 of them with no node pass.
+    measured, scanned = _count_oracle_work(monkeypatch)
+    screened, screen = [], sp.geometry._screen
+    monkeypatch.setattr(sp.geometry, "_screen",
+                        lambda grid, w, pad: screened.append(len(w)) or screen(grid, w, pad))
+    domain = sp.build_domain("annulus 0 0 0.3 1")
+    monkeypatch.undo()
+    assert screened == [sp.geometry.VALIDATION_GRID] and not measured
+    assert scanned.get(id(sp.geometry._winding_grid(domain.contours[0])), 0) == 0
+
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS + ["ellipse 0 0 1 0.2"])
+def test_diameter_matches_the_full_matrix(descriptor):
+    # The diameter scans the upper triangle of the sample distances only.
+    domain = sp.build_domain(descriptor)
+    pts = np.concatenate([sp.geometry._dense_points(c) for c in domain.contours])
+    sub = pts[:: max(1, len(pts) // 512)]
+    assert sp.domain_diameter(domain) == float(np.abs(sub[:, None] - sub[None, :]).max())
 
 
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)

@@ -50,6 +50,9 @@ CASES = [
     # The census at arity 3, with one hole and with two.
     ["components", "--domain", "annulus 0 0 0.3 1", "--n", "3"],
     ["components", "--domain", README_DOMAINS[-1], "--n", "3"],
+    # An off-origin centre, and a thin contour, in the oracle's ring screen.
+    ["loja", "--domain", "disc 5 5 1", "--n", "2"],
+    ["components", "--domain", "ellipse 0 0 1 0.2", "--n", "2"],
     # Thin ellipses.
     ["transform", "--domain", "ellipse 0 0 1 0.2"],
     ["transform", "--domain", "ellipse 0 0 1 0.25"],
