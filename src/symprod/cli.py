@@ -10,11 +10,11 @@ Subcommands::
     holder      exponent-estimator calibration suite
     propermap   induced-map route agreement and boundary regularity
 
-Configuration comes from an optional key = value file holding keys of
-_DEFAULTS (any other key is a configuration error), plus flag overrides;
-all outputs land in the --out directory as report.json and CSV files.  With
-a fixed seed the outputs are byte-identical across runs (the output path is
-deliberately not echoed into the report).
+Each command reads the config keys _COMMANDS lists for it, from an optional
+key = value file and from flag overrides; any other key or flag is a
+configuration error.  All outputs land in --out as CSV files and report.json,
+which echoes those keys; with a fixed seed they are byte-identical across
+runs (the output path is deliberately not echoed into the report).
 
 Exit codes: 0 success, 1 tolerance failure (report lists the failures),
 2 configuration error.
@@ -45,11 +45,14 @@ _DEFAULTS = {
     "tol_scale": 1.0,
     "propermap": "monomial 2",
 }
-# Defaults of single commands; they still yield to the config file and flags.
-_COMMAND_DEFAULTS = {"pv": {"phi": "weierstrass 0.5 12"}}
 
 
-def _load_config(path: str | None) -> dict:
+def _reads(*keys, **defaults) -> dict:
+    """The config keys a command reads, with the defaults of ``_DEFAULTS`` or ``defaults``."""
+    return {key: defaults.get(key, _DEFAULTS[key]) for key in keys}
+
+
+def _load_config(path: str | None, command: str, keys) -> dict:
     cfg: dict = {}
     if path is None:
         return cfg
@@ -65,33 +68,33 @@ def _load_config(path: str | None) -> dict:
             raise ConfigError(f"malformed config line {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
         cfg[key] = value.strip()
     return cfg
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg.update(_COMMAND_DEFAULTS.get(args.command, {}))
-    cfg.update(_load_config(args.config))
-    for key in _DEFAULTS:
+    defaults = _COMMANDS[args.command][1]
+    cfg = dict(defaults)
+    cfg.update(_load_config(args.config, args.command, defaults))
+    for key in defaults:
         flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     try:
         # Each value takes the type of its default; only the numbers can fail.
-        cfg = {key: type(_DEFAULTS[key])(value) for key, value in cfg.items()}
+        cfg = {key: type(defaults[key])(value) for key, value in cfg.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numeric config value: {exc}") from exc
     max_n = symmetric.MAX_PERMUTATION_ARITY if args.command == "loja" else symmetric.MAX_ROOT_ARITY
-    if not 1 <= cfg["n"] <= max_n:
+    if "n" in cfg and not 1 <= cfg["n"] <= max_n:
         raise ConfigError(f"n = {cfg['n']} outside 1..{max_n}")
-    if cfg["nodes"] < 16 or cfg["nodes"] % 2:
+    if "nodes" in cfg and (cfg["nodes"] < 16 or cfg["nodes"] % 2):
         raise ConfigError(f"nodes = {cfg['nodes']} must be even and at least 16")
-    if cfg["samples"] < 1:
+    if "samples" in cfg and cfg["samples"] < 1:
         raise ConfigError(f"samples = {cfg['samples']} must be at least 1")
-    if not (np.isfinite(cfg["tol_scale"]) and cfg["tol_scale"] > 0):
+    if "tol_scale" in cfg and not (np.isfinite(cfg["tol_scale"]) and cfg["tol_scale"] > 0):
         raise ConfigError(f"tol_scale = {cfg['tol_scale']} must be finite and above 0")
     return cfg
 
@@ -290,14 +293,16 @@ def pv_base_point(domain, nodes: int) -> complex:
     return complex(np.asarray(outer.point(np.array([theta0])))[0])
 
 
+# Each command's function and the keys it reads: its flags, config keys and meta.config echo.
 _COMMANDS = {
-    "transform": _cmd_transform,
-    "identities": _cmd_identities,
-    "components": _cmd_components,
-    "loja": _cmd_loja,
-    "pv": _cmd_pv,
-    "holder": _cmd_holder,
-    "propermap": _cmd_propermap,
+    "transform": (_cmd_transform, _reads("domain", "phi", "n", "nodes", "samples", "seed")),
+    "identities": (_cmd_identities, _reads("domain", "n", "nodes", "samples", "seed", "tol_scale")),
+    "components": (_cmd_components, _reads("domain", "n", "samples", "seed")),
+    "loja": (_cmd_loja, _reads("domain", "n", "samples", "seed")),
+    "pv": (_cmd_pv, _reads("domain", "phi", "n", "nodes", phi="weierstrass 0.5 12")),
+    "holder": (_cmd_holder, _reads("tol_scale")),
+    "propermap": (_cmd_propermap,
+                  _reads("domain", "propermap", "n", "nodes", "samples", "seed", "tol_scale")),
 }
 
 
@@ -305,17 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symprod", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--domain", default=None)
-        p.add_argument("--phi", default=None)
-        p.add_argument("--propermap", default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol-scale", dest="tol_scale", type=float, default=None)
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default), default=None)
         p.add_argument("--out", default="out")
     return parser
 
@@ -327,7 +326,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg, results, failures, tables = _COMMANDS[args.command](_resolve(args))
+        cfg, results, failures, tables = _COMMANDS[args.command][0](_resolve(args))
     except (ConfigError, InvalidGeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -338,7 +337,7 @@ def run(argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
-    meta = {"version": __version__, "command": args.command, "config": cfg, "seed": cfg["seed"]}
+    meta = {"version": __version__, "command": args.command, "config": cfg, "seed": cfg.get("seed")}
     _write_report(out, {"meta": meta, "results": results, "failures": failures})
     return 1 if failures else 0
 

@@ -72,7 +72,8 @@ def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15)
 
 
 def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -> SuiteResult:
-    """Reproduction of holomorphic boundary traces by the Cauchy transform."""
+    """Reproduction of holomorphic boundary traces by the Cauchy transform,
+    each datum's error relative to ``max(1, max|phi|)`` over the nodes."""
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
@@ -83,7 +84,8 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     for phi, samples in data:
         exact = phi.holomorphic_extension()
         got = cauchy.cauchy_transform(samples, zs)
-        worst = max(worst, float(np.abs(got - exact(zs.points)).max()))
+        scale = max(1.0, float(np.abs(samples.values).max()))
+        worst = max(worst, float(np.abs(got - exact(zs.points)).max()) / scale)
         comparisons += len(got)
     return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
 
@@ -310,7 +312,8 @@ def _chain_rule_weights(gammas, w, u):
 
 def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 2, 3)) -> SuiteResult:
     """Boundary power-sum integrals against direct power sums over the
-    desymmetrized roots (residue identity)."""
+    desymmetrized roots (residue identity), each error relative to
+    ``max(1, max|f|^ell)`` over the nodes."""
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     funs = [catalog.identity_function(), catalog.monomial_function(2)]
@@ -326,7 +329,8 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
                 for ell in range(1, n + 1):
                     got = symmetric.power_sum_transform(samples, ell, zs)
                     ref = (roots_vals**ell).sum(axis=-1)
-                    worst = max(worst, float(np.abs(got - ref).max()))
+                    scale = max(1.0, float(np.abs(samples.values).max()) ** ell)
+                    worst = max(worst, float(np.abs(got - ref).max()) / scale)
                     comparisons += len(tuples)
         except KernelProximityError:
             worst = float("inf")    # the floor refused the arity: it goes unchecked

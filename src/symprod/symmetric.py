@@ -280,8 +280,9 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
     root tuples drawn from a box around the domain, ``_CENSUS_BOX_MARGIN``
     times the boundary's bounding box about its centre.
 
-    Points whose roots land too close to the boundary for classification
-    are redrawn, so exactly ``samples`` tuples are classified.
+    The kernel roots of ``symmetrize(w)`` are the drawn tuple w, so its
+    labels give the signature.  Tuples with a root within 5e-3 diameters of
+    the boundary are redrawn, so exactly ``samples`` tuples are classified.
     """
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = bounding_box(domain)
@@ -296,11 +297,7 @@ def signature_census(domain: DomainBoundary, n: int, samples: int, seed: int = 0
     while done < samples:
         draw = max(samples - done, 64)
         w = (cx + rng.uniform(-hx, hx, (draw, n))) + 1j * (cy + rng.uniform(-hy, hy, (draw, n)))
-        w = w[(_regions(domain, w, floor) >= 0).all(axis=1)]
-        if len(w) == 0:
-            continue
-        rts, _ = desymmetrize_batch(symmetrize(w))
-        labels = _regions(domain, rts, floor)
+        labels = _regions(domain, w, floor)
         labels = labels[(labels >= 0).all(axis=1)]
         if len(labels) == 0:
             continue

@@ -58,6 +58,49 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# The config keys each command reads: its flags, its config-file keys and
+# its meta.config echo.  VALUES holds a valid value of every key.
+READS = {
+    "transform": {"domain", "phi", "n", "nodes", "samples", "seed"},
+    "identities": {"domain", "n", "nodes", "samples", "seed", "tol_scale"},
+    "components": {"domain", "n", "samples", "seed"},
+    "loja": {"domain", "n", "samples", "seed"},
+    "pv": {"domain", "phi", "n", "nodes"},
+    "holder": {"tol_scale"},
+    "propermap": {"domain", "propermap", "n", "nodes", "samples", "seed", "tol_scale"},
+}
+VALUES = {"domain": "disc 0 0 1", "phi": "monomial 3", "propermap": "monomial 2", "n": "2",
+          "nodes": "64", "samples": "100", "seed": "7", "tol_scale": "2"}
+
+
+def _flags(command: str, **values) -> list[str]:
+    """The flags of ``values`` that ``command`` reads."""
+    return [arg for key, value in values.items() if key in READS[command]
+            for arg in ("--" + key.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize("command", READS)
+def test_meta_config_echoes_the_keys_the_command_reads(tmp_path, command):
+    out = tmp_path / "o"
+    assert run([command, *_flags(command, n="1", samples="100"), "--out", str(out)]) in (0, 1)
+    meta = _read_report(out)["meta"]
+    assert set(meta["config"]) == READS[command]
+    assert meta["seed"] == (42 if "seed" in READS[command] else None)
+
+
+@pytest.mark.parametrize("command", READS)
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, command):
+    key = next(k for k in VALUES if k not in READS[command])
+    flag = "--" + key.replace("_", "-")
+    assert run([command, flag, VALUES[key], "--out", str(tmp_path / "o")]) == 2
+    assert flag in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {VALUES[key]}\n")
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_identities_small_run(tmp_path):
     out = tmp_path / "ids"
     code = run(["identities", "--domain", "disc 0 0 1", "--n", "2", "--nodes", "256",
@@ -114,8 +157,7 @@ def test_identities_past_the_floor_writes_a_report(tmp_path):
 
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n"
-                   "tol-scale = 2\n")
+    cfg.write_text("domain = disc 0 0 1\nphi = monomial 3\nn = 2\nnodes = 64\nsamples = 30\n")
     out = tmp_path / "tr"
     code = run(["transform", "--config", str(cfg), "--nodes", "128", "--out", str(out)])
     assert code == 0
@@ -123,8 +165,11 @@ def test_config_file_and_override(tmp_path):
     assert rep["meta"]["config"]["nodes"] == 128   # flag wins
     assert rep["meta"]["config"]["samples"] == rep["results"]["points"] == 30
     assert rep["meta"]["config"]["phi"] == "monomial 3"
-    assert rep["meta"]["config"]["tol_scale"] == 2.0   # tol-scale is read as tol_scale
     assert (out / "transform.csv").exists()
+    cfg.write_text("tol-scale = 2\n")
+    out = tmp_path / "holder"
+    assert run(["holder", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _read_report(out)["meta"]["config"] == {"tol_scale": 2.0}   # read as tol_scale
 
 
 def test_components_annulus(tmp_path):
@@ -252,10 +297,10 @@ def test_propermap_route_agreement_on_readme_domains(tmp_path, descriptor, n):
 
 def test_identities_derivative_factorization_off_center(tmp_path):
     # The Taylor circles sit in root space around the tuples, so they follow
-    # the domain; the other suites compare absolute errors of values that
-    # grow with |w| there, and two of them fail.
+    # the domain; the reproduction and power-sum suites compare each error
+    # at the size of its datum on the boundary, which grows like |t|^8 here.
     out = tmp_path / "ids_off"
-    run(["identities", "--domain", "disc 5 5 1", "--n", "3", "--out", str(out)])
+    assert run(["identities", "--domain", "disc 5 5 1", "--n", "3", "--out", str(out)]) == 0
     entry = _read_report(out)["results"]["derivative_factorization"]
     assert entry["passed"] and entry["max_residual"] <= 1e-9 and entry["comparisons"] > 0
 
@@ -305,17 +350,15 @@ def test_python_m_symprod(tmp_path):
     assert (out / "report.json").exists()
 
 
-COMMANDS = ["transform", "identities", "components", "loja", "pv", "holder", "propermap"]
-
-
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", [c for c in READS if "domain" in READS[c]])
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
 def test_readme_descriptor_matrix(tmp_path, descriptor, command):
-    # Every command on every README domain: a success, or a tolerance
-    # failure that the report lists; never a config error or a traceback.
+    # Every command that reads a domain on every README domain: a success, or
+    # a tolerance failure that the report lists; never a config error or a
+    # traceback.
     out = tmp_path / "o"
     samples = "1000" if command == "propermap" else "100"
-    code = run([command, "--domain", descriptor, "--n", "2", "--samples", samples,
+    code = run([command, *_flags(command, domain=descriptor, n="2", samples=samples),
                 "--out", str(out)])
     assert code in (0, 1)
     failures = _read_report(out)["failures"]

@@ -7,15 +7,19 @@ Usage (from the repository root)::
 It runs every case of ``CASES`` once in the parent checkout and once in
 this one, each as ``python -m symprod`` against that checkout's own
 ``src/``, in a fresh working directory with ``--out out``.  The cases are
-every command on the five README domains at ``--n 2`` with a fixed seed,
-and the refusals and edge cases below them.  For each case it prints
-whether the ``--out`` tree (file names and bytes), stdout, stderr and the
-exit code match, and it exits 1 if any of them differs.
+every command that reads a domain on the five README domains at ``--n 2``,
+``holder`` once, and the refusals and edge cases below them; each passes
+only flags its command reads, and ``--seed`` to the commands that draw at
+random.  For each case it prints whether the ``--out`` tree (file names and
+bytes), stdout, stderr and the exit code match, naming the files that
+differ and, in ``report.json``, the sections that do; it exits 1 if
+anything differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -33,11 +37,15 @@ README_DOMAINS = (
     "annulus 0 0 0.3 1",
     "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
 )
-COMMANDS = ("transform", "identities", "components", "loja", "pv", "holder", "propermap")
+DOMAIN_COMMANDS = ("transform", "identities", "components", "loja", "pv", "propermap")
+# Commands that draw nothing at random and take no --seed.
+SEEDLESS = ("pv", "holder")
 
 CASES = [
-    [command, "--domain", domain, "--n", "2"] for domain in README_DOMAINS for command in COMMANDS
+    [command, "--domain", domain, "--n", "2"]
+    for domain in README_DOMAINS for command in DOMAIN_COMMANDS
 ] + [
+    ["holder"],
     ["identities", "--domain", "disc 0 0 1", "--n", "5"],
     # The kernel floor refuses order 2 of some tuples only.
     ["identities", "--domain", "disc 0 0 1", "--n", "4", "--samples", "200"],
@@ -74,9 +82,10 @@ CASES = [
 def run_case(checkout: Path, args: list[str]) -> dict:
     """Exit code, stdout, stderr and the ``--out`` tree of one CLI run."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    seed = [] if args[0] in SEEDLESS else ["--seed", SEED]
     with tempfile.TemporaryDirectory() as work:
         done = subprocess.run(
-            [sys.executable, "-m", "symprod", *args, "--seed", SEED, "--out", "out"],
+            [sys.executable, "-m", "symprod", *args, *seed, "--out", "out"],
             cwd=work, env=env, capture_output=True, timeout=RUN_TIMEOUT_S, check=False,
         )
         out = Path(work) / "out"
@@ -84,6 +93,23 @@ def run_case(checkout: Path, args: list[str]) -> dict:
                 for p in sorted(out.rglob("*")) if p.is_file()}
     return {"tree": tree, "stdout": done.stdout, "stderr": done.stderr,
             "exit": done.returncode}
+
+
+def tree_diffs(parent: dict, change: dict) -> list[str]:
+    """The files of two ``--out`` trees that differ, each ``report.json``
+    named with its differing sections: meta, failures and each result."""
+    diffs = []
+    for name in sorted(set(parent) | set(change)):
+        if parent.get(name) == change.get(name):
+            continue
+        if name == "report.json" and name in parent and name in change:
+            a, b = json.loads(parent[name]), json.loads(change[name])
+            parts = [key for key in ("meta", "failures") if a[key] != b[key]]
+            parts += [f"results.{key}" for key in sorted(set(a["results"]) | set(b["results"]))
+                      if a["results"].get(key) != b["results"].get(key)]
+            name += f"[{', '.join(parts)}]"
+        diffs.append(name)
+    return diffs
 
 
 def main(argv=None) -> int:
@@ -95,7 +121,8 @@ def main(argv=None) -> int:
     differ = 0
     for case in CASES:
         parent, change = run_case(args.parent.resolve(), case), run_case(ROOT, case)
-        diffs = [part for part in ("tree", "stdout", "stderr") if parent[part] != change[part]]
+        diffs = tree_diffs(parent["tree"], change["tree"])
+        diffs += [part for part in ("stdout", "stderr") if parent[part] != change[part]]
         if parent["exit"] != change["exit"]:
             diffs.append(f"exit {parent['exit']} -> {change['exit']}")
         label = " ".join(repr(a) if " " in a else a for a in case)
