@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -306,7 +307,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, built on first use."""
     parser = argparse.ArgumentParser(prog="symprod", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,13 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default), default=None)
         p.add_argument("--out", default="out")
-    return parser
+    return parser, sub.choices
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # The command's own usage lists the flags it reads.
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

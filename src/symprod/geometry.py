@@ -26,6 +26,14 @@ oracle, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
 spectrally accurate for every contour integral built on top of them.
 
+The built-in contour families return one shared, immutable contour per
+parameter set, and :func:`composite` re-orients and re-labels through one
+shared copy per contour.  The per-contour work (validation samples, the
+simplicity check, diameters and winding grids) is cached by contour
+identity, so a process that builds the same domain again reuses all of it;
+only the nesting check, which classifies each hole's samples against the
+other contours, runs on every build.
+
 Region labels returned by :func:`classify_points` are integers:
 
     0            the domain itself,
@@ -135,8 +143,10 @@ class BoundaryGrid:
     nodes_per_contour: int
 
 
-# The per-contour caches are keyed by contour identity and every build_domain
-# makes new contours, so they keep only the last few (about 90 KB each).
+# The contour families and the per-contour caches keep the last few entries
+# (about 90 KB of samples per contour).  A family returns one shared contour
+# per parameter set, so repeated builds of a domain hit every per-contour
+# cache, which is keyed by contour identity.
 _CONTOUR_CACHE = 16
 
 
@@ -552,6 +562,7 @@ def sample_boundary(domain: DomainBoundary, nodes_per_contour: int) -> BoundaryG
 # Built-in contour families
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def circle_contour(center: complex, radius: float, orientation: int = 1, label: str = "circle") -> Contour:
     if radius <= 0:
         raise InvalidGeometryError("circle radius must be positive")
@@ -564,6 +575,7 @@ def circle_contour(center: complex, radius: float, orientation: int = 1, label: 
     )
 
 
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def ellipse_contour(center: complex, a: float, b: float, label: str = "ellipse") -> Contour:
     if a <= 0 or b <= 0:
         raise InvalidGeometryError("ellipse semi-axes must be positive")
@@ -575,6 +587,7 @@ def ellipse_contour(center: complex, a: float, b: float, label: str = "ellipse")
     )
 
 
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -> Contour:
     """Wavy circle r(theta) = R * (1 + ripple * cos(arms * theta)).
 
@@ -608,6 +621,7 @@ def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -
 # Domain construction and validation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
 def _check_simple(contour: Contour) -> None:
     """Reject a contour with a vanishing tangent or two validation samples
     closer than ``floor`` (twice the largest step) that are at least ``band``
@@ -715,11 +729,19 @@ def annulus(center: complex, inner: float, outer: float) -> DomainBoundary:
     )
 
 
+@functools.lru_cache(maxsize=_CONTOUR_CACHE)
+def _oriented(contour: Contour, orientation: int, label: str) -> Contour:
+    """``contour`` itself when it has this orientation and label, else one
+    shared copy with them."""
+    if (contour.orientation, contour.label) == (orientation, label):
+        return contour
+    return Contour(contour.point, contour.tangent, orientation, label)
+
+
 def composite(outer: Contour, holes: Sequence[Contour] = ()) -> DomainBoundary:
     """Assemble a multiply-connected domain; holes are re-oriented negatively."""
-    fixed = tuple(Contour(h.point, h.tangent, -1, h.label or f"hole{k}")
-                  for k, h in enumerate(holes))
-    out = Contour(outer.point, outer.tangent, 1, outer.label or "outer")
+    fixed = tuple(_oriented(h, -1, h.label or f"hole{k}") for k, h in enumerate(holes))
+    out = _oriented(outer, 1, outer.label or "outer")
     return validate_domain(DomainBoundary((out,) + fixed))
 
 

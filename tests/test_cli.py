@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from symprod import cli, geometry
 from symprod.cli import run
 
 README_DESCRIPTORS = [
@@ -86,6 +87,14 @@ def test_meta_config_echoes_the_keys_the_command_reads(tmp_path, command):
     meta = _read_report(out)["meta"]
     assert set(meta["config"]) == READS[command]
     assert meta["seed"] == (42 if "seed" in READS[command] else None)
+
+
+def test_an_unread_flag_is_refused_with_the_command_usage(tmp_path, capsys):
+    assert run(["holder", "--domain", "x", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: symprod holder ")
+    assert err.endswith("symprod holder: error: unrecognized arguments: --domain x\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", READS)
@@ -350,19 +359,57 @@ def test_python_m_symprod(tmp_path):
     assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", [c for c in READS if "domain" in READS[c]])
+def _matrix_argv(command: str, descriptor: str) -> list[str]:
+    samples = "1000" if command == "propermap" else "100"
+    return [command, *_flags(command, domain=descriptor, n="2", samples=samples)]
+
+
+DOMAIN_COMMANDS = [c for c in READS if "domain" in READS[c]]
+
+
+@pytest.mark.parametrize("command", DOMAIN_COMMANDS)
 @pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
 def test_readme_descriptor_matrix(tmp_path, descriptor, command):
     # Every command that reads a domain on every README domain: a success, or
     # a tolerance failure that the report lists; never a config error or a
     # traceback.
     out = tmp_path / "o"
-    samples = "1000" if command == "propermap" else "100"
-    code = run([command, *_flags(command, domain=descriptor, n="2", samples=samples),
-                "--out", str(out)])
+    code = run(_matrix_argv(command, descriptor) + ["--out", str(out)])
     assert code in (0, 1)
     failures = _read_report(out)["failures"]
     if code == 1:
         assert failures
     else:
         assert failures == []
+
+
+def _clear_shared_caches() -> None:
+    """Empty the parser cache and every contour cache, as in a new process."""
+    for module in (geometry, cli):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("command", DOMAIN_COMMANDS)
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_warm_run_equals_cold_run(tmp_path, descriptor, command):
+    # The second run reuses the parser and the contours of the first; the
+    # two write the same bytes and exit alike.
+    _clear_shared_caches()
+    codes, trees = [], []
+    for sub in ("cold", "warm"):
+        codes.append(run(_matrix_argv(command, descriptor) + ["--out", str(tmp_path / sub)]))
+        trees.append({f.name: f.read_bytes() for f in sorted((tmp_path / sub).iterdir())})
+    assert codes[0] == codes[1]
+    assert trees[0] == trees[1]
+
+
+def test_a_refused_call_leaves_no_state(tmp_path, capsys):
+    argv = ["loja", "--domain", "annulus 0 0 0.3 1", "--samples", "100"]
+    assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert run(argv + ["--n", "0", "--out", str(tmp_path / "refused")]) == 2
+    assert capsys.readouterr().err.startswith("config error: n = 0")
+    assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert _tree_hash(tmp_path / "a") == _tree_hash(tmp_path / "b")
+    assert not (tmp_path / "refused").exists()

@@ -45,8 +45,11 @@ def test_malformed_descriptor_rejected(descriptor):
 
 
 def test_star_regularity_rejected():
-    with pytest.raises(InvalidGeometryError):
-        sp.star(1, 0.8, 2)
+    # Refusals are never cached: each build runs the check again.
+    for build in [lambda: sp.star(1, 0.8, 2), lambda: sp.build_domain("star 1 0.8 2")] * 2:
+        with pytest.raises(InvalidGeometryError,
+                           match=r"^star\(R=1.0, ripple=0.8, arms=2\) fails the regularity check$"):
+            build()
 
 
 def test_star_small_ripple_accepted():
@@ -69,8 +72,14 @@ def test_star_small_ripple_accepted():
      "are nested"),
 ])
 def test_invalid_nesting_rejected(descriptor, message):
-    with pytest.raises(InvalidGeometryError, match=message):
-        sp.build_domain(descriptor)
+    # Repeated builds share their contours but check the nesting again, and
+    # refuse alike.
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(InvalidGeometryError, match=message) as refused:
+            sp.build_domain(descriptor)
+        messages.add(str(refused.value))
+    assert len(messages) == 1
 
 
 def _regions(contours, w):
@@ -534,3 +543,65 @@ def test_check_simple_threshold_and_band_edges(simple_verdict):
     # index gap outside the band) sqrt(2) steps apart.
     tab = _lattice_walk("R" * 600 + "U" + "L" * 3 + "U" * 423 + "L" * 597 + "D" * 424)
     assert "self-intersects" in simple_verdict(tab)
+
+
+# ---------------------------------------------------------------------------
+# Shared contours: one per parameter set, with every check still made
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("descriptor", README_DESCRIPTORS)
+def test_repeated_builds_share_their_contours(descriptor):
+    first, again = sp.build_domain(descriptor), sp.build_domain(descriptor)
+    assert first is not again
+    assert all(a is b for a, b in zip(first.contours, again.contours, strict=True))
+
+
+def test_failures_are_never_cached():
+    # lru_cache stores only returned values: each refused call runs its
+    # check again and leaves no entry behind.
+    crossing = sp.geometry.Contour(
+        point=lambda t: np.sin(t) + 0.5j * np.sin(2 * t),
+        tangent=lambda t: np.cos(t) + 1j * np.cos(2 * t),
+    )
+    for cached, call in [(sp.geometry.star_contour, lambda: sp.geometry.star_contour(1, 0.8, 2)),
+                         (sp.geometry._check_simple, lambda: sp.geometry._check_simple(crossing))]:
+        before = cached.cache_info()
+        for _ in range(3):
+            with pytest.raises(InvalidGeometryError):
+                call()
+        after = cached.cache_info()
+        assert after.misses - before.misses == 3 and after.hits == before.hits
+        assert after.currsize == before.currsize
+
+
+@pytest.mark.parametrize("descriptor, holes", [(README_DESCRIPTORS[3], 1),
+                                               (README_DESCRIPTORS[4], 2)])
+def test_nesting_is_checked_on_every_build(descriptor, holes, monkeypatch):
+    # Only the contour work is shared: each build classifies every hole's
+    # validation samples against the other contours again.
+    calls, classify = [], sp.geometry.classify_points
+    monkeypatch.setattr(sp.geometry, "classify_points",
+                        lambda domain, w: calls.append(len(w)) or classify(domain, w))
+    for _ in range(3):
+        sp.build_domain(descriptor)
+    assert calls == [sp.geometry.VALIDATION_GRID] * (3 * holes)
+
+
+@pytest.mark.parametrize("family, negative, positive", [
+    ("circle_contour", (complex(-0.0, -0.0), 1.0), (0j, 1.0)),
+    ("circle_contour", (complex(-0.0, 0.8), 0.4), (complex(0.0, 0.8), 0.4)),
+    ("ellipse_contour", (complex(-0.0, -0.0), 1.1, 0.9), (0j, 1.1, 0.9)),
+    ("star_contour", (1.0, -0.0, 2), (1.0, 0.0, 2)),
+])
+def test_signed_zeros_share_a_contour_with_the_same_nodes(family, negative, positive):
+    # -0.0 == 0.0, so both parameter sets key one cache entry; whichever
+    # comes first, the contour has bitwise the same points and tangents on
+    # every equispaced grid and at generic angles.
+    cached = getattr(sp.geometry, family)
+    assert cached(*negative) is cached(*positive)
+    a, b = cached.__wrapped__(*negative), cached.__wrapped__(*positive)
+    thetas = [np.linspace(0.0, 2 * np.pi, n, endpoint=False) for n in (16, 256, 2048, 8192)]
+    thetas.append(np.random.default_rng(3).uniform(0.0, 2 * np.pi, 1000))
+    for theta in thetas:
+        assert a.point(theta).tobytes() == b.point(theta).tobytes()
+        assert a.tangent(theta).tobytes() == b.tangent(theta).tobytes()

@@ -76,6 +76,8 @@ CASES = [
     # No room for the interior points, and a pole on a quadrature node.
     ["transform", "--domain", "annulus 0 0 0.9 1"],
     ["transform", "--domain", "disc 0 0 3", "--phi", "pole 3 0 1"],
+    # A flag the command does not read.
+    ["holder", "--domain", "disc 0 0 1"],
 ]
 
 
