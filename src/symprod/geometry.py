@@ -803,5 +803,6 @@ def build_domain(descriptor: str) -> DomainBoundary:
         tokens = part.split()
         if not tokens or tokens[0] != "hole":
             raise InvalidGeometryError(f"expected 'hole <family ...>', got {part!r}")
-        holes.append(_parse_family(tokens[1:]))
+        # Each hole gets its own label, so a refusal names the hole at fault.
+        holes.append(_oriented(_parse_family(tokens[1:]), -1, f"hole{len(holes)}"))
     return composite(outer, holes)

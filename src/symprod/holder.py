@@ -11,6 +11,13 @@ A field may carry k value columns over one point cloud, values of shape
 (m, k), as the components of a map do.  One pass over the pairs then
 serves every column: distances, bins and pair counts are computed once per
 block, and only |df| and the per-bin maxima are kept per column.
+
+The pass works in a fixed set of block buffers, allocated once per table
+and refilled for every block of about ``_BLOCK_ENTRIES`` pairs, so its
+working memory is bounded and it allocates no fresh block temporaries.  A
+pair's bin comes from its squared distance, without a square root, and
+only the pairs whose |df| beats the running maximum of their bin reach
+the per-bin bookkeeping.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ MAX_POINTS = 5000
 MIN_POINTS_FOR_FIT = 100
 MIN_PAIRS_PER_BIN = 5
 _CALIBRATION_POINTS = 2000      # samples per calibration field
-_BLOCK_ENTRIES = 1 << 16        # pair-block size: 512 KiB per float array
+_BLOCK_ENTRIES = 1 << 14        # pair-block size: 128 KiB per float buffer
 # Pair-table slots: a distance d > 0 with frexp exponent e (2**(e - 1) <= d
 # < 2**e, e in [-1073, 1024]) goes to slot e + _SLOT0; slot _DUMP takes the
 # block entries that are not pairs of their own.
@@ -77,46 +84,6 @@ def real_coordinates(points) -> np.ndarray:
     return p
 
 
-def _pair_blocks(coords: np.ndarray, columns: np.ndarray):
-    """Upper-triangle pair blocks ``(i0, d, dvs)`` of distances and |df|.
-
-    Entry (r, c) of a block is the pair (i0 + r, i0 + 1 + c): a few rows
-    against the columns ``i0 + 1:``, about ``_BLOCK_ENTRIES`` entries in
-    all, with squared distances summed one coordinate at a time.  Entries
-    left of the diagonal (c < r) are not pairs of their own: for c < r - 1
-    they repeat a pair of the same block, and the self pairs c = r - 1 carry
-    the distance of the pair (i0 + r, i0 + r + 1) with |df| = 0.  Maxima and
-    minima over a whole block are therefore those over its pairs; counts
-    must skip c < r.
-
-    ``columns`` holds k value columns, shape (k, m); ``dvs`` yields the |df|
-    block of each column in turn, on the entries of ``d``, so one column's
-    block is alive at a time.
-    """
-    m = len(coords)
-    cols = np.ascontiguousarray(coords.T)
-    block = max(1, _BLOCK_ENTRIES // (m - 1))
-    for i0 in range(0, m - 1, block):
-        i1 = min(i0 + block, m - 1)
-        d = np.zeros((i1 - i0, m - 1 - i0), dtype=cols.dtype)
-        tmp = np.empty_like(d)
-        for col in cols:
-            np.subtract.outer(col[i0:i1], col[i0 + 1:], out=tmp)
-            d += np.square(tmp, out=tmp)
-        np.sqrt(d, out=d)
-        r = np.arange(1, i1 - i0)
-        d[r, r - 1] = d[r, r]
-        if d.min() == 0:
-            raise ValueError("points must be pairwise distinct")
-        yield i0, d, _column_diffs(columns, i0, i1)
-
-
-def _column_diffs(columns: np.ndarray, i0: int, i1: int):
-    """|df| blocks, rows ``i0:i1`` against ``i0 + 1:``, one column at a time."""
-    for v in columns:
-        yield np.abs(np.subtract.outer(v[i0:i1], v[i0 + 1:]))
-
-
 @dataclass(frozen=True)
 class ExponentFit:
     """Log-log regression summary for an empirical Holder exponent."""
@@ -142,41 +109,84 @@ def _pair_table(fld: SampledField):
     For (m, k) values the one pass serves all k columns: edges and counts
     are shared, and ``maxima`` and ``argdist`` have one row per column,
     shape (k, bins); each row equals the table of that column alone.
+
+    The pass walks the upper triangle in blocks of about ``_BLOCK_ENTRIES``
+    entries, rows ``i0:i1`` against the columns ``i0 + 1:``, and fills the
+    same block buffers, allocated once per call, for every block.  Entries
+    left of the diagonal (c < r) are not pairs of their own: for c < r - 1
+    they repeat a pair of the same block, and the self pairs c = r - 1 get
+    the squared distance of the pair (i0 + r, i0 + r + 1), so minima and
+    maxima over a block are those over its pairs; they go to slot ``_DUMP``.
+    The slot of d comes from s = d**2 without taking the root: with e2 the
+    frexp exponent of s, that of d is (e2 + 1) >> 1, exactly, since sqrt
+    is correctly rounded; the root is taken only for dmin, dmax and the
+    argdist of a new maximum.  An entry can change a column's table only if
+    its |df| exceeds the running maximum of its slot, so only those
+    candidates are scattered; ties keep the earlier pair.
     """
     coords = fld.coords
     if len(coords) < 2:
         raise ValueError("need at least two points")
     if len(coords) > MAX_POINTS:
         raise ValueError(f"too many points ({len(coords)} > {MAX_POINTS})")
-    columns = np.asarray(fld.values).reshape(len(coords), -1).T     # (k, m)
-    m, k = len(coords), len(columns)
+    m = len(coords)
+    columns = np.ascontiguousarray(np.asarray(fld.values).reshape(m, -1).T)    # (k, m)
+    cols = np.ascontiguousarray(coords.T)
+    k = len(columns)
     counts = np.zeros(_SLOTS, dtype=int)
     maxima = np.zeros((k, _SLOTS))
+    maxima[:, _DUMP] = np.inf               # no entry of the dump slot is a candidate
     argdist = np.zeros((k, _SLOTS))
     rank = np.zeros((k, _SLOTS), dtype=int)     # i * m + j of the argdist pair
-    dmin, dmax = np.inf, 0.0
-    for i0, d, dvs in _pair_blocks(coords, columns):
-        dmin, dmax = min(dmin, float(d.min())), max(dmax, float(d.max()))
-        slot = np.frexp(d)[1].astype(np.intp)
-        slot += _SLOT0
-        slot[:, :len(d)][np.tri(len(d), k=-1, dtype=bool)] = _DUMP
-        slot, d = slot.ravel(), d.ravel()
-        counts += np.bincount(slot, minlength=_SLOTS)
-        for dv, mx, ad, rk in zip(dvs, maxima, argdist, rank):
-            dv = dv.ravel()
-            top = np.zeros(_SLOTS)
-            np.maximum.at(top, slot, dv)
-            top[_DUMP] = 0.0
-            # Only strictly larger maxima replace, so ties keep the earlier
-            # block; in a block the first hit in row-major order is the
-            # first pair.
-            target = np.where(top > mx, top, np.nan)
-            hits = np.flatnonzero(dv == target[slot])
-            won, first = np.unique(slot[hits], return_index=True)
-            row, col = np.divmod(hits[first], m - 1 - i0)
-            mx[won] = top[won]
-            ad[won] = d[hits[first]]
+    size = max(_BLOCK_ENTRIES, m - 1)
+    sq, scratch = np.empty((2, size), dtype=cols.dtype)
+    dv, thr = np.empty((2, size))
+    diff = dv if columns.dtype == dv.dtype else np.empty(size, dtype=columns.dtype)
+    slot = np.empty(size, dtype=np.intp)
+    cand = np.empty(size, dtype=bool)
+    smin, smax = np.inf, 0.0
+    i0 = 0
+    while i0 < m - 1:
+        w = m - 1 - i0
+        i1 = i0 + min(max(1, size // w), w)
+        n = (i1 - i0) * w
+        s, t = sq[:n].reshape(-1, w), scratch[:n].reshape(-1, w)
+        np.subtract.outer(cols[0, i0:i1], cols[0, i0 + 1:], out=s)
+        np.square(s, out=s)
+        for col in cols[1:]:
+            np.subtract.outer(col[i0:i1], col[i0 + 1:], out=t)
+            s += np.square(t, out=t)
+        r = np.arange(1, i1 - i0)
+        s[r, r - 1] = s[r, r]
+        smin, smax = min(smin, s.min()), max(smax, s.max())
+        if smin == 0:
+            raise ValueError("points must be pairwise distinct")
+        sl = slot[:n]
+        np.frexp(sq[:n], out=(scratch[:n], sl))
+        sl += 1 + 2 * _SLOT0
+        sl >>= 1
+        sl.reshape(-1, w)[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = _DUMP
+        counts += np.bincount(sl, minlength=_SLOTS)
+        for v, mx, ad, rk in zip(columns, maxima, argdist, rank):
+            np.subtract.outer(v[i0:i1], v[i0 + 1:], out=diff[:n].reshape(-1, w))
+            np.abs(diff[:n], out=dv[:n])
+            np.take(mx, sl, out=thr[:n])
+            hits = np.flatnonzero(np.greater(dv[:n], thr[:n], out=cand[:n]))
+            if not len(hits):
+                continue
+            hs, hv = sl[hits], dv[hits]
+            # Every candidate beats its slot's running maximum, so the new
+            # maximum of each slot it reaches is attained in this block,
+            # first by the first pair in row-major order.
+            np.maximum.at(mx, hs, hv)
+            win = np.flatnonzero(hv == mx[hs])
+            won, first = np.unique(hs[win], return_index=True)
+            best = hits[win[first]]
+            row, col = np.divmod(best, w)
+            ad[won] = np.sqrt(sq[best])
             rk[won] = (i0 + row) * m + i0 + 1 + col
+        i0 = i1
+    dmin, dmax = float(np.sqrt(smin)), float(np.sqrt(smax))
     lo = int(np.floor(np.log2(dmin)))
     hi = max(int(np.ceil(np.log2(dmax))), lo + 1)
     # Slot s holds 2**(s - _SLOT0 - 1) <= d < 2**(s - _SLOT0).  Per bin the

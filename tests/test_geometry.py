@@ -59,17 +59,20 @@ def test_star_small_ripple_accepted():
 
 @pytest.mark.parametrize("descriptor, message", [
     # a hole sticking out of the outer disc, and one wholly outside it
-    ("disc 0 0 1 + hole disc 0.9 0 0.5", "is not inside the outer contour"),
-    ("disc 0 0 1 + hole disc 2 0 0.3", "is not inside the outer contour"),
-    # nested holes, and overlapping ones
-    ("disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3", "are nested"),
-    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45", "are nested"),
+    ("disc 0 0 1 + hole disc 0.9 0 0.5", "hole contour 'hole0' is not inside the outer contour"),
+    ("disc 0 0 1 + hole disc 2 0 0.3", "hole contour 'hole0' is not inside the outer contour"),
+    # nested holes, and overlapping ones; each descriptor hole has its own
+    # label, so the message names both
+    ("disc 0 0 2 + hole disc 0 0 0.8 + hole disc 0 0 0.3",
+     "hole contours 'hole1' and 'hole0' are nested"),
+    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc 1.5 0 0.45",
+     "hole contours 'hole0' and 'hole1' are nested"),
     # a hole whose first validation sample lies on the outer circle
     ("disc 0 0 1 + hole disc 0.5 0 0.5", "contours touch at validation resolution"),
     # two holes that cross in a lens about 0.09 rad wide, between every
     # 64th validation sample of the first
     ("disc 0 0 3 + hole disc 0 0 1 + hole disc 1.9884132802571408 0.1954907335324023 1",
-     "are nested"),
+     "hole contours 'hole0' and 'hole1' are nested"),
 ])
 def test_invalid_nesting_rejected(descriptor, message):
     # Repeated builds share their contours but check the nesting again, and

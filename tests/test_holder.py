@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -220,3 +221,53 @@ def test_pair_table_two_points_one_bin():
     edges, counts, maxima, argdist = holder._pair_table(fld)
     assert list(edges) == [1.0, 2.0]
     assert list(counts) == [1] and list(maxima) == [3.0] and list(argdist) == [1.0]
+
+
+def _extreme_cloud(rng, scale, pow2):
+    """Points at coordinate scale ``scale`` whose d**2 reach the ends of the
+    float range, then 2-D points at scale ``pow2`` (a power of two) with
+    distances at exact powers of two and one ulp either side of them."""
+    z = rng.normal(size=60) + 1j * rng.normal(size=60)
+    # Partners 1e-6 to 1 of the scale away: at 1e-150 their d**2 are
+    # subnormal, at 1e150 the largest d**2 are near 1e302.
+    near = z + 10.0 ** -rng.uniform(0, 6, 60) * np.exp(2j * np.pi * rng.random(60))
+    # From the origin: 2**j and its neighbours on three half-axes, so the
+    # pairs across the origin also fall next to powers of two.
+    p = 2.0 ** np.arange(-4, 4)
+    zero = np.zeros(len(p))
+    x = np.concatenate([[0.0], p, -np.nextafter(p, 0), zero, zero])
+    y = np.concatenate([[0.0], zero, zero, np.nextafter(p, np.inf), -p])
+    grid = pow2 * np.stack([x, y], axis=1)
+    return scale * np.concatenate([z, near]), grid
+
+
+@pytest.mark.parametrize("block", [64, holder._BLOCK_ENTRIES])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("scale, pow2", [(1e-150, 2.0 ** -520), (1e-3, 2.0 ** -10),
+                                         (1e150, 2.0 ** 500)])
+def test_pair_table_at_extreme_scales(rng, scale, pow2, kind, k, block):
+    for pts in _extreme_cloud(rng, scale, pow2):
+        # Quarter steps give ties; the values share the points' scale.
+        steps = np.round(4.0 * rng.normal(size=(len(pts), 2 * k))) / 4.0
+        values = steps[:, :k] if kind is float else steps[:, :k] + 1j * steps[:, k:]
+        values = scale * values
+        with mock.patch.object(holder, "_BLOCK_ENTRIES", block):
+            _assert_same_table(SampledField(points=pts, values=values[:, 0]))
+            _assert_columns_match(SampledField(points=pts, values=values))
+
+
+@pytest.mark.parametrize("m", [1000, 4000])
+def test_pair_table_working_memory_is_bounded(rng, m):
+    # The block buffers and the candidates of one block, plus the O(m * k)
+    # inputs and the per-slot tables, never the m x m pair matrix.
+    k = 2
+    z = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    fld = SampledField(points=z, values=z ** 2)
+    tracemalloc.start()
+    try:
+        holder._pair_table(fld)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (16 * holder._BLOCK_ENTRIES + 16 * m * k + 8 * holder._SLOTS * k)

@@ -55,6 +55,9 @@ CASES = [
     ["identities", "--domain", "disc 5 5 1", "--n", "3"],
     ["identities", "--domain", "disc 0 0 1", "--n", "8", "--samples", "10"],
     ["propermap", "--domain", "disc 0 0 1", "--propermap", "blaschke 0.5", "--n", "3"],
+    # Pair tables of one complex coordinate, and of the most blocks.
+    ["propermap", "--domain", "disc 0 0 1", "--n", "1"],
+    ["propermap", "--domain", "disc 0 0 1", "--n", "2", "--samples", "4500"],
     # The census at arity 3, with one hole and with two.
     ["components", "--domain", "annulus 0 0 0.3 1", "--n", "3"],
     ["components", "--domain", README_DOMAINS[-1], "--n", "3"],
