@@ -2,16 +2,15 @@
 
 The coordinate change between root tuples and coefficient tuples (the
 elementary symmetric polynomials one way, polynomial root finding back),
-the permutation-quotient metric and its power-law comparison with the
-coefficient distance, complete symmetric polynomials, component
-classification of the kernel complement, and the induced map on symmetric
-products evaluated through boundary integrals of power sums.
+the permutation-quotient metric (an assignment by dynamic programming over
+subsets) and its power-law comparison with the coefficient distance, in log
+space, complete symmetric polynomials, component classification of the
+kernel complement, and the induced map on symmetric products evaluated
+through boundary integrals of power sums.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .cauchy import (
     BoundarySamples,
     _kernel_integral,
     _require_roots_inside,
+    _sorted_nodes,
     monic_derivative_eval,
     monic_eval,
 )
@@ -41,7 +41,6 @@ CLUSTER_ROOT_TOL = 1e-6    # relaxed residual when roots cluster
 _CLUSTER_DISTANCE = 1e-4   # times (1 + max |root|): declares a cluster
 _ROUNDTRIP_RTOL = 1e-8
 _CLUSTER_ROUNDTRIP_RTOL = 1e-5
-MAX_PERMUTATION_ARITY = 8
 # signature_census draws root tuples from the bounding box scaled by this
 # factor about its centre, so every region of the complement is sampled.
 _CENSUS_BOX_MARGIN = 1.25
@@ -133,25 +132,29 @@ def desymmetrize(z) -> RootMultiset:
 # Quotient metric and the power-law comparison
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _permutation_table(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
-
-
 def delta_metric_batch(z, w) -> np.ndarray:
-    """Quotient metric for batches of tuples of shape (..., n)."""
-    z = np.asarray(z, dtype=complex)
+    """Quotient metric for batches of tuples of shape (..., n): the least
+    sqrt(sum_i |z_i - w_s(i)|^2) over permutations s, by dynamic programming
+    over subsets.  ``best[..., mask]`` is the least cost of matching z_0 ..
+    z_{k-1}, k = |mask|, to the w_j with bit j set: O(n 2^n) time and 2^n
+    floats per pair.  Sums run in the order of z, which is put in canonical
+    order first; w enters only through minima.  So the value is bitwise
+    invariant under reordering of either argument."""
+    z = _sorted_nodes(np.asarray(z, dtype=complex))
     w = np.asarray(w, dtype=complex)
     n = z.shape[-1]
-    if n > MAX_PERMUTATION_ARITY:
-        raise ValueError(f"arity {n} above brute-force maximum {MAX_PERMUTATION_ARITY}")
-    perms = _permutation_table(n)
-    diffs = z[..., None, :] - w[..., perms]          # (..., n!, n)
-    sq = np.abs(diffs) ** 2
-    # Sorting the squared summands makes the value bitwise invariant under
-    # reordering of either argument.
-    sq = np.sort(sq, axis=-1)
-    return np.sqrt(sq.sum(axis=-1).min(axis=-1))
+    cost = np.abs(z[..., :, None] - w[..., None, :]) ** 2    # (..., n, n)
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1       # bit j of each mask
+    sizes = member.sum(axis=1)
+    best = np.full(cost.shape[:-2] + (1 << n,), np.inf)
+    best[..., 0] = 0.0
+    for i in range(n):
+        for j in range(n):
+            layer = masks[(sizes == i + 1) & member[:, j]]
+            best[..., layer] = np.minimum(best[..., layer],
+                                          best[..., layer ^ (1 << j)] + cost[..., i, j, None])
+    return np.sqrt(best[..., -1])
 
 
 def lojasiewicz_exponent(n: int) -> int:
@@ -168,7 +171,7 @@ class LojasiewiczReport:
     arity: int
     exponent: int
     pairs_used: int
-    c_max: float
+    log10_c_max: float
     violations_at_c_max: int
     near_diagonal_pairs: int
     regression_slope: float
@@ -184,9 +187,10 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     1000 at n = 3); the other ``num_pairs`` minus that many perturb one
     tuple at logarithmically spaced scales (these populate the
     near-diagonal regime where the power law degenerates), and perturbed
-    pairs that leave the domain are dropped.  Reports the
+    pairs that leave the domain are dropped.  Reports log10 of the
     largest ratio delta^exponent / |coefficient difference| (an empirical
-    constant for the inequality), the violation count at that constant
+    constant for the inequality, kept in log space because the ratio
+    itself overflows from n = 6 on), the violation count at that constant
     (zero by construction), and a log-log regression restricted to
     near-diagonal pairs.
     """
@@ -220,11 +224,9 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     mask = pi_dist > 1e-12
     delta, pi_dist = delta[mask], pi_dist[mask]
 
-    # Large exponents overflow to an infinite c_max, which the caller reports.
-    with np.errstate(over="ignore"):
-        ratios = delta**lam / pi_dist
-    c_max = float(ratios.max())
-    violations = int((ratios > c_max).sum())
+    log10_ratios = lam * np.log10(delta) - np.log10(pi_dist)
+    log10_c_max = float(log10_ratios.max())
+    violations = int((log10_ratios > log10_c_max).sum())
 
     near = delta <= 0.1 * diam
     if near.sum() >= 10:
@@ -236,7 +238,7 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
         arity=n,
         exponent=lam,
         pairs_used=int(len(delta)),
-        c_max=c_max,
+        log10_c_max=log10_c_max,
         violations_at_c_max=violations,
         near_diagonal_pairs=int(near.sum()),
         regression_slope=slope,

@@ -98,12 +98,12 @@ def test_criterion_07_lojasiewicz_stability():
     details = []
     ok = True
     for n in (2, 3):
-        cs = []
+        log_cs = []
         for seed in (0, 1, 2):
             rep = sp.lojasiewicz_check(domain, n, 10000, seed=seed)
             assert rep.violations_at_c_max == 0
-            cs.append(rep.c_max)
-        ratio = max(cs) / min(cs)
+            log_cs.append(rep.log10_c_max)
+        ratio = 10 ** (max(log_cs) - min(log_cs))
         details.append(f"n={n}: c_max spread {ratio:.2f}x")
         ok = ok and ratio <= 5.0
     _report("criterion 7 (power-law sampling stability)", ok,

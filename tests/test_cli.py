@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -209,7 +210,7 @@ def test_loja_run(tmp_path):
     assert code == 0
     rep = _read_report(out)
     assert rep["results"]["violations_at_c_max"] == 0
-    assert rep["results"]["c_max"] > 0
+    assert math.isfinite(rep["results"]["log10_c_max"])
     assert rep["meta"]["config"]["samples"] == 300
 
 
@@ -317,7 +318,7 @@ def test_identities_derivative_factorization_off_center(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["transform", "--n", "0"],
     ["transform", "--nodes", "3"],
-    ["loja", "--n", "9"],
+    ["loja", "--n", "13"],
     ["components", "--samples", "0"],
     ["identities", "--tol-scale", "nan"],
     ["transform", "--phi", "weierstrass 0.5 2000"],
@@ -330,15 +331,19 @@ def test_out_of_range_number_exits_2(tmp_path, capsys, argv):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
-def test_loja_c_max_out_of_range_fails(tmp_path):
-    # At n = 6 the exponent is 1080, so delta**1080 overflows to inf on the
-    # unit disc; the violation count is 0 by construction and proves nothing.
-    out = tmp_path / "loja6"
-    code = run(["loja", "--n", "6", "--samples", "100", "--out", str(out)])
-    assert code == 1
+@pytest.mark.parametrize("argv", [
+    ["loja", "--n", "6", "--samples", "100"],
+    ["loja", "--domain", "disc 0 0 100", "--n", "5"],
+])
+def test_loja_log10_c_max_stays_finite(tmp_path, argv):
+    # delta**exponent overflows here (exponent 1080 at n = 6, delta up to 200
+    # on the large disc), but its logarithm does not.
+    out = tmp_path / "loja"
+    assert run(argv + ["--out", str(out)]) == 0
     rep = _read_report(out)
-    assert rep["results"]["c_max"] == "inf"
-    assert rep["failures"] == ["c_max_out_of_range"]
+    assert math.isfinite(rep["results"]["log10_c_max"])
+    assert rep["results"]["violations_at_c_max"] == 0
+    assert rep["failures"] == []
 
 
 def test_sampling_failure_exits_1(tmp_path, capsys):

@@ -63,6 +63,9 @@ CASES = [
     ["components", "--domain", README_DOMAINS[-1], "--n", "3"],
     # An off-origin centre, and a thin contour, in the oracle's ring screen.
     ["loja", "--domain", "disc 5 5 1", "--n", "2"],
+    # Exponents 1080 and 7560, so delta**exponent leaves the float range.
+    ["loja", "--domain", "disc 0 0 1", "--n", "6"],
+    ["loja", "--domain", "disc 0 0 1", "--n", "7"],
     ["components", "--domain", "ellipse 0 0 1 0.2", "--n", "2"],
     # Thin ellipses.
     ["transform", "--domain", "ellipse 0 0 1 0.2"],
