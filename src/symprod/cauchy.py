@@ -10,7 +10,9 @@ roots of coefficient tuples, :func:`_require_roots_inside`, whose certified
 :class:`_Inside` sets it takes unchecked in place of arrays.  It builds its
 kernel values p(z, t_j) (and, for the derivative and power-sum variants, a
 numerator in place of phi) and hands them to :func:`_kernel_integral`, the
-one sum and the one kernel-magnitude floor, which refuses the whole call.
+one sum.  The kernel-magnitude floor is one predicate with a verdict per
+row, :func:`_kernel_floor`; every public transform refuses the whole call
+if it refuses any row.
 Three named kernels matter downstream:
 
 * ``t - z``                       the classical Cauchy transform,
@@ -121,19 +123,25 @@ def product_eval(nodes, t) -> np.ndarray:
     return np.prod(t - w[..., None], axis=-2)
 
 
+def _kernel_floor(samples: BoundarySamples, kern: np.ndarray, degree: int):
+    """The one kernel floor, ``KERNEL_FLOOR * diameter^degree``, and the rows (...)
+    of kernel values ``kern`` (..., M) it refuses: min_j |p(z, t_j)| <= floor."""
+    floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
+    return floor, np.abs(kern).min(axis=-1) <= floor
+
+
 def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
     """(2*pi*i)^{-1} * sum_j numerator_j * w_j / p(z, t_j) over the last axis
     of the kernel values ``kern`` (..., M).
 
-    ``numerator`` defaults to the boundary data.  This is the one kernel
-    floor: the whole call raises :class:`KernelProximityError` if
-    min_j |p(z, t_j)| of any row is at most ``KERNEL_FLOOR * diameter^degree``.
+    ``numerator`` defaults to the boundary data.  This is the one sum: the
+    whole call raises :class:`KernelProximityError` if :func:`_kernel_floor`
+    refuses any row.
     """
-    floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
-    mins = np.abs(kern).min(axis=-1)
-    if (mins <= floor).any():
+    floor, refused = _kernel_floor(samples, kern, degree)
+    if refused.any():
         raise KernelProximityError(
-            f"kernel minimum {float(np.min(mins)):.3g} below floor {floor:.3g} (degree {degree})"
+            f"kernel minimum {float(np.abs(kern).min()):.3g} below floor {floor:.3g} (degree {degree})"
         )
     values = samples.values if numerator is None else numerator
     return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
@@ -268,14 +276,23 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
 
     ``z`` has shape (..., n); ``gamma`` is one multi-index (n,) or a stack
     (G, n).  The values have shape (...) for one multi-index and (..., G)
-    for a stack; a 1-d ``z`` with one multi-index gives a ``complex``.  The
-    kernel roots of all rows (``z.roots`` of a certified set) and their
-    product are formed once: order k uses its power k+1, of degree n*(k+1).
-
-    Each order makes one :func:`_kernel_integral` call over all rows and its
-    multi-indices, so the kernel floor refuses the whole call at the first
-    order where any row falls below it.
+    for a stack; a 1-d ``z`` with one multi-index gives a ``complex``.  If
+    the kernel floor refuses any entry, the call raises
+    :class:`KernelProximityError`, whose ``partial`` holds the values and
+    the floor's verdict per entry in that shape; refused entries read 0.
     """
+    values, accepted = _derivative_entries(gamma, samples, z)
+    if not accepted.all():
+        raise KernelProximityError(f"kernel floor refused {int((~accepted).sum())} of "
+                                   f"{accepted.size} derivative entries", (values, accepted))
+    return complex(values) if values.ndim == 0 else values
+
+
+def _derivative_entries(gamma, samples: BoundarySamples, z):
+    """:func:`derivative_symmetrized`'s values and the floor's verdict per entry.
+    The roots of all rows (``z.roots`` of a certified set) and their product
+    are formed once; order k uses its power k+1, of degree n*(k+1), and sums
+    only the rows that :func:`_kernel_floor` accepts."""
     zs = np.asarray(z, dtype=complex)
     n = zs.shape[-1]
     g = np.asarray(gamma, dtype=int)
@@ -287,16 +304,19 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
     roots = _require_roots_inside(samples.grid.domain, z).roots.reshape(-1, n)
     nodes = samples.grid.nodes
     prod = product_eval(roots, nodes) if orders.any() else None
-    out = np.empty((len(rows), len(gammas)), dtype=complex)
+    values = np.zeros((len(rows), len(gammas)), dtype=complex)
+    accepted = np.zeros(values.shape, dtype=bool)
     for k in sorted(set(orders.tolist())):
         # A Python int exponent: numpy squares by a different path for np.int64.
         kern = monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
         numerator = samples.values * np.stack(
             [derivative_weight_values(row, n, nodes) for row, o in zip(gammas, orders) if o == k]
         ) if k else None
-        out[:, orders == k] = _kernel_integral(samples, kern[:, None, :], n * (k + 1), numerator)
-    out = out.reshape(zs.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ()))
-    return complex(out) if out.ndim == 0 else out
+        ok, cols = ~_kernel_floor(samples, kern, n * (k + 1))[1], orders == k
+        accepted[:, cols] = ok[:, None]
+        values[np.ix_(ok, cols)] = _kernel_integral(samples, kern[ok, None, :], n * (k + 1), numerator)
+    shape = zs.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ())
+    return values.reshape(shape), accepted.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

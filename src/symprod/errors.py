@@ -29,7 +29,12 @@ class WrongRegionError(SymprodError):
 
 class KernelProximityError(SymprodError):
     """The kernel polynomial nearly vanishes somewhere on the quadrature grid:
-    the kernel floor refuses the whole call."""
+    the kernel floor refuses the whole call.  ``partial`` is None, or the
+    values and verdicts per entry of a ``derivative_symmetrized`` call."""
+
+    def __init__(self, message, partial=None):
+        super().__init__(message)
+        self.partial = partial
 
 
 class CoincidentNodesError(SymprodError):

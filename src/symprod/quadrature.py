@@ -3,8 +3,7 @@
 Two pieces: Gauss-Legendre rules on [0, 1], and tensor-product rules for
 the solid simplex obtained by an iterated Duffy-type change of variables
 from the unit cube.  The periodic trapezoid sum of the contour integrals
-lives with the kernels, as ``cauchy._kernel_integral``: the one sum and the
-one kernel-magnitude floor of every contour transform.
+lives with the kernels: ``cauchy._kernel_integral`` is every transform's sum.
 
 A note on the simplex rules: the surface integral over the standard
 simplex {x >= 0, sum x = 1} in R^{d+1}, taken with d-dimensional surface
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SIMPLEX_ORDER = 16        # Gauss-Legendre points per axis of the simplex rules
+_SIMPLEX_ORDER = 10        # Gauss-Legendre points per axis of the simplex rules
 
 
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -185,13 +185,13 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     The composed kernel of order |gamma| has degree n*(|gamma|+1) and the
     floor ``KERNEL_FLOOR * diameter^(n*(|gamma|+1))``.  Tuples sit 0.37
     diameters deep, which clears it while n*(|gamma|+1) <= 9.  Past that the
-    floor refuses the whole call; :func:`_accepted_derivatives` then
-    evaluates the entries again by order, then by tuple, and skips those
-    it refuses.  If the floor refuses every tuple of an arity at one order
-    (on the unit disc, order 2 from n = 5), or refuses the circle points,
-    that order is unchecked and the suite reports an infinite residual, so
-    it fails.  A domain too thin for the sampling depth, such as a narrow
-    annulus, places no tuples, and the arity makes no comparison.
+    floor refuses some tuples' orders; the one derivative call per datum
+    hands back the other entries with its refusal.  If the floor refuses
+    every tuple of an arity at one order (on the unit disc, order 2 from
+    n = 5), or refuses the circle points, that order is unchecked and the
+    suite reports an infinite residual, so it fails.  A domain too thin for
+    the sampling depth, such as a narrow annulus, places no tuples, and the
+    arity makes no comparison.
     """
     rng = np.random.default_rng(seed)
     direction_rng = rng.spawn(1)[0]
@@ -223,7 +223,11 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
         weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
         for _, samples in data:
-            got, accepted = _accepted_derivatives(gammas, samples, zs)
+            try:
+                got = cauchy.derivative_symmetrized(gammas, samples, zs)
+                accepted = np.ones(got.shape, dtype=bool)
+            except KernelProximityError as exc:
+                got, accepted = exc.partial
             # (B, K): tuples whose entries of order <= k were all accepted.
             checked = (accepted[:, None, :] | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
             try:
@@ -256,35 +260,6 @@ def _abs(x: np.ndarray) -> np.ndarray:
     # The suites reduce these with np.fmax, which skips NaN entries as the
     # per-entry max(worst, abs(...)) loops it replaced did.
     return np.hypot(x.real, x.imag)
-
-
-def _accepted_derivatives(gammas, samples, zs):
-    """Derivatives (B, G) of ``cauchy.derivative_symmetrized`` and the mask of
-    the entries that the kernel floor accepted; the others read 0.
-
-    One call for all entries; if the floor refuses it, one call per order
-    over all tuples, and one call per tuple within an order it refuses.  The
-    floor refuses all of a tuple's multi-indices of one order together.
-    Every retry slices one certified set of the tuples and their roots.
-    """
-    zs = cauchy._require_roots_inside(samples.grid.domain, zs)
-    got = np.zeros((len(zs.points), len(gammas)), dtype=complex)
-    accepted = np.ones(got.shape, dtype=bool)
-
-    def evaluate(rows, cols):
-        try:
-            got[np.ix_(rows, cols)] = cauchy.derivative_symmetrized(gammas[cols], samples, zs[rows])
-        except KernelProximityError:
-            return False
-        return True
-
-    tuples, orders = np.arange(len(got)), gammas.sum(axis=1)
-    if not evaluate(tuples, orders >= 0):
-        for k in np.unique(orders):
-            if not evaluate(tuples, orders == k):
-                for b in tuples:
-                    accepted[b, orders == k] = evaluate([b], orders == k)
-    return got, accepted
 
 
 def _chain_rule_weights(gammas, w, u):

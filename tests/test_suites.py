@@ -125,22 +125,23 @@ def test_batched_derivative_matches_single_calls(unit_disc, disc_grid, n, monkey
     second = refused[:, orders == 2]
     assert not refused[:, orders < 2].any() and (second == second[:, :1]).all()
     assert second.any() == (n >= 4) and second.all() == (n == 5)
-    if refused.any():
-        with pytest.raises(KernelProximityError):
-            sp.derivative_symmetrized(gammas, samples, zs)
-    calls, root_calls, region_calls = [], [], []
-    monkeypatch.setattr(cauchy, "derivative_symmetrized",
-                        lambda *args: calls.append(args) or sp.derivative_symmetrized(*args))
+    root_calls, region_calls = [], []
     find, classify = symmetric.desymmetrize_batch, cauchy.classify_points
     monkeypatch.setattr(symmetric, "desymmetrize_batch",
                         lambda z: root_calls.append(z) or find(z))
     monkeypatch.setattr(cauchy, "classify_points",
                         lambda *args: region_calls.append(args) or classify(*args))
-    got, accepted = suites._accepted_derivatives(gammas, samples, zs)
+    zs = cauchy._require_roots_inside(unit_disc, zs)
+    got, accepted = cauchy._derivative_entries(gammas, samples, zs)
     assert (accepted == ~refused).all() and (got == single).all()
-    # One call, or one per order and one per tuple of the refused order.
-    assert len(calls) == (1 + suites._MAX_ORDER + 1 + len(zs) if refused.any() else 1)
-    # The retries slice one checked set: its roots are found and classified once.
+    if refused.any():
+        with pytest.raises(KernelProximityError) as refusal:
+            sp.derivative_symmetrized(gammas, samples, zs)
+        values, verdicts = refusal.value.partial
+        assert (values == got).all() and (verdicts == accepted).all()
+    else:
+        assert (sp.derivative_symmetrized(gammas, samples, zs) == got).all()
+    # The certified set is root-found and classified once, for every call on it.
     assert len(root_calls) == len(region_calls) == 1
     for pattern in np.unique(~refused, axis=0):
         rows = (~refused == pattern).all(axis=1)
@@ -164,6 +165,36 @@ def test_derivative_stack_validation(disc_grid):
         sp.derivative_symmetrized([(0, 1), (1, -1)], samples, z)
     with pytest.raises(ValueError):
         sp.derivative_symmetrized([(0, 1, 0)], samples, z)
+
+
+def test_derivative_suite_evaluates_no_refused_entry(unit_disc, monkeypatch):
+    # Over arities 1..5 the floor refuses order 2 of some tuples at n = 4 and of
+    # every tuple at n = 5: one core call per datum and arity, no floor refusal inside.
+    calls, cores, sums = [], [], []
+    public, core, integral = (cauchy.derivative_symmetrized, cauchy._derivative_entries,
+                              cauchy._kernel_integral)
+
+    def counted(log, fn):
+        def wrapped(*args, **kwargs):
+            try:
+                out = fn(*args, **kwargs)
+            except KernelProximityError:
+                log.append(False)
+                raise
+            log.append(True)
+            return out
+        return wrapped
+
+    arities = (1, 2, 3, 4, 5)
+    ref = derivative_suite_reference(unit_disc, 5, 0, arities)
+    monkeypatch.setattr(cauchy, "derivative_symmetrized", counted(calls, public))
+    monkeypatch.setattr(cauchy, "_derivative_entries", counted(cores, core))
+    monkeypatch.setattr(cauchy, "_kernel_integral", counted(sums, integral))
+    res = suites.derivative_factorization_suite(unit_disc, points=5, seed=0, arities=arities)
+    assert len(cores) == len(calls) == 2 * len(arities) and all(cores)
+    # Each refused call hands back its accepted entries and is not repeated.
+    assert calls.count(False) == 4 and all(sums)
+    assert (res.max_residual, res.comparisons) == ref
 
 
 @pytest.mark.parametrize("arities", [(1, 2, 3), (4,), (4, 5)], ids=str)

@@ -49,8 +49,10 @@ CASES = [
     ["identities", "--domain", "disc 0 0 1", "--n", "5"],
     # The kernel floor refuses order 2 of some tuples only.
     ["identities", "--domain", "disc 0 0 1", "--n", "4", "--samples", "200"],
-    # The floor refuses order 2 of every tuple, so every tuple is retried.
+    # The floor refuses order 2 of every tuple.
     ["identities", "--domain", "disc 0 0 1", "--n", "5", "--samples", "200"],
+    # The floor refuses order 1 of some tuples and order 2 of every tuple.
+    ["identities", "--domain", "disc 0 0 1", "--n", "6", "--samples", "50"],
     # Off the origin, and past the floor of the multi-node and coefficient-form suites.
     ["identities", "--domain", "disc 5 5 1", "--n", "3"],
     ["identities", "--domain", "disc 0 0 1", "--n", "8", "--samples", "10"],
