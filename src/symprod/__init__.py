@@ -4,16 +4,12 @@ maps of planar domains, with empirical Holder-exponent experiments."""
 __version__ = "0.1.0"
 
 from .catalog import (
-    AnalyticFunction,
-    PhiSpec,
+    CatalogFunction,
     blaschke_function,
     conj_phi,
     exp_function,
-    identity_function,
-    monomial_function,
     monomial_phi,
-    parse_phi,
-    pole_function,
+    parse_function,
     pole_phi,
     weierstrass,
     weierstrass_phi,
@@ -74,14 +70,12 @@ from .propermap import (
     ProperMapSpec,
     boundary_regularity_experiment,
     evaluate_proper_map,
-    parse_proper_map,
     route_agreement,
 )
 from .quadrature import (
     SimplexRule,
     gauss_legendre,
     simplex_integrate,
-    simplex_moment,
     simplex_rule,
 )
 from .symmetric import (

@@ -1,4 +1,4 @@
-"""Boundary data and holomorphic test functions used across the library.
+"""Boundary data and holomorphic maps: one function type, one descriptor grammar.
 
 The boundary-data catalog spans smooth and genuinely rough cases: monomials,
 poles placed outside the closed domain or inside a hole, the non-holomorphic
@@ -7,11 +7,14 @@ trace conj(t), and a truncated lacunar cosine series
     W_alpha(theta) = sum_{k=0}^{K} 2^(-alpha*k) * cos(2^k * theta),
 
 which has Holder exponent alpha down to scale 2^(-K) and feeds the exponent
-experiments.
+experiments.  The maps that induce proper maps of symmetric products
+(monomials, finite Blaschke products) are the same kind of object: the
+integral route samples their boundary trace as it samples any data.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -35,107 +38,19 @@ def weierstrass(theta, alpha: float, depth: int = DEFAULT_WEIERSTRASS_DEPTH):
 
 
 @dataclass(frozen=True)
-class PhiSpec:
-    """Descriptor of boundary data phi, evaluated from node and parameter."""
+class CatalogFunction:
+    """A named function, used as boundary data phi or as an inducing map.
 
-    kind: str
-    params: tuple = ()
-
-    def evaluate(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        if self.kind == "monomial":
-            return np.asarray(t, dtype=complex) ** self.params[0]
-        if self.kind == "pole":
-            a, power = self.params
-            return (np.asarray(t, dtype=complex) - a) ** (-power)
-        if self.kind == "conj":
-            return np.conj(np.asarray(t, dtype=complex))
-        if self.kind == "weierstrass":
-            alpha, depth = self.params
-            return weierstrass(theta, alpha, depth).astype(complex)
-        raise ConfigError(f"unknown phi kind {self.kind!r}")
-
-    def holomorphic_extension(self) -> Callable | None:
-        """Interior extension when phi is the trace of a holomorphic function."""
-        if self.kind == "monomial":
-            m = self.params[0]
-            return lambda z: np.asarray(z, dtype=complex) ** m
-        if self.kind == "pole":
-            a, power = self.params
-            return lambda z: (np.asarray(z, dtype=complex) - a) ** (-power)
-        return None
-
-    def describe(self) -> str:
-        if self.kind == "monomial":
-            return f"monomial {self.params[0]}"
-        if self.kind == "pole":
-            a, power = self.params
-            return f"pole {a.real:g} {a.imag:g} {power}"
-        if self.kind == "weierstrass":
-            return f"weierstrass {self.params[0]:g} {self.params[1]}"
-        return self.kind
-
-
-def monomial_phi(m: int) -> PhiSpec:
-    if m < 0:
-        raise ConfigError("monomial degree must be >= 0")
-    return PhiSpec("monomial", (int(m),))
-
-
-def pole_phi(a: complex, power: int = 1) -> PhiSpec:
-    if power < 1:
-        raise ConfigError("pole order must be >= 1")
-    return PhiSpec("pole", (complex(a), int(power)))
-
-
-def conj_phi() -> PhiSpec:
-    return PhiSpec("conj")
-
-
-def weierstrass_phi(alpha: float, depth: int = DEFAULT_WEIERSTRASS_DEPTH) -> PhiSpec:
-    if not 0 < alpha <= 1:
-        raise ConfigError("weierstrass exponent must lie in (0, 1]")
-    if not 0 <= depth <= MAX_WEIERSTRASS_DEPTH:
-        raise ConfigError(f"weierstrass depth {depth} outside 0..{MAX_WEIERSTRASS_DEPTH}")
-    return PhiSpec("weierstrass", (float(alpha), int(depth)))
-
-
-def parse_phi(text: str) -> PhiSpec:
-    """Parse descriptors like 'monomial 3', 'pole 3 0 1', 'weierstrass 0.5 12', 'conj'."""
-    tokens = text.split()
-    if not tokens:
-        raise ConfigError("empty phi descriptor")
-    kind, args = tokens[0], tokens[1:]
-    try:
-        if kind == "monomial" and len(args) == 1:
-            return monomial_phi(int(args[0]))
-        if kind == "pole" and len(args) == 3:
-            return pole_phi(complex(float(args[0]), float(args[1])), int(args[2]))
-        if kind == "conj" and not args:
-            return conj_phi()
-        if kind == "weierstrass" and len(args) in (1, 2):
-            depth = int(args[1]) if len(args) == 2 else DEFAULT_WEIERSTRASS_DEPTH
-            return weierstrass_phi(float(args[0]), depth)
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"bad phi descriptor {text!r}: {exc}") from exc
-    raise ConfigError(f"bad phi descriptor {text!r}")
-
-
-def smooth_phi_suite() -> list[PhiSpec]:
-    """Smooth catalog entries used by the identity suites."""
-    return [monomial_phi(m) for m in range(4)] + [pole_phi(3.0)]
-
-
-# ---------------------------------------------------------------------------
-# Holomorphic function handles with derivative access
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnalyticFunction:
-    """A vectorized holomorphic function with optional analytic derivatives."""
+    ``label`` is its canonical descriptor.  ``fun`` gives its values in the
+    plane and ``derivatives(k)`` its k-th analytic derivative, where the
+    function has them.  ``trace(t, theta)`` gives the boundary values of
+    data that are not the trace of a function in the plane.
+    """
 
     label: str
-    fun: Callable
-    deriv_factory: Callable[[int], Callable] | None = field(default=None, repr=False)
+    fun: Callable | None = field(default=None, repr=False)
+    derivatives: Callable[[int], Callable] | None = field(default=None, repr=False)
+    trace: Callable | None = field(default=None, repr=False)
 
     def __call__(self, z):
         return self.fun(z)
@@ -143,53 +58,140 @@ class AnalyticFunction:
     def derivative(self, order: int) -> Callable | None:
         if order == 0:
             return self.fun
-        if self.deriv_factory is None:
+        if self.derivatives is None:
             return None
-        return self.deriv_factory(order)
+        return self.derivatives(order)
+
+    def boundary(self, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Values at the boundary nodes ``t`` of contour parameters ``theta``."""
+        if self.trace is not None:
+            return self.trace(t, theta)
+        return self.fun(t)
 
 
-def exp_function() -> AnalyticFunction:
-    return AnalyticFunction("exp", np.exp, lambda k: np.exp)
+def _complex(z) -> np.ndarray:
+    return np.asarray(z, dtype=complex)
 
 
-def monomial_function(m: int) -> AnalyticFunction:
+def monomial_phi(m: int) -> CatalogFunction:
+    """z^m, with its derivatives."""
+    if m < 0:
+        raise ConfigError("monomial degree must be >= 0")
+    m = int(m)
+
     def deriv(k):
         if k > m:
-            return lambda z: np.zeros_like(np.asarray(z, dtype=complex))
+            return lambda z: np.zeros_like(_complex(z))
         c = math.factorial(m) / math.factorial(m - k)
-        return lambda z: c * np.asarray(z, dtype=complex) ** (m - k)
+        return lambda z: c * _complex(z) ** (m - k)
 
-    return AnalyticFunction(f"z^{m}", lambda z: np.asarray(z, dtype=complex) ** m, deriv)
+    return CatalogFunction(f"monomial {m}", lambda z: _complex(z) ** m, deriv)
 
 
-def pole_function(a: complex) -> AnalyticFunction:
-    """The simple pole 1/(z - a)."""
-    a = complex(a)
+def pole_phi(a: complex, power: int = 1) -> CatalogFunction:
+    """(z - a)^(-power), with its derivatives."""
+    if power < 1:
+        raise ConfigError("pole order must be >= 1")
+    a, power = complex(a), int(power)
 
     def deriv(k):
-        # d^k/dz^k (z - a)^(-1) = (-1)^k * k! * (z - a)^(-1-k)
-        c = (-1.0) ** k * math.factorial(k)
-        return lambda z: c * (np.asarray(z, dtype=complex) - a) ** (-1 - k)
+        # d^k/dz^k (z - a)^(-p) = (-1)^k * (p+k-1)!/(p-1)! * (z - a)^(-p-k)
+        c = (-1.0) ** k * (math.factorial(power + k - 1) // math.factorial(power - 1))
+        return lambda z: c * (_complex(z) - a) ** (-power - k)
 
-    return AnalyticFunction(f"1/(z-{a:g})", lambda z: (np.asarray(z, dtype=complex) - a) ** (-1), deriv)
-
-
-def identity_function() -> AnalyticFunction:
-    return monomial_function(1)
+    return CatalogFunction(f"pole {a.real:g} {a.imag:g} {power}",
+                           lambda z: (_complex(z) - a) ** (-power), deriv)
 
 
-def blaschke_function(zeros) -> AnalyticFunction:
-    """Finite Blaschke product prod (z - a_i) / (1 - conj(a_i) z) on the disc."""
-    zs = tuple(complex(a) for a in zeros)
+def conj_phi() -> CatalogFunction:
+    return CatalogFunction("conj", trace=lambda t, theta: np.conj(_complex(t)))
+
+
+def weierstrass_phi(alpha: float, depth: int = DEFAULT_WEIERSTRASS_DEPTH) -> CatalogFunction:
+    if not 0 < alpha <= 1:
+        raise ConfigError("weierstrass exponent must lie in (0, 1]")
+    if not 0 <= depth <= MAX_WEIERSTRASS_DEPTH:
+        raise ConfigError(f"weierstrass depth {depth} outside 0..{MAX_WEIERSTRASS_DEPTH}")
+    alpha, depth = float(alpha), int(depth)
+    return CatalogFunction(f"weierstrass {alpha:g} {depth}",
+                           trace=lambda t, theta: weierstrass(theta, alpha, depth).astype(complex))
+
+
+def exp_function() -> CatalogFunction:
+    return CatalogFunction("exp", np.exp, lambda k: np.exp)
+
+
+def blaschke_function(zeros) -> CatalogFunction:
+    """Finite Blaschke product prod (z - a_i) / (1 - a_i z) of real zeros a_i
+    in the open unit disc."""
+    zs = tuple(complex(float(a)) for a in zeros)
     if any(abs(a) >= 1 for a in zs):
         raise ConfigError("Blaschke zeros must lie strictly inside the unit disc")
 
     def fun(z):
-        z = np.asarray(z, dtype=complex)
+        z = _complex(z)
         out = np.ones_like(z)
         for a in zs:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
         return out
 
-    label = "blaschke(" + ", ".join(f"{a:g}" for a in zs) + ")"
-    return AnalyticFunction(label, fun)
+    return CatalogFunction(" ".join(["blaschke"] + [f"{a.real:g}" for a in zs]), fun)
+
+
+def smooth_phi_suite() -> list[CatalogFunction]:
+    """Smooth catalog entries used by the identity suites."""
+    return [monomial_phi(m) for m in range(4)] + [pole_phi(3.0)]
+
+
+# ---------------------------------------------------------------------------
+# The descriptor grammar
+# ---------------------------------------------------------------------------
+
+def _finite(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token} is not a finite number")
+    return x
+
+
+def _proper_monomial(degree: int) -> CatalogFunction:
+    if degree < 1:
+        raise ConfigError("monomial degree must be >= 1")
+    return monomial_phi(degree)
+
+
+# Each role's kinds: the factory, the converters of its arguments and how
+# many of them are required.  A bare converter takes any number of arguments.
+_ROLES = {
+    "phi": {
+        "monomial": (monomial_phi, (int,), 1),
+        "pole": (lambda x, y, power: pole_phi(complex(x, y), power), (_finite, _finite, int), 3),
+        "conj": (conj_phi, (), 0),
+        "weierstrass": (weierstrass_phi, (_finite, int), 1),
+    },
+    "proper-map": {
+        "monomial": (_proper_monomial, (int,), 1),
+        "blaschke": (lambda *zeros: blaschke_function(zeros), _finite, 1),
+        "identity": (functools.partial(monomial_phi, 1), (), 0),
+    },
+}
+
+
+def parse_function(text: str, role: str) -> CatalogFunction:
+    """Parse a descriptor of ``role`` 'phi' ('monomial 3', 'pole 3 0 1',
+    'weierstrass 0.5 12', 'conj') or 'proper-map' ('monomial 2',
+    'blaschke 0.5 -0.3', 'identity').  Every number must be finite."""
+    tokens = text.split()
+    if not tokens:
+        raise ConfigError(f"empty {role} descriptor")
+    kind, args = tokens[0], tokens[1:]
+    if kind in _ROLES[role]:
+        factory, types, required = _ROLES[role][kind]
+        if not isinstance(types, tuple):
+            types = (types,) * len(args)
+        if required <= len(args) <= len(types):
+            try:
+                return factory(*(convert(arg) for convert, arg in zip(types, args)))
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"bad {role} descriptor {text!r}: {exc}") from exc
+    raise ConfigError(f"bad {role} descriptor {text!r}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import PhiSpec
+from .catalog import CatalogFunction
 from .errors import (
     BoundaryProximityError,
     DegenerateTruncationError,
@@ -65,26 +65,20 @@ class BoundarySamples:
             raise ValueError("value count does not match grid node count")
 
 
-def boundary_samples(grid: BoundaryGrid, phi, description: str = "") -> BoundarySamples:
-    """Sample boundary data on a grid.
+def boundary_samples(grid: BoundaryGrid, phi: CatalogFunction) -> BoundarySamples:
+    """Sample the boundary values of a catalog function on a grid.
 
-    ``phi`` is either a :class:`PhiSpec` or a callable ``phi(t, theta)``.
     Raises NonFiniteDataError when a sample is NaN or infinite; the
     evaluation's floating-point warnings are silenced, since that check
     reports them.
     """
     with np.errstate(all="ignore"):
-        if isinstance(phi, PhiSpec):
-            values = phi.evaluate(grid.nodes, grid.thetas)
-            description = description or phi.describe()
-        else:
-            values = phi(grid.nodes, grid.thetas)
-        samples = BoundarySamples(grid=grid, values=np.asarray(values, dtype=complex),
-                                  description=description)
-    bad = ~np.isfinite(samples.values)
+        values = np.asarray(phi.boundary(grid.nodes, grid.thetas), dtype=complex)
+    samples = BoundarySamples(grid=grid, values=values, description=phi.label)
+    bad = ~np.isfinite(values)
     if bad.any():
         raise NonFiniteDataError(
-            f"boundary data {description!r} are not finite at {int(bad.sum())} of "
+            f"boundary data {phi.label!r} are not finite at {int(bad.sum())} of "
             f"{len(bad)} nodes, such as {grid.nodes[bad][:3]}"
         )
     return samples

@@ -146,7 +146,7 @@ def _cell(x):
 
 def _cmd_transform(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
-    phi = catalog.parse_phi(cfg["phi"])
+    phi = catalog.parse_function(cfg["phi"], "phi")
     grid = geometry.sample_boundary(domain, cfg["nodes"])
     samples = cauchy.boundary_samples(grid, phi)
     cfg = dict(cfg, samples=min(cfg["samples"], 500))
@@ -211,7 +211,7 @@ def _cmd_pv(cfg: dict):
     nodes = max(cfg["nodes"], 8192)
     cfg = dict(cfg, nodes=nodes)
     grid = geometry.sample_boundary(domain, nodes)
-    phi = catalog.parse_phi(cfg["phi"])
+    phi = catalog.parse_function(cfg["phi"], "phi")
     samples = cauchy.boundary_samples(grid, phi)
     base = pv_base_point(domain, nodes)
     fit = cauchy.truncation_growth_fit(samples, base, cfg["n"])
@@ -254,7 +254,7 @@ def _cmd_holder(cfg: dict):
 
 def _cmd_propermap(cfg: dict):
     domain = geometry.build_domain(cfg["domain"])
-    fun = propermap.parse_proper_map(cfg["propermap"])
+    fun = catalog.parse_function(cfg["propermap"], "proper-map")
     spec = propermap.ProperMapSpec(source=domain, fun=fun, arity=cfg["n"])
     cfg = dict(cfg, samples=min(max(cfg["samples"], 1000), propermap.MAX_REGULARITY_SAMPLES))
     agreement = propermap.route_agreement(spec, seed=cfg["seed"], nodes=cfg["nodes"])

@@ -97,7 +97,7 @@ def divdiff_gh(f_deriv, nodes) -> complex:
 
 
 def divdiff_analytic(fun, nodes) -> complex:
-    """Simplex route for an :class:`~symprod.catalog.AnalyticFunction`.
+    """Simplex route for a :class:`~symprod.catalog.CatalogFunction`.
 
     Uses the handle's analytic derivative of order ``len(nodes) - 1`` and
     raises ``ValueError`` when the handle has none.

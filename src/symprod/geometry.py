@@ -88,8 +88,11 @@ _SCREEN_SLACK = 1e-9
 # rounds.  A round draws 1.25 times the missing count over the acceptance
 # rate so far, (accepted + 1) / (drawn + 1), but at least _SAMPLER_MIN_DRAW
 # points and at most max(_SAMPLER_MAX_DRAW, 16 * missing), or 2 * missing
-# until a point is accepted, which bounds the cost of giving up.
+# until a point is accepted, which bounds the cost of giving up.  A domain that
+# accepted a point has room, so the sampler goes on to _SAMPLER_MAX_ROUNDS (five
+# rounds missed 1 of 18 points 0.74 deep in the unit disc in 11 of 20000 calls).
 _SAMPLER_ROUNDS = 5
+_SAMPLER_MAX_ROUNDS = 20
 _SAMPLER_MIN_DRAW = 64
 _SAMPLER_MAX_DRAW = 8192
 
@@ -510,16 +513,15 @@ def sample_interior(domain: DomainBoundary, count: int, rng, min_distance: float
     """``count`` uniform points of the domain farther than ``min_distance``
     from the boundary, by rejection from the boundary's bounding box.
 
-    Raises SamplingError when ``_SAMPLER_ROUNDS`` rounds of draws leave
-    points missing.
+    Raises SamplingError when ``_SAMPLER_ROUNDS`` rounds of draws accept no
+    point, or ``_SAMPLER_MAX_ROUNDS`` rounds leave points missing.
     """
     x0, x1, y0, y1 = bounding_box(domain)
     out = np.empty(count, dtype=complex)
-    filled = drawn = 0
-    for _ in range(_SAMPLER_ROUNDS):
+    filled = drawn = rounds = 0
+    while filled < count and rounds < (_SAMPLER_MAX_ROUNDS if filled else _SAMPLER_ROUNDS):
+        rounds += 1
         need = count - filled
-        if need <= 0:
-            break
         draw = 1.25 * need * (drawn + 1) / (filled + 1)
         ceiling = max(_SAMPLER_MAX_DRAW, (16 if filled else 2) * need)
         draw = int(np.clip(draw, _SAMPLER_MIN_DRAW, ceiling))

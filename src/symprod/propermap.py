@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import AnalyticFunction, blaschke_function, identity_function, monomial_function
+from .catalog import CatalogFunction
 from .cauchy import BoundarySamples, boundary_samples
-from .errors import ConfigError
 from .geometry import DomainBoundary, domain_diameter, sample_boundary, sample_interior
 from .holder import ExponentFit, SampledField, estimate_exponent
 from .symmetric import desymmetrize_batch, lojasiewicz_exponent, symmetric_power_map, symmetrize
@@ -45,7 +44,7 @@ class ProperMapSpec:
     """Source domain, the inducing map, and the arity."""
 
     source: DomainBoundary
-    fun: AnalyticFunction
+    fun: CatalogFunction
     arity: int
 
     def __post_init__(self):
@@ -53,30 +52,9 @@ class ProperMapSpec:
             raise ValueError("arity must be >= 1")
 
 
-def parse_proper_map(text: str) -> AnalyticFunction:
-    """Parse 'monomial 2', 'blaschke 0.5 [0.1 ...]' (real zeros), or 'identity'."""
-    tokens = text.split()
-    if not tokens:
-        raise ConfigError("empty proper-map descriptor")
-    kind, args = tokens[0], tokens[1:]
-    try:
-        if kind == "monomial" and len(args) == 1:
-            d = int(args[0])
-            if d < 1:
-                raise ConfigError("monomial degree must be >= 1")
-            return monomial_function(d)
-        if kind == "blaschke" and args:
-            return blaschke_function([float(a) for a in args])
-        if kind == "identity" and not args:
-            return identity_function()
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"bad proper-map descriptor {text!r}: {exc}") from exc
-    raise ConfigError(f"bad proper-map descriptor {text!r}")
-
-
 def map_boundary_samples(spec: ProperMapSpec, nodes: int = 256) -> BoundarySamples:
     grid = sample_boundary(spec.source, nodes)
-    return boundary_samples(grid, lambda t, theta: spec.fun(t), description=spec.fun.label)
+    return boundary_samples(grid, spec.fun)
 
 
 def evaluate_proper_map(spec: ProperMapSpec, z, route: str = "roots",

@@ -16,7 +16,6 @@ cancel, so everything here works with plain Lebesgue integrals over A_d.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,13 +81,3 @@ def simplex_integrate(dimension: int, integrand) -> complex:
     rule = simplex_rule(dimension)
     vals = np.asarray(integrand(rule.nodes))
     return complex((rule.weights * vals).sum())
-
-
-def simplex_moment(exponents) -> float:
-    """Exact monomial moment over A_d: prod(b_j!) / (|b| + d)!."""
-    b = np.asarray(exponents, dtype=int)
-    d = len(b)
-    num = 1.0
-    for bj in b:
-        num *= float(math.factorial(int(bj)))
-    return num / float(math.factorial(int(b.sum()) + d))

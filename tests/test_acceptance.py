@@ -129,7 +129,7 @@ def test_criterion_08_pv_blowup_rates():
 def test_criterion_09_proper_map_routes_and_regularity():
     start = time.time()
     domain = sp.disc(0, 1)
-    spec = ProperMapSpec(source=domain, fun=sp.monomial_function(2), arity=2)
+    spec = ProperMapSpec(source=domain, fun=sp.monomial_phi(2), arity=2)
     agreement = sp.route_agreement(spec, seed=0, nodes=256)
     experiment = sp.boundary_regularity_experiment(spec, 3000, seed=0)
     elapsed = time.time() - start

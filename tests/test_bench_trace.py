@@ -1,11 +1,13 @@
-"""The benchmark's traced entry points are still reached by the CLI.
+"""The benchmark's traced entry points are still reached by its workloads.
 
 ``bench/run.py --trace 1`` requires that each function its ``RECORDED_ON``
-table lists for a workload records at least one span on that workload.  A
-refactor that routes around one of them shows up there only as
-``correct: false``; this test runs the ``identities`` and ``regularity``
-commands under the benchmark's tracer and checks the same table.  The
-bench modules are imported without writing bytecode next to them.
+table lists for a workload records at least one span on that workload, and
+that each layer its ``LAYER_RECORDED_ON`` table lists does.  A refactor
+that routes around one of them shows up there only as ``correct: false``;
+this test runs one op of each workload of ``bench/workloads.py``, through
+the workload's own ``setup``, ``make_input``, ``run`` and ``check``, under
+the benchmark's tracer and checks both tables.  The bench modules are
+imported without writing bytecode next to them.
 """
 
 import json
@@ -18,22 +20,29 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _SCRIPT = """
 import json, sys
+from pathlib import Path
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import run as bench_run
 import tracer as bench_tracer
+from workloads import WORKLOADS
 symprod = bench_run.import_symprod()
 tr = bench_tracer.install(symprod)
-runs = {
-    "identities": ["identities", "--domain", "disc 0 0 1", "--n", "3", "--samples", "20"],
-    "regularity": ["propermap", "--n", "2", "--samples", "1000"],
-}
-seen, codes = {}, {}
-for op, (workload, argv) in enumerate(runs.items()):
+seen, checks = {}, {}
+for op, (name, w) in enumerate(WORKLOADS.items()):
+    out = Path(sys.argv[3]) / name
+    out.mkdir()
+    ctx = w.setup(symprod, out)
+    inp = w.make_input(1, op)
     tr.op = op
-    codes[workload] = symprod.cli.run(argv + ["--out", sys.argv[3] + "/" + workload])
-    seen[workload] = sorted({span[1] for span in tr.spans if span[3] == op})
-need = {w: sorted(name for name, on in bench_run.RECORDED_ON.items() if w in on) for w in runs}
-print(json.dumps({"codes": codes, "seen": seen, "need": need}))
+    result = w.run(symprod, ctx, inp)
+    tr.op = None
+    checks[name] = list(w.check(ctx, inp, result)[:2])
+    seen[name] = sorted({span[1] for span in tr.spans if span[3] == op})
+need = {w: sorted(name for name, on in bench_run.RECORDED_ON.items() if w in on)
+        for w in WORKLOADS}
+layers = {w: sorted(layer for layer, on in bench_run.LAYER_RECORDED_ON.items() if w in on)
+          for w in WORKLOADS}
+print(json.dumps({"checks": checks, "seen": seen, "need": need, "layers": layers}))
 """
 
 
@@ -45,8 +54,14 @@ def test_traced_entry_points_record_spans(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == {"identities": 0, "regularity": 0}
+    assert set(result["checks"]) == {"loja-annulus", "coeff-eval", "identities", "regularity"}
+    for workload, (ok, reason) in result["checks"].items():
+        assert ok, f"{workload}: {reason}"
     for workload, names in result["need"].items():
         assert names, workload
-        missing = sorted(set(names) - set(result["seen"][workload]))
+        seen = result["seen"][workload]
+        missing = sorted(set(names) - set(seen))
         assert not missing, f"{workload}: no span from {missing}"
+        missing = [layer for layer in result["layers"][workload]
+                   if not any(name.split(".")[0] == layer for name in seen)]
+        assert not missing, f"{workload}: no span from the layers {missing}"

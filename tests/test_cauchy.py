@@ -38,7 +38,8 @@ def test_boundary_samples_refuse_non_finite_data():
     with pytest.raises(NonFiniteDataError, match="pole 3 0 1"):
         sp.boundary_samples(grid, catalog.pole_phi(3.0))
     with pytest.raises(NonFiniteDataError):
-        sp.boundary_samples(grid, lambda t, theta: np.exp(1e3 * t.real))
+        sp.boundary_samples(grid, sp.CatalogFunction(
+            "exp(1e3 Re t)", trace=lambda t, theta: np.exp(1e3 * t.real)))
     assert np.isfinite(sp.boundary_samples(grid, catalog.pole_phi(4.0)).values).all()
 
 

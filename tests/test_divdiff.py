@@ -10,18 +10,18 @@ from symprod.errors import CoincidentNodesError
 
 
 def test_square_two_nodes():
-    f = catalog.monomial_function(2)
+    f = catalog.monomial_phi(2)
     assert abs(sp.divdiff_recursive(f, [0, 2]) - 2.0) < 1e-14
 
 
 def test_cube_three_nodes():
-    f = catalog.monomial_function(3)
+    f = catalog.monomial_phi(3)
     # equals the degree-1 complete symmetric polynomial of the nodes
     assert abs(sp.divdiff_recursive(f, [0, 1, 2]) - 3.0) < 1e-14
 
 
 def test_pole_two_nodes():
-    f = catalog.pole_function(3.0)
+    f = catalog.pole_phi(3.0)
     got = sp.divdiff_recursive(f, [0, 0.5])
     assert abs(got - (-1.0 / 7.5)) < 1e-14
 
@@ -60,7 +60,7 @@ def test_table_refuses_a_coincident_row(rng):
 
 
 def test_gh_linear_case():
-    f = catalog.monomial_function(2)
+    f = catalog.monomial_phi(2)
     got = sp.divdiff_gh(f.derivative(1), [0, 2])
     assert abs(got - 2.0) < 1e-13
 
@@ -81,10 +81,11 @@ def test_gh_matches_recursive_exp():
 
 @pytest.mark.parametrize("fun", [
     catalog.exp_function(),
-    catalog.monomial_function(2),
-    catalog.monomial_function(4),
-    catalog.monomial_function(6),
-    catalog.pole_function(3.0),
+    catalog.monomial_phi(2),
+    catalog.monomial_phi(4),
+    catalog.monomial_phi(6),
+    catalog.pole_phi(3.0),
+    catalog.pole_phi(1.5 - 0.5j, 2),
 ])
 def test_cross_representation(fun, rng):
     for m in (2, 3, 4, 5):
@@ -100,7 +101,7 @@ def test_cross_representation(fun, rng):
 
 
 def test_analytic_refuses_missing_derivative():
-    plain = catalog.AnalyticFunction("exp-no-deriv", np.exp)
+    plain = catalog.CatalogFunction("exp-no-deriv", np.exp)
     with pytest.raises(ValueError, match="no analytic derivative"):
         sp.divdiff_analytic(plain, [0.1, 0.3, 0.5])
 
@@ -127,7 +128,7 @@ def _permutation_change(f, nodes):
 
 
 def test_symmetry_all_permutations():
-    f = catalog.monomial_function(3)
+    f = catalog.monomial_phi(3)
     assert _permutation_change(f, [0, 1, 2]) <= 1e-12
 
 
@@ -137,12 +138,12 @@ def test_symmetry_two_nodes():
 
 
 def test_symmetry_pole_complex_nodes():
-    f = catalog.pole_function(3.0)
+    f = catalog.pole_phi(3.0)
     assert _permutation_change(f, [0, 0.4, 0.8j]) <= 1e-12
 
 
 def test_symmetry_random_catalog(rng):
-    funs = [catalog.exp_function(), catalog.monomial_function(4), catalog.pole_function(3.0)]
+    funs = [catalog.exp_function(), catalog.monomial_phi(4), catalog.pole_phi(3.0)]
     for fun in funs:
         for _ in range(30):
             m = rng.integers(2, 6)
@@ -157,8 +158,8 @@ def test_symmetry_random_catalog(rng):
 
 MPMATH_CASES = [
     (catalog.exp_function(), lambda mp, x: mp.exp(x)),
-    (catalog.monomial_function(6), lambda mp, x: x**6),
-    (catalog.pole_function(3.0), lambda mp, x: 1 / (x - 3)),
+    (catalog.monomial_phi(6), lambda mp, x: x**6),
+    (catalog.pole_phi(3.0), lambda mp, x: 1 / (x - 3)),
 ]
 
 

@@ -265,6 +265,13 @@ def test_sample_interior_gives_up(unit_disc):
         sp.sample_interior(unit_disc, 10, np.random.default_rng(0), 1.0)
 
 
+def test_sample_interior_does_not_give_up_where_there_is_room(unit_disc):
+    # About one draw in 19 lands 0.74 deep; with this seed five rounds placed
+    # 17 of the 18 points, and the sampler goes on once it has accepted one.
+    points = sp.sample_interior(unit_disc, 18, np.random.default_rng(457), 0.74)
+    assert len(points) == 18 and (np.abs(points) < 0.26).all()
+
+
 @pytest.mark.parametrize("descriptor", ["disc 0 0 1", "annulus 0 0 0.3 1"])
 @pytest.mark.parametrize("point", [np.inf, -np.inf, np.nan, complex(0.5, np.inf),
                                    complex(np.nan, 0.5)])

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod.quadrature import simplex_moment
+
+
+def simplex_moment(exponents) -> float:
+    """Exact monomial moment over A_d: prod(b_j!) / (|b| + d)!."""
+    b = [int(bj) for bj in exponents]
+    return math.prod(math.factorial(bj) for bj in b) / math.factorial(sum(b) + len(b))
 
 
 # The periodic trapezoid rule is the sum of every contour transform.
 
 
 def _ones(grid):
-    return sp.boundary_samples(grid, lambda t, theta: np.ones_like(t))
+    return sp.boundary_samples(grid, sp.CatalogFunction("1", trace=lambda t, theta: np.ones_like(t)))
 
 
 def test_periodic_trapezoid_cauchy_formula(disc_grid):
@@ -23,7 +28,7 @@ def test_periodic_trapezoid_cauchy_formula(disc_grid):
 
 def test_periodic_trapezoid_entire(disc_grid):
     # the contour integral of t, written as t^2 / (t - 0)
-    sq = sp.boundary_samples(disc_grid, lambda t, theta: t**2)
+    sq = sp.boundary_samples(disc_grid, sp.CatalogFunction("t^2", trace=lambda t, theta: t**2))
     assert abs(sp.cauchy_transform(sq, 0.0)) < 1e-12
 
 

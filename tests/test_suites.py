@@ -34,8 +34,8 @@ def circle_taylor_reference(samples, w, u, radius):
 
 
 def derivative_suite_reference(domain, points, seed, arities, nodes=256):
-    """(max_residual, comparisons) of the per-call loop; an arity whose tuples
-    were drawn but where the floor refused every call of one order, or one
+    """(max_residual, comparisons) of the per-call loop; an arity that placed
+    no tuples, or where the floor refused every call of one order, or one
     circle point, reads inf."""
     rng = np.random.default_rng(seed)
     direction_rng = rng.spawn(1)[0]
@@ -51,6 +51,7 @@ def derivative_suite_reference(domain, points, seed, arities, nodes=256):
             tuples = suites._separated_tuples(domain, n, points, rng, min_distance=depth,
                                               separation=0.08)
         except SamplingError:
+            worst = float("inf")
             continue
         re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
         directions = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)
@@ -257,6 +258,17 @@ def test_derivative_suite_scale_has_a_rounding_floor(unit_disc):
     res = suites.derivative_factorization_suite(unit_disc, points=3, seed=4157521878,
                                                 arities=(1,))
     assert res.passed and res.max_residual < 1e-11
+
+
+def test_derivative_suite_fails_an_arity_without_tuples():
+    # No arity-3 tuple fits 0.37 diameters deep in this ellipse: arities 1
+    # and 2 compare and pass, and the unchecked arity 3 fails the suite.
+    domain = sp.build_domain("ellipse 0 0 1 0.77")
+    res = suites.derivative_factorization_suite(domain, points=20, seed=7, arities=(1, 2, 3))
+    assert res.comparisons > 0 and res.max_residual == np.inf and not res.passed
+    assert (res.max_residual, res.comparisons) == derivative_suite_reference(domain, 20, 7,
+                                                                             (1, 2, 3))
+    assert suites.derivative_factorization_suite(domain, points=20, seed=7, arities=(1, 2)).passed
 
 
 def test_derivative_suite_fails_past_the_floor_without_raising(unit_disc):

@@ -247,22 +247,22 @@ def test_newton_map_consistency(rng):
 def test_power_sum_transform_residues():
     big = sp.disc(0, 4)
     grid = sp.sample_boundary(big, 256)
-    ident = sp.boundary_samples(grid, lambda t, theta: t, "identity")
+    ident = sp.boundary_samples(grid, sp.CatalogFunction("identity", trace=lambda t, theta: t))
     z = np.array([3.0, 2.0])
     assert abs(sp.power_sum_transform(ident, 1, z) - 3.0) < 1e-10
     assert abs(sp.power_sum_transform(ident, 2, z) - 5.0) < 1e-10
 
 
 def test_power_sum_transform_squared_function(disc_grid):
-    sq = sp.boundary_samples(disc_grid, lambda t, theta: t**2, "t^2")
+    sq = sp.boundary_samples(disc_grid, sp.CatalogFunction("t^2", trace=lambda t, theta: t**2))
     z = sp.symmetrize(np.array([0.1, 0.2]))
     got = sp.power_sum_transform(sq, 1, z)
     assert abs(got - 0.05) < 1e-12
 
 
 def test_power_sum_matches_roots(disc_grid, rng):
-    fun = catalog.monomial_function(2)
-    samples = sp.boundary_samples(disc_grid, lambda t, theta: fun(t), fun.label)
+    fun = catalog.monomial_phi(2)
+    samples = sp.boundary_samples(disc_grid, fun)
     for n in (1, 2, 3):
         w = 0.6 * (rng.random(n) - 0.5) + 0.6j * (rng.random(n) - 0.5)
         z = sp.symmetrize(w)
@@ -281,7 +281,8 @@ def test_power_sum_matches_roots(disc_grid, rng):
 
 
 def test_symmetric_power_map_identity(disc_grid, rng):
-    ident = sp.boundary_samples(disc_grid, lambda t, theta: t, "identity")
+    ident = sp.boundary_samples(disc_grid,
+                                sp.CatalogFunction("identity", trace=lambda t, theta: t))
     w = 0.7 * (rng.random(3) - 0.5) + 0.7j * (rng.random(3) - 0.5)
     z = sp.symmetrize(w)
     got = sp.symmetric_power_map(ident, z)
@@ -294,7 +295,7 @@ def test_symmetric_power_map_identity(disc_grid, rng):
 
 
 def test_symmetric_power_map_square(disc_grid):
-    sq = sp.boundary_samples(disc_grid, lambda t, theta: t**2, "t^2")
+    sq = sp.boundary_samples(disc_grid, sp.CatalogFunction("t^2", trace=lambda t, theta: t**2))
     z = sp.symmetrize(np.array([0.1, 0.2]))
     got = sp.symmetric_power_map(sq, z)
     assert np.abs(got - np.array([0.05, 0.0004])).max() < 1e-12

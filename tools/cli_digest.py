@@ -86,6 +86,15 @@ CASES = [
     ["transform", "--domain", "disc 0 0 3", "--phi", "pole 3 0 1"],
     # A flag the command does not read.
     ["holder", "--domain", "disc 0 0 1"],
+    # Descriptors of each catalog kind, and non-finite numbers in them.
+    ["transform", "--phi", "conj"],
+    ["transform", "--phi", "pole 3 0 2"],
+    ["propermap", "--propermap", "identity"],
+    ["propermap", "--propermap", "blaschke 0.5 -0.3"],
+    ["transform", "--phi", "pole inf 0 1"],
+    ["propermap", "--propermap", "blaschke nan"],
+    # No arity-3 tuple fits at the derivative suite's depth.
+    ["identities", "--domain", "ellipse 0 0 1 0.77", "--n", "3"],
 ]
 
 
