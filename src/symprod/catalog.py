@@ -1,4 +1,5 @@
-"""Boundary data and holomorphic maps: one function type, one descriptor grammar.
+"""Boundary data and holomorphic maps: one function type, and the one
+descriptor grammar, which the domain descriptors of ``geometry`` share.
 
 The boundary-data catalog spans smooth and genuinely rough cases: monomials,
 poles placed outside the closed domain or inside a hole, the non-holomorphic
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SymprodError
 
 DEFAULT_WEIERSTRASS_DEPTH = 12
 # Past 2^52 the phase of cos(2^k * theta) is rounding noise of theta, and
@@ -147,8 +148,30 @@ def smooth_phi_suite() -> list[CatalogFunction]:
 # The descriptor grammar
 # ---------------------------------------------------------------------------
 
-def _finite(token: str) -> float:
-    x = float(token)
+def parse_descriptor(text: str, kinds: dict, what: str, error: type[SymprodError] = ConfigError):
+    """Build what ``text``, a kind followed by its numbers, describes.
+
+    ``kinds`` gives each kind's factory, the converters of its numbers (a bare
+    converter takes any count) and how many it requires.  Every number must be
+    finite.  A descriptor that does not parse, or whose factory raises
+    ConfigError, is refused with ``error``; other refusals pass through."""
+    tokens = text.split()
+    if not tokens:
+        raise error(f"empty {what} descriptor")
+    kind, args = tokens[0], tokens[1:]
+    if kind in kinds:
+        factory, types, required = kinds[kind]
+        if not isinstance(types, tuple):
+            types = (types,) * len(args)
+        if required <= len(args) <= len(types):
+            try:
+                return factory(*(_finite(convert(arg), arg) for convert, arg in zip(types, args)))
+            except (ValueError, ConfigError) as exc:
+                raise error(f"bad {what} descriptor {text!r}: {exc}") from exc
+    raise error(f"bad {what} descriptor {text!r}")
+
+
+def _finite(x, token: str):
     if not math.isfinite(x):
         raise ValueError(f"{token} is not a finite number")
     return x
@@ -160,18 +183,17 @@ def _proper_monomial(degree: int) -> CatalogFunction:
     return monomial_phi(degree)
 
 
-# Each role's kinds: the factory, the converters of its arguments and how
-# many of them are required.  A bare converter takes any number of arguments.
+# Each role's kinds, in the form parse_descriptor reads.
 _ROLES = {
     "phi": {
         "monomial": (monomial_phi, (int,), 1),
-        "pole": (lambda x, y, power: pole_phi(complex(x, y), power), (_finite, _finite, int), 3),
+        "pole": (lambda x, y, power: pole_phi(complex(x, y), power), (float, float, int), 3),
         "conj": (conj_phi, (), 0),
-        "weierstrass": (weierstrass_phi, (_finite, int), 1),
+        "weierstrass": (weierstrass_phi, (float, int), 1),
     },
     "proper-map": {
         "monomial": (_proper_monomial, (int,), 1),
-        "blaschke": (lambda *zeros: blaschke_function(zeros), _finite, 1),
+        "blaschke": (lambda *zeros: blaschke_function(zeros), float, 1),
         "identity": (functools.partial(monomial_phi, 1), (), 0),
     },
 }
@@ -180,18 +202,5 @@ _ROLES = {
 def parse_function(text: str, role: str) -> CatalogFunction:
     """Parse a descriptor of ``role`` 'phi' ('monomial 3', 'pole 3 0 1',
     'weierstrass 0.5 12', 'conj') or 'proper-map' ('monomial 2',
-    'blaschke 0.5 -0.3', 'identity').  Every number must be finite."""
-    tokens = text.split()
-    if not tokens:
-        raise ConfigError(f"empty {role} descriptor")
-    kind, args = tokens[0], tokens[1:]
-    if kind in _ROLES[role]:
-        factory, types, required = _ROLES[role][kind]
-        if not isinstance(types, tuple):
-            types = (types,) * len(args)
-        if required <= len(args) <= len(types):
-            try:
-                return factory(*(convert(arg) for convert, arg in zip(types, args)))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad {role} descriptor {text!r}: {exc}") from exc
-    raise ConfigError(f"bad {role} descriptor {text!r}")
+    'blaschke 0.5 -0.3', 'identity')."""
+    return parse_descriptor(text, _ROLES[role], role)

@@ -31,6 +31,8 @@ would refuse the deliberately near-singular evaluation.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,7 @@ from .roots import derivative_coefficients, horner, monic_coefficients
 # times diameter^degree: the trapezoid error grows like exp(-c*N*dist), and
 # the identity budgets assume evaluation away from the kernel's zero set.
 KERNEL_FLOOR = 1e-4
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,18 @@ def product_eval(nodes, t) -> np.ndarray:
 
 def _kernel_floor(samples: BoundarySamples, kern: np.ndarray, degree: int):
     """The one kernel floor, ``KERNEL_FLOOR * diameter^degree``, and the rows (...)
-    of kernel values ``kern`` (..., M) it refuses: min_j |p(z, t_j)| <= floor."""
-    floor = KERNEL_FLOOR * domain_diameter(samples.grid.domain) ** degree
-    return floor, np.abs(kern).min(axis=-1) <= floor
+    of kernel values ``kern`` (..., M) it refuses: min_j |p(z, t_j)| <= floor.
+
+    The floor is formed from logarithms, so where it leaves the float range
+    it reads inf, and every finite kernel value lies below it.  Raises
+    :class:`NonFiniteDataError` if a kernel value is NaN or infinite.
+    """
+    mags = np.abs(kern)
+    if not math.isfinite(mags.max(initial=0.0)):
+        raise NonFiniteDataError(f"kernel values of degree {degree} are not finite")
+    log_floor = math.log(KERNEL_FLOOR) + degree * math.log(domain_diameter(samples.grid.domain))
+    floor = math.exp(log_floor) if log_floor < _LOG_FLOAT_MAX else math.inf
+    return floor, mags.min(axis=-1) <= floor
 
 
 def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, numerator=None):
@@ -130,7 +142,8 @@ def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, nu
 
     ``numerator`` defaults to the boundary data.  This is the one sum: the
     whole call raises :class:`KernelProximityError` if :func:`_kernel_floor`
-    refuses any row.
+    refuses any row, and :class:`NonFiniteDataError` if a kernel value or a
+    sum is NaN or infinite.
     """
     floor, refused = _kernel_floor(samples, kern, degree)
     if refused.any():
@@ -138,7 +151,11 @@ def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, nu
             f"kernel minimum {float(np.abs(kern).min()):.3g} below floor {floor:.3g} (degree {degree})"
         )
     values = samples.values if numerator is None else numerator
-    return (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
+    if not np.isfinite(out).all():
+        raise NonFiniteDataError(f"the kernel sum of degree {degree} is not finite")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,9 @@ class NonconvergentWindingError(SymprodError):
 
 class NonFiniteDataError(SymprodError):
     """Boundary data are NaN or infinite at some quadrature node, as where a
-    pole of the data lies on the boundary, or a query point of the boundary
-    oracle is NaN or infinite."""
+    pole of the data lies on the boundary; a query point of the boundary
+    oracle is NaN or infinite; or a transform's kernel values or its sum
+    are, as where they leave the float range on a very large domain."""
 
 
 class WrongRegionError(SymprodError):

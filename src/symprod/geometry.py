@@ -26,13 +26,16 @@ oracle, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
 spectrally accurate for every contour integral built on top of them.
 
-The built-in contour families return one shared, immutable contour per
-parameter set, and :func:`composite` re-orients and re-labels through one
-shared copy per contour.  The per-contour work (validation samples, the
-simplicity check, diameters and winding grids) is cached by contour
-identity, so a process that builds the same domain again reuses all of it;
-only the nesting check, which classifies each hole's samples against the
-other contours, runs on every build.
+Domain descriptors parse by ``catalog.parse_descriptor``.  The built-in
+contour families return one shared, immutable contour per parameter set,
+with neither orientation nor label: :func:`composite`, which every
+constructor and :func:`build_domain` call, alone orients a domain's contours
+and labels them 'outer', 'hole0', 'hole1', ..., through one shared copy per
+contour.  The per-contour work (validation samples, the simplicity check,
+diameters and winding grids) is cached by contour identity, so a process
+that builds the same domain again reuses all of it; only the nesting check,
+which classifies each hole's samples against the other contours, runs on
+every build.
 
 Region labels returned by :func:`classify_points` are integers:
 
@@ -49,6 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .catalog import parse_descriptor
 from .errors import (
     BoundaryProximityError,
     InvalidGeometryError,
@@ -565,32 +569,29 @@ def sample_boundary(domain: DomainBoundary, nodes_per_contour: int) -> BoundaryG
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=_CONTOUR_CACHE)
-def circle_contour(center: complex, radius: float, orientation: int = 1, label: str = "circle") -> Contour:
+def circle_contour(center: complex, radius: float) -> Contour:
     if radius <= 0:
         raise InvalidGeometryError("circle radius must be positive")
     c, r = complex(center), float(radius)
     return Contour(
         point=lambda th: c + r * np.exp(1j * th),
         tangent=lambda th: 1j * r * np.exp(1j * th),
-        orientation=orientation,
-        label=label,
     )
 
 
 @functools.lru_cache(maxsize=_CONTOUR_CACHE)
-def ellipse_contour(center: complex, a: float, b: float, label: str = "ellipse") -> Contour:
+def ellipse_contour(center: complex, a: float, b: float) -> Contour:
     if a <= 0 or b <= 0:
         raise InvalidGeometryError("ellipse semi-axes must be positive")
     c = complex(center)
     return Contour(
         point=lambda th: c + a * np.cos(th) + 1j * b * np.sin(th),
         tangent=lambda th: -a * np.sin(th) + 1j * b * np.cos(th),
-        label=label,
     )
 
 
 @functools.lru_cache(maxsize=_CONTOUR_CACHE)
-def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -> Contour:
+def star_contour(radius: float, ripple: float, arms: int) -> Contour:
     """Wavy circle r(theta) = R * (1 + ripple * cos(arms * theta)).
 
     The family only accepts ripples small enough that both r and the
@@ -616,7 +617,7 @@ def star_contour(radius: float, ripple: float, arms: int, label: str = "star") -
         rp = -R * eps * m * np.sin(m * th)
         return (rp + 1j * rr) * np.exp(1j * th)
 
-    return Contour(point=point, tangent=tangent, label=label)
+    return Contour(point=point, tangent=tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -707,28 +708,19 @@ def validate_domain(domain: DomainBoundary) -> DomainBoundary:
 
 
 def disc(center: complex = 0.0, radius: float = 1.0) -> DomainBoundary:
-    return validate_domain(DomainBoundary((circle_contour(center, radius, label="outer"),)))
+    return composite(circle_contour(center, radius))
 
 
 def ellipse(center: complex, a: float, b: float) -> DomainBoundary:
-    return validate_domain(DomainBoundary((ellipse_contour(center, a, b, label="outer"),)))
+    return composite(ellipse_contour(center, a, b))
 
 
 def star(radius: float, ripple: float, arms: int) -> DomainBoundary:
-    return validate_domain(DomainBoundary((star_contour(radius, ripple, arms, label="outer"),)))
+    return composite(star_contour(radius, ripple, arms))
 
 
 def annulus(center: complex, inner: float, outer: float) -> DomainBoundary:
-    if not 0 < inner < outer:
-        raise InvalidGeometryError("annulus needs 0 < inner < outer")
-    return validate_domain(
-        DomainBoundary(
-            (
-                circle_contour(center, outer, label="outer"),
-                circle_contour(center, inner, orientation=-1, label="hole0"),
-            )
-        )
-    )
+    return composite(circle_contour(center, outer), [circle_contour(center, inner)])
 
 
 @functools.lru_cache(maxsize=_CONTOUR_CACHE)
@@ -741,44 +733,27 @@ def _oriented(contour: Contour, orientation: int, label: str) -> Contour:
 
 
 def composite(outer: Contour, holes: Sequence[Contour] = ()) -> DomainBoundary:
-    """Assemble a multiply-connected domain; holes are re-oriented negatively."""
-    fixed = tuple(_oriented(h, -1, h.label or f"hole{k}") for k, h in enumerate(holes))
-    out = _oriented(outer, 1, outer.label or "outer")
-    return validate_domain(DomainBoundary((out,) + fixed))
+    """Validated domain of ``outer``, oriented positively and labelled 'outer',
+    and the holes, oriented negatively and labelled 'hole0', 'hole1', ..."""
+    fixed = tuple(_oriented(h, -1, f"hole{k}") for k, h in enumerate(holes))
+    return validate_domain(DomainBoundary((_oriented(outer, 1, "outer"),) + fixed))
 
 
-_FAMILY_ARITY = {"disc": 3, "ellipse": 4, "star": 3, "annulus": 4}
-
-
-def _parse_numbers(tokens: list[str]) -> list[float]:
-    try:
-        args = [float(x) for x in tokens[1:]]
-    except ValueError as exc:
-        raise InvalidGeometryError(f"bad numeric argument in {tokens!r}") from exc
-    if not np.isfinite(args).all():
-        raise InvalidGeometryError(f"non-finite numeric argument in {tokens!r}")
-    return args
-
-
-def _parse_family(tokens: list[str]) -> Contour:
-    if not tokens:
-        raise InvalidGeometryError("missing contour spec")
-    name = tokens[0]
-    args = _parse_numbers(tokens)
-    if name not in _FAMILY_ARITY or len(args) != _FAMILY_ARITY[name]:
-        raise InvalidGeometryError(f"unknown contour spec {tokens!r}")
-    if name == "disc":
-        return circle_contour(complex(args[0], args[1]), args[2])
-    if name == "ellipse":
-        return ellipse_contour(complex(args[0], args[1]), args[2], args[3])
-    if name == "star":
-        return star_contour(args[0], args[1], int(args[2]))
-    # annulus is only valid as a whole-domain descriptor
-    raise InvalidGeometryError("annulus cannot be used as a single contour")
+# The contour families of a domain descriptor, as catalog.parse_descriptor
+# reads them: each kind's factory, its numbers' converters and their count.
+_FAMILIES = {
+    "disc": (lambda x, y, r: circle_contour(complex(x, y), r), (float,) * 3, 3),
+    "ellipse": (lambda x, y, a, b: ellipse_contour(complex(x, y), a, b), (float,) * 4, 4),
+    "star": (star_contour, (float, float, int), 3),
+}
+# An annulus is a whole domain: it heads a descriptor that has no holes.
+_WHOLE = dict(_FAMILIES, annulus=(
+    lambda x, y, inner, outer: annulus(complex(x, y), inner, outer), (float,) * 4, 4))
 
 
 def build_domain(descriptor: str) -> DomainBoundary:
-    """Build a validated domain from a text descriptor.
+    """Build a validated domain from a text descriptor: a contour family
+    followed by any number of ``+ hole <family>`` parts, or an annulus.
 
     Examples::
 
@@ -788,23 +763,14 @@ def build_domain(descriptor: str) -> DomainBoundary:
         annulus 0 0 0.3 1
         disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4
     """
-    parts = [p.strip() for p in descriptor.split("+")]
-    head = parts[0].split()
-    if not head:
-        raise InvalidGeometryError("empty domain descriptor")
-    if head[0] == "annulus":
-        if len(parts) > 1:
-            raise InvalidGeometryError("annulus does not take extra holes")
-        args = _parse_numbers(head)
-        if len(args) != 4:
-            raise InvalidGeometryError("annulus needs: cx cy r_inner r_outer")
-        return annulus(complex(args[0], args[1]), args[2], args[3])
-    outer = _parse_family(head)
+    head, *parts = (part.strip() for part in descriptor.split("+"))
+    outer = parse_descriptor(head, _FAMILIES if parts else _WHOLE, "domain", InvalidGeometryError)
+    if isinstance(outer, DomainBoundary):
+        return outer
     holes = []
-    for part in parts[1:]:
-        tokens = part.split()
-        if not tokens or tokens[0] != "hole":
+    for part in parts:
+        tag, _, family = part.partition(" ")
+        if tag != "hole":
             raise InvalidGeometryError(f"expected 'hole <family ...>', got {part!r}")
-        # Each hole gets its own label, so a refusal names the hole at fault.
-        holes.append(_oriented(_parse_family(tokens[1:]), -1, f"hole{len(holes)}"))
+        holes.append(parse_descriptor(family, _FAMILIES, "hole", InvalidGeometryError))
     return composite(outer, holes)

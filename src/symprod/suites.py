@@ -3,6 +3,9 @@
 Each suite returns a :class:`SuiteResult` carrying the worst residual seen,
 the tolerance it was checked against and the number of comparisons.  A
 boundary datum whose samples are not finite is refused and compares nothing.
+A library error while a suite draws, certifies or evaluates one arity
+leaves that arity unchecked (``cauchy_reproduction``, which has no arities,
+as a whole): the suite reports an infinite residual and fails.
 The CLI ``identities`` subcommand and the acceptance tests both run these.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog, cauchy, divdiff, geometry, symmetric
-from .errors import KernelProximityError, NonFiniteDataError, SamplingError
+from .errors import KernelProximityError, NonFiniteDataError, SamplingError, SymprodError
 
 DEFAULT_NODES = 256
 # Rounds of twice the missing rows that _separated_tuples draws before it gives up.
@@ -77,15 +80,17 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     rng = np.random.default_rng(seed)
     grid = geometry.sample_boundary(domain, nodes)
     phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
-    zs = cauchy._require_inside(domain, geometry.sample_interior(domain, points, rng, 0.1))
-    data = _boundary_data(grid, phis)
     worst = 0.0
     comparisons = 0
-    for phi, samples in data:
-        got = cauchy.cauchy_transform(samples, zs)
-        scale = max(1.0, float(np.abs(samples.values).max()))
-        worst = max(worst, float(np.abs(got - phi(zs.points)).max()) / scale)
-        comparisons += len(got)
+    try:
+        zs = cauchy._require_inside(domain, geometry.sample_interior(domain, points, rng, 0.1))
+        for phi, samples in _boundary_data(grid, phis):
+            got = cauchy.cauchy_transform(samples, zs)
+            scale = max(1.0, float(np.abs(samples.values).max()))
+            worst = max(worst, float(np.abs(got - phi(zs.points)).max()) / scale)
+            comparisons += len(got)
+    except SymprodError:
+        worst = float("inf")    # no points placed, or a transform refused: unchecked
     return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
 
 
@@ -107,8 +112,8 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
                 ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
                 worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
                 comparisons += len(lhs)
-        except (SamplingError, KernelProximityError):
-            worst = float("inf")    # no tuples placed, or the floor refused them: unchecked
+        except SymprodError:
+            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
     return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
 
 
@@ -150,17 +155,17 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     worst = 0.0
     comparisons = 0
     for n in arities:
-        tuples = cauchy._require_inside(domain, _separated_tuples(
-            domain, n, points, rng, min_distance=0.2, separation=0.05))
-        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
         try:
+            tuples = cauchy._require_inside(domain, _separated_tuples(
+                domain, n, points, rng, min_distance=0.2, separation=0.05))
+            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
             for _, samples in data:
                 lhs = cauchy.symmetrized_transform(samples, zs)
                 rhs = cauchy.norlund_transform(samples, tuples)
                 worst = max(worst, float(np.abs(lhs - rhs).max()))
                 comparisons += len(lhs)
-        except KernelProximityError:
-            worst = float("inf")    # the floor refused the arity: it goes unchecked
+        except SymprodError:
+            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
     return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
 
 
@@ -190,7 +195,8 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     n = 5), or refuses the circle points, that order is unchecked and the
     suite reports an infinite residual, so it fails.  So does an arity that
     places no tuples at the sampling depth, as on a narrow annulus or on
-    ``ellipse 0 0 1 0.77`` at n = 3: that arity goes unchecked.
+    ``ellipse 0 0 1 0.77`` at n = 3, or meets another library error: that
+    arity goes unchecked.
     """
     rng = np.random.default_rng(seed)
     direction_rng = rng.spawn(1)[0]
@@ -208,44 +214,41 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         try:
             tuples = _separated_tuples(domain, n, points, rng, min_distance=depth,
                                        separation=0.08)
-        except SamplingError:
-            worst = float("inf")    # no tuples placed: the arity goes unchecked
-            continue
-        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
-        gammas = np.array(_multi_indices(n))
-        orders = gammas.sum(axis=1)
-        re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
-        u = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)   # (D, n)
-        # Roots that move at most _CIRCLE_RADIUS diameters stay 0.32 deep.  Certified once,
-        # they are carried with their coefficients, so no root finding runs for them.
-        w = tuples[:, None, None, :] + zeta[:, None] * u[:, None, :]                # (B, D, M, n)
-        w = cauchy._require_inside(domain, w).points
-        circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
-        weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
-        for _, samples in data:
-            try:
-                got = cauchy.derivative_symmetrized(gammas, samples, zs)
-                accepted = np.ones(got.shape, dtype=bool)
-            except KernelProximityError as exc:
-                got, accepted = exc.partial
-            # (B, K): tuples whose entries of order <= k were all accepted.
-            checked = (accepted[:, None, :] | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
-            try:
+            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
+            gammas = np.array(_multi_indices(n))
+            orders = gammas.sum(axis=1)
+            re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
+            u = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)   # (D, n)
+            # Roots that move at most _CIRCLE_RADIUS diameters stay 0.32 deep.  Certified once,
+            # they are carried with their coefficients, so no root finding runs for them.
+            w = tuples[:, None, None, :] + zeta[:, None] * u[:, None, :]                # (B, D, M, n)
+            w = cauchy._require_inside(domain, w).points
+            circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
+            weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
+            for _, samples in data:
+                try:
+                    got = cauchy.derivative_symmetrized(gammas, samples, zs)
+                    accepted = np.ones(got.shape, dtype=bool)
+                except KernelProximityError as exc:
+                    got, accepted = exc.partial
+                # (B, K): tuples whose entries of order <= k were all accepted.
+                checked = (accepted[:, None, :]
+                           | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
+                # The floor refuses circle points for every datum alike: the arity goes unchecked.
                 values = cauchy.symmetrized_transform(samples, circles)     # (B, D, M)
-            except KernelProximityError:
-                worst = float("inf")
-                continue
-            if not checked.any(axis=0).all():
-                worst = float("inf")    # an order that no tuple could check
-            taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
-            terms = got[:, None, None, :] * weights
-            mask = np.broadcast_to(checked[:, None, :], taylor.shape)
-            scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
-            # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
-            size = _abs(samples.values * grid.weights).sum() / (2 * np.pi * (0.32 * diameter)**n)
-            errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
-            worst = max(worst, float(np.fmax.reduce(errors[mask], initial=0.0)))
-            comparisons += int(mask.sum())
+                if not checked.any(axis=0).all():
+                    worst = float("inf")    # an order that no tuple could check
+                taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
+                terms = got[:, None, None, :] * weights
+                mask = np.broadcast_to(checked[:, None, :], taylor.shape)
+                scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
+                # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
+                size = _abs(samples.values * grid.weights).sum() / (2 * np.pi * (0.32 * diameter)**n)
+                errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
+                worst = max(worst, float(np.fmax.reduce(errors[mask], initial=0.0)))
+                comparisons += int(mask.sum())
+        except SymprodError:
+            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
     return SuiteResult("derivative_factorization", worst, 1e-9, comparisons)
 
 
@@ -295,9 +298,9 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     worst = 0.0
     comparisons = 0
     for n in arities:
-        tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
-        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
         try:
+            tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
+            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
             for fun in funs:
                 samples = cauchy.boundary_samples(grid, fun)
                 roots_vals = fun(tuples)
@@ -307,8 +310,8 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
                     scale = max(1.0, float(np.abs(samples.values).max()) ** ell)
                     worst = max(worst, float(np.abs(got - ref).max()) / scale)
                     comparisons += len(tuples)
-        except KernelProximityError:
-            worst = float("inf")    # the floor refused the arity: it goes unchecked
+        except SymprodError:
+            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
     return SuiteResult("power_sum_residues", worst, 1e-9, comparisons)
 
 
@@ -336,14 +339,17 @@ def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0)
     worst = 0.0
     comparisons = 0
     for n in (2, 3, 4):
-        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-        for _, samples in data:
-            base = cauchy.norlund_transform(samples, tuples)
-            for _ in range(3):
-                perm = rng.permutation(n)
-                other = cauchy.norlund_transform(samples, tuples[:, perm])
-                worst = max(worst, float(np.abs(other - base).max()))
-                comparisons += len(base)
+        try:
+            tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
+            for _, samples in data:
+                base = cauchy.norlund_transform(samples, tuples)
+                for _ in range(3):
+                    perm = rng.permutation(n)
+                    other = cauchy.norlund_transform(samples, tuples[:, perm])
+                    worst = max(worst, float(np.abs(other - base).max()))
+                    comparisons += len(base)
+        except SymprodError:
+            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
     return SuiteResult("permutation_invariance", worst, 0.0, comparisons)
 
 

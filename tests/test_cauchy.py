@@ -235,6 +235,38 @@ def test_kernel_floor_rejection(grids):
 
 
 
+def test_kernel_floor_beyond_the_float_range():
+    # On a disc of radius R = 10^25.5 the arity-12 floor 1e-4 * (2R)^12 is
+    # about 0.41 R^12, but (2R)^12 itself leaves the float range.  Nodes
+    # near the centre (kernel about R^12) are evaluated, and nodes with one
+    # 1e-3 R from the circle (kernel about 1e-3 R^12) are refused.
+    radius = 10**25.5
+    samples = phi_samples(sp.sample_boundary(sp.disc(0, radius), 256), catalog.monomial_phi(11))
+    ring = np.exp(2j * np.pi * np.arange(12) / 12)
+    # The divided difference of t^11 at 12 nodes is 1.
+    assert abs(sp.norlund_transform(samples, 0.02 * radius * ring) - 1) < 1e-12
+    with pytest.raises(KernelProximityError, match="below floor"):
+        sp.norlund_transform(samples, np.append(0.999 * radius, 0.02 * radius * ring[1:]))
+
+
+def test_non_finite_kernel_sums_are_refused():
+    # On a disc of radius 1e36, t^8 times the weights leaves the float range,
+    # so the sum is not finite.  It is refused without a RuntimeWarning
+    # (tier-1 turns one into an error).
+    samples = phi_samples(sp.sample_boundary(sp.disc(0, 1e36), 256), catalog.monomial_phi(8))
+    with pytest.raises(NonFiniteDataError, match="sum"):
+        sp.cauchy_transform(samples, np.array([0.0, 1e35, 3e35j]))
+
+
+def test_non_finite_kernel_values_are_refused(grids):
+    _, grid = grids
+    samples = phi_samples(grid, catalog.monomial_phi(2))
+    kern = grid.nodes - 0.5
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NonFiniteDataError, match="kernel values"):
+            _kernel_integral(samples, np.where(np.arange(len(kern)) == 3, bad, kern), 1)
+
+
 def test_certified_set_is_checked_again_on_another_domain(grids, annulus_domain):
     disc, grid = grids
     ring = phi_samples(sp.sample_boundary(annulus_domain, 256), catalog.monomial_phi(2))

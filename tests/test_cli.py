@@ -350,6 +350,34 @@ def test_loja_log10_c_max_stays_finite(tmp_path, argv):
     assert rep["failures"] == []
 
 
+@pytest.mark.parametrize("descriptor", [
+    "star 1 0.25 2.5", "disc 0 0 1 + hole annulus 0 0 0.1 0.2",
+    "annulus 0 0 0.3 1 + hole disc 0 0 0.1", "disc 0 0", "disc 0 0 inf", "square 0 0 1",
+    "disc 0 0 1 + hole",
+])
+def test_refused_domain_descriptor_exits_2(tmp_path, capsys, descriptor):
+    assert run(["components", "--domain", descriptor, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, refusing", [
+    # Tuples that find no room, a root round trip that misses its
+    # tolerance, and the kernel floor: each refuses one suite's arity.
+    (["--domain", "disc 0 0 0.3", "--n", "3", "--seed", "7"], "permutation_invariance"),
+    (["--domain", "disc 5 5 1", "--n", "6", "--samples", "50", "--seed", "7"],
+     "pushforward_identity"),
+    (["--domain", "disc 0 0 100", "--n", "2", "--samples", "10"], "permutation_invariance"),
+])
+def test_a_refused_arity_still_writes_the_report(tmp_path, argv, refusing):
+    out = tmp_path / "ids"
+    assert run(["identities", *argv, "--out", str(out)]) == 1
+    report = _read_report(out)
+    assert refusing in report["failures"]
+    assert report["results"][refusing]["max_residual"] == "inf"
+
+
 def test_sampling_failure_exits_1(tmp_path, capsys):
     # No point of this ring is 0.1 from both circles, so the sampler gives up.
     code = run(["transform", "--domain", "annulus 0 0 0.9 1", "--out", str(tmp_path / "t")])
@@ -366,6 +394,19 @@ def test_python_m_symprod(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (out / "report.json").exists()
+
+
+def test_python_m_symprod_on_a_very_large_domain(tmp_path):
+    # Kernel floors and sums beyond the float range are refused, not raised:
+    # every command that reads a domain exits with a code the README names.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in DOMAIN_COMMANDS:
+        argv = [command, *_flags(command, domain="disc 0 0 1e60", samples="10")]
+        proc = subprocess.run([sys.executable, "-m", "symprod", *argv, "--out", str(tmp_path / command)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1, 2), (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, (command, proc.stderr)
 
 
 def _matrix_argv(command: str, descriptor: str) -> list[str]:

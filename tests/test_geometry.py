@@ -34,11 +34,21 @@ def test_build_domain_descriptors():
     assert comp.kappa == 4
 
 
-@pytest.mark.parametrize("descriptor", [
+# Descriptors that the one descriptor grammar refuses.
+REFUSED_DESCRIPTORS = [
     "annulus a b c d",
-    "disc 0 0 1 + hole",
     "ellipse 0 0 1 nan",
-])
+    "star 1 0.25 2.5",                          # the arm count is an integer
+    "disc 0 0 1 + hole annulus 0 0 0.1 0.2",    # an annulus is no hole
+    "annulus 0 0 0.3 1 + hole disc 0 0 0.1",    # and takes no holes
+    "disc 0 0",
+    "disc 0 0 inf",
+    "square 0 0 1",
+    "disc 0 0 1 + hole",
+]
+
+
+@pytest.mark.parametrize("descriptor", REFUSED_DESCRIPTORS)
 def test_malformed_descriptor_rejected(descriptor):
     with pytest.raises(InvalidGeometryError):
         sp.build_domain(descriptor)
@@ -103,8 +113,8 @@ def test_winding_number_annulus_hole(annulus_domain):
 
 
 def test_winding_orientation_flip():
-    plus = sp.geometry.circle_contour(0, 1, orientation=1)
-    minus = sp.geometry.circle_contour(0, 1, orientation=-1)
+    plus = sp.geometry.circle_contour(0, 1)
+    minus = sp.geometry._oriented(plus, -1, "")
     # Winding -1 about the second copy puts the point in its "hole"; winding
     # -1 about a negatively oriented outer contour is refused.
     assert _regions([plus, minus], 0.2 + 0.1j).tolist() == [2]
@@ -181,6 +191,30 @@ def test_figure_eight_rejected(simple_verdict):
     with pytest.raises(InvalidGeometryError, match="self-intersects"):
         sp.geometry.composite(crossing)
     assert "self-intersects" in simple_verdict(crossing)
+
+
+@pytest.mark.parametrize("descriptor, build", [
+    ("disc 0 0 1", lambda: sp.disc(0, 1)),
+    ("ellipse 0 0 1.1 0.9", lambda: sp.ellipse(0, 1.1, 0.9)),
+    ("star 1 0.25 2", lambda: sp.star(1, 0.25, 2)),
+    ("annulus 0 0 0.3 1", lambda: sp.annulus(0, 0.3, 1)),
+    ("disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+     lambda: sp.geometry.composite(sp.geometry.circle_contour(0, 2),
+                                   [sp.geometry.circle_contour(0.8, 0.4),
+                                    sp.geometry.circle_contour(-0.8, 0.4)])),
+])
+def test_descriptor_and_constructor_build_the_same_contours(descriptor, build):
+    # composite alone orients and labels, so a descriptor and its
+    # constructor give the same nodes, orientations and labels.
+    parsed, built = sp.build_domain(descriptor), build()
+    holes = len(parsed.contours) - 1
+    assert [(c.label, c.orientation) for c in parsed.contours] == (
+        [("outer", 1)] + [(f"hole{k}", -1) for k in range(holes)])
+    theta = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    for a, b in zip(parsed.contours, built.contours, strict=True):
+        assert (a.label, a.orientation) == (b.label, b.orientation)
+        assert a.point(theta).tobytes() == b.point(theta).tobytes()
+        assert a.tangent(theta).tobytes() == b.tangent(theta).tobytes()
 
 
 @pytest.mark.parametrize("b", [0.2, 0.25])

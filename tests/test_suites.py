@@ -7,7 +7,12 @@ import pytest
 
 import symprod as sp
 from symprod import catalog, cauchy, suites, symmetric
-from symprod.errors import KernelProximityError, NonFiniteDataError, SamplingError
+from symprod.errors import (
+    KernelProximityError,
+    NonFiniteDataError,
+    RootFindingError,
+    SamplingError,
+)
 
 
 def derivative_reference(gamma, samples, z) -> complex:
@@ -302,3 +307,43 @@ def test_readme_domains_refuse_no_data(descriptor):
             + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)])
     for phi in phis:
         assert np.isfinite(cauchy.boundary_samples(grid, phi).values).all()
+
+
+def _refuse(error):
+    def refused(*args, **kwargs):
+        raise error("refused")
+
+    return refused
+
+
+DOMAIN_SUITES = [suites.cauchy_reproduction_suite, suites.norlund_divdiff_suite,
+                 suites.pushforward_suite, suites.derivative_factorization_suite,
+                 suites.power_sum_suite, suites.permutation_invariance_suite]
+
+
+@pytest.mark.parametrize("suite", DOMAIN_SUITES, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("step, error", [
+    ("draw", SamplingError), ("transform", NonFiniteDataError), ("certify", RootFindingError),
+])
+def test_a_library_error_leaves_the_arity_unchecked(unit_disc, monkeypatch, suite, step, error):
+    # Whatever library error a suite's draw, region check or transform
+    # raises, the suite reads inf and fails; it does not raise.
+    if step == "draw":
+        monkeypatch.setattr(sp.geometry, "sample_interior", _refuse(error))
+    elif step == "certify":
+        monkeypatch.setattr(cauchy, "_require_inside", _refuse(error))
+        monkeypatch.setattr(cauchy, "_require_roots_inside", _refuse(error))
+    else:
+        for name in ("cauchy_transform", "norlund_transform", "symmetrized_transform",
+                     "derivative_symmetrized"):
+            monkeypatch.setattr(cauchy, name, _refuse(error))
+        monkeypatch.setattr(symmetric, "power_sum_transform", _refuse(error))
+    result = suite(unit_disc, points=10)
+    assert result.max_residual == float("inf") and not result.passed
+
+
+@pytest.mark.parametrize("suite", DOMAIN_SUITES, ids=lambda s: s.__name__)
+def test_other_errors_propagate(unit_disc, monkeypatch, suite):
+    monkeypatch.setattr(sp.geometry, "sample_interior", _refuse(ZeroDivisionError))
+    with pytest.raises(ZeroDivisionError):
+        suite(unit_disc, points=10)

@@ -95,6 +95,14 @@ CASES = [
     ["propermap", "--propermap", "blaschke nan"],
     # No arity-3 tuple fits at the derivative suite's depth.
     ["identities", "--domain", "ellipse 0 0 1 0.77", "--n", "3"],
+    # A star's arm count is an integer.
+    ["components", "--domain", "star 1 0.25 2.5"],
+    # Kernel floors and sums beyond the float range.
+    ["identities", "--domain", "disc 0 0 1e60", "--n", "2", "--samples", "10"],
+    # No room for the permutation suite's tuples, and a root round trip
+    # that misses its tolerance: each arity goes unchecked.
+    ["identities", "--domain", "disc 0 0 0.3", "--n", "3"],
+    ["identities", "--domain", "disc 5 5 1", "--n", "6", "--samples", "50"],
 ]
 
 
