@@ -319,7 +319,8 @@ def _derivative_entries(gamma, samples: BoundarySamples, z):
     accepted = np.zeros(values.shape, dtype=bool)
     for k in sorted(set(orders.tolist())):
         # A Python int exponent: numpy squares by a different path for np.int64.
-        kern = monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
+        with np.errstate(over="ignore", invalid="ignore"):    # the floor refuses non-finite values
+            kern = monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
         numerator = samples.values * np.stack(
             [derivative_weight_values(row, n, nodes) for row, o in zip(gammas, orders) if o == k]
         ) if k else None

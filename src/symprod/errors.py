@@ -20,8 +20,10 @@ class NonconvergentWindingError(SymprodError):
 class NonFiniteDataError(SymprodError):
     """Boundary data are NaN or infinite at some quadrature node, as where a
     pole of the data lies on the boundary; a query point of the boundary
-    oracle is NaN or infinite; or a transform's kernel values or its sum
-    are, as where they leave the float range on a very large domain."""
+    oracle is NaN or infinite; or a transform's kernel values or its sum,
+    the derivative suite's chain-rule weights, or a quotient metric or
+    coefficient distance of ``loja``'s pairs are, as where they leave the
+    float range on a very large domain."""
 
 
 class WrongRegionError(SymprodError):

@@ -270,7 +270,9 @@ def _chain_rule_weights(gammas, w, u):
     Taylor coefficients c_k, k <= _MAX_ORDER = 2, of F(z(zeta)) for
     z(zeta) = symmetrize(w + zeta*u): a_1^gamma / gamma! at k = |gamma|, and
     a_2^gamma at k = |gamma| + 1 = 2.  The curve's coefficients a_k are those
-    of x^1..x^n in prod_j (1 + x*(w_j + zeta*u_j)), truncated after zeta^2."""
+    of x^1..x^n in prod_j (1 + x*(w_j + zeta*u_j)), truncated after zeta^2.
+    Raises :class:`NonFiniteDataError` if a weight leaves the float range, as
+    on a very large domain, so the arity goes unchecked."""
     w, u = np.broadcast_arrays(w, u)
     a = np.zeros((_MAX_ORDER + 1,) + w.shape[:-1] + (w.shape[-1] + 1,), dtype=complex)
     a[0, ..., 0] = 1.0
@@ -280,11 +282,15 @@ def _chain_rule_weights(gammas, w, u):
         a[..., 1:] += step
     orders = gammas.sum(axis=1)
     factorials = np.prod([[math.factorial(g) for g in row] for row in gammas], axis=1)
-    first = np.prod(a[1, ..., None, 1:] ** gammas, axis=-1) / factorials       # (..., G)
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        first = np.prod(a[1, ..., None, 1:] ** gammas, axis=-1) / factorials       # (..., G)
+        second = np.prod(a[2, ..., None, 1:] ** gammas[orders == 1], axis=-1)
+    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+        raise NonFiniteDataError("chain-rule weights are not finite")
     weights = np.zeros(first.shape[:-1] + (_MAX_ORDER + 1, len(gammas)), dtype=complex)
     for k in range(_MAX_ORDER + 1):
         weights[..., k, orders == k] = first[..., orders == k]
-    weights[..., 2, orders == 1] = np.prod(a[2, ..., None, 1:] ** gammas, axis=-1)[..., orders == 1]
+    weights[..., 2, orders == 1] = second
     return weights
 
 

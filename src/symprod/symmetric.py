@@ -25,7 +25,7 @@ from .cauchy import (
     monic_derivative_eval,
     monic_eval,
 )
-from .errors import RootFindingError
+from .errors import NonFiniteDataError, RootFindingError
 from .geometry import (
     DomainBoundary,
     _regions,
@@ -172,7 +172,6 @@ class LojasiewiczReport:
     exponent: int
     pairs_used: int
     log10_c_max: float
-    violations_at_c_max: int
     near_diagonal_pairs: int
     regression_slope: float
     empirical_exponent: float
@@ -190,9 +189,9 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     pairs that leave the domain are dropped.  Reports log10 of the
     largest ratio delta^exponent / |coefficient difference| (an empirical
     constant for the inequality, kept in log space because the ratio
-    itself overflows from n = 6 on), the violation count at that constant
-    (zero by construction), and a log-log regression restricted to
-    near-diagonal pairs.
+    itself overflows from n = 6 on) and a log-log regression restricted to
+    near-diagonal pairs.  Raises :class:`NonFiniteDataError` if a quotient
+    metric or coefficient distance is not finite, as on a very large domain.
     """
     if num_pairs < 100:
         raise ValueError("need at least 100 pairs")
@@ -220,13 +219,15 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     Z = np.concatenate([za, zb], axis=0)
     W = np.concatenate([wa, wb], axis=0)
     delta = delta_metric_batch(Z, W)
-    pi_dist = np.linalg.norm(symmetrize(Z) - symmetrize(W), axis=-1)
+    with np.errstate(over="ignore"):    # refused below
+        pi_dist = np.linalg.norm(symmetrize(Z) - symmetrize(W), axis=-1)
+    if not (np.isfinite(delta).all() and np.isfinite(pi_dist).all()):
+        raise NonFiniteDataError("quotient metric or coefficient distance is not finite")
     mask = pi_dist > 1e-12
     delta, pi_dist = delta[mask], pi_dist[mask]
 
     log10_ratios = lam * np.log10(delta) - np.log10(pi_dist)
     log10_c_max = float(log10_ratios.max())
-    violations = int((log10_ratios > log10_c_max).sum())
 
     near = delta <= 0.1 * diam
     if near.sum() >= 10:
@@ -239,7 +240,6 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
         exponent=lam,
         pairs_used=int(len(delta)),
         log10_c_max=log10_c_max,
-        violations_at_c_max=violations,
         near_diagonal_pairs=int(near.sum()),
         regression_slope=slope,
         empirical_exponent=float(empirical),

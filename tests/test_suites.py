@@ -239,6 +239,15 @@ def test_chain_rule_predicts_taylor_coefficients():
         assert np.abs(predicted - taylor).max() < 1e-10 * np.abs(taylor).max()
 
 
+def test_chain_rule_weights_beyond_the_float_range_are_refused():
+    # On a very large domain a_1^gamma overflows: the suite's arity goes
+    # unchecked rather than np.fmax skipping a NaN weight.
+    gammas = np.array(suites._multi_indices(5))
+    w, u = np.full(5, 1e59 + 0j), np.ones(5, dtype=complex)
+    with pytest.raises(NonFiniteDataError):
+        suites._chain_rule_weights(gammas, w, u)
+
+
 def test_derivative_suite_fails_a_perturbed_second_derivative(unit_disc, monkeypatch):
     # A relative error of 1e-7 in one order-2 entry is 100 times the tolerance.
     exact = cauchy.derivative_symmetrized

@@ -135,7 +135,6 @@ def test_lojasiewicz_exponent_values():
 
 def test_lojasiewicz_check_basics(unit_disc):
     rep = sp.lojasiewicz_check(unit_disc, 2, 400, seed=7)
-    assert rep.violations_at_c_max == 0
     assert np.isfinite(rep.log10_c_max)
     assert rep.pairs_used > 300
     with pytest.raises(ValueError):

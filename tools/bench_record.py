@@ -6,8 +6,9 @@ Usage (from the repository root)::
 
 For every workload and seed it runs ``python3 bench/run.py --workload W
 --seed S --seconds T --trace 0`` once in the parent checkout and once in
-this one, alternating which side goes first from one pair to the next so
-that drift of the machine's speed does not favour either side.  Each run
+this one.  The side that goes first alternates from seed to seed for each
+workload, and from one workload to the next within a seed, so that drift of
+the machine's speed does not favour either side.  Each run
 uses the benchmark files of its own checkout.  The output holds the machine
 and library versions that ``bench/run.py`` reports, every run's end-to-end
 metrics, and per workload and side the median, quartiles and spread
@@ -78,11 +79,9 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {w: {"parent": [], "change": []} for w in workloads}
     env = None
-    pair = 0
-    for seed in args.seeds:
-        for w in workloads:
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            pair += 1
+    for i, seed in enumerate(args.seeds):
+        for j, w in enumerate(workloads):
+            order = ("parent", "change") if (i + j) % 2 == 0 else ("change", "parent")
             for side in order:
                 run = bench_once(sides[side], w, seed, spec["run_seconds"])
                 env = env or run["environment"]
