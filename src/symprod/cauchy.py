@@ -341,13 +341,15 @@ def truncated_pv(samples: BoundarySamples, boundary_points, radius: float) -> co
     ``boundary_points`` is a tuple of points on the boundary (each must sit
     within one node spacing of the sampled curve); nodes inside any ball of
     the given radius around them are dropped, with no partial-arc
-    correction.
+    correction.  A radius outside (0, diameter/4) is refused with
+    :class:`DegenerateTruncationError`.
     """
     grid = samples.grid
     pts = np.atleast_1d(np.asarray(boundary_points, dtype=complex))
     diam = domain_diameter(grid.domain)
     if not 0 < radius < diam / 4:
-        raise ValueError("radius must lie in (0, diameter/4)")
+        raise DegenerateTruncationError(
+            f"radius {radius:g} must lie in (0, diameter/4 = {diam / 4:g})")
     spacing = float(np.abs(np.diff(grid.nodes[: grid.nodes_per_contour])).max())
     dist_to_grid = np.abs(pts[:, None] - grid.nodes).min(axis=1)
     if (dist_to_grid > spacing).any():

@@ -50,7 +50,9 @@ class RootFindingError(SymprodError):
 
 
 class DegenerateTruncationError(SymprodError):
-    """Removing quadrature nodes near the singular points left nothing to sum."""
+    """A truncation radius is not in (0, diameter/4), as where ``pv``'s fixed
+    radii 2^-3..2^-8 reach past a quarter of a small domain's diameter, or
+    removing quadrature nodes near the singular points left nothing to sum."""
 
 
 class SamplingError(SymprodError):

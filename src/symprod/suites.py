@@ -3,9 +3,11 @@
 Each suite returns a :class:`SuiteResult` carrying the worst residual seen,
 the tolerance it was checked against and the number of comparisons.  A
 boundary datum whose samples are not finite is refused and compares nothing.
-A library error while a suite draws, certifies or evaluates one arity
-leaves that arity unchecked (``cauchy_reproduction``, which has no arities,
-as a whole): the suite reports an infinite residual and fails.
+A suite checks its cases (arities, or data) one at a time, and one rule,
+:func:`_tally`, holds for all of them: a library error while a suite draws,
+certifies or evaluates a case leaves that case unchecked, so the suite
+reports an infinite residual and fails, and the comparisons made before the
+error still count.
 The CLI ``identities`` subcommand and the acceptance tests both run these.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,9 +47,26 @@ class SuiteResult:
         return self.comparisons > 0 and self.max_residual <= self.tolerance
 
 
-def _boundary_data(grid, phis):
-    """(phi, samples) for each datum whose samples on the grid are finite;
-    the data refused with NonFiniteDataError are left out."""
+def _tally(name, tolerance, cases, compare) -> SuiteResult:
+    """The worst residual and the count of the ``(residual, count)`` pairs that
+    ``compare(case)`` yields for each case.  A library error leaves its case
+    unchecked: the residual reads inf, and the pairs yielded before it count."""
+    worst = 0.0
+    comparisons = 0
+    for case in cases:
+        try:
+            for residual, count in compare(case):
+                worst = max(worst, residual)    # a NaN residual is skipped, as np.fmax does
+                comparisons += count
+        except SymprodError:
+            worst = float("inf")
+    return SuiteResult(name, worst, tolerance, comparisons)
+
+
+def _boundary_data(domain, nodes, phis):
+    """(phi, samples) for each datum whose samples on the domain's boundary
+    grid are finite; the data refused with NonFiniteDataError are left out."""
+    grid = geometry.sample_boundary(domain, nodes)
     data = []
     for phi in phis:
         try:
@@ -78,20 +97,17 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     """Reproduction of holomorphic boundary traces by the Cauchy transform,
     each datum's error relative to ``max(1, max|phi|)`` over the nodes."""
     rng = np.random.default_rng(seed)
-    grid = geometry.sample_boundary(domain, nodes)
-    phis = [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)]
-    worst = 0.0
-    comparisons = 0
-    try:
-        zs = cauchy._require_inside(domain, geometry.sample_interior(domain, points, rng, 0.1))
-        for phi, samples in _boundary_data(grid, phis):
+    data = _boundary_data(domain, nodes,
+                          [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)])
+
+    def compare(count):
+        zs = cauchy._require_inside(domain, geometry.sample_interior(domain, count, rng, 0.1))
+        for phi, samples in data:
             got = cauchy.cauchy_transform(samples, zs)
             scale = max(1.0, float(np.abs(samples.values).max()))
-            worst = max(worst, float(np.abs(got - phi(zs.points)).max()) / scale)
-            comparisons += len(got)
-    except SymprodError:
-        worst = float("inf")    # no points placed, or a transform refused: unchecked
-    return SuiteResult("cauchy_reproduction", worst, 1e-10, comparisons)
+            yield float(np.abs(got - phi(zs.points)).max()) / scale, len(got)
+
+    return _tally("cauchy_reproduction", 1e-10, [points], compare)
 
 
 def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
@@ -99,22 +115,17 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     """Multi-node transform against divided differences of the Cauchy
     transform evaluated on the same grid."""
     rng = np.random.default_rng(seed)
-    grid = geometry.sample_boundary(domain, nodes)
-    phis = catalog.smooth_phi_suite() + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)]
-    data = _boundary_data(grid, phis)
-    worst = 0.0
-    comparisons = 0
-    for n in arities:
-        try:
-            tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-            for _, samples in data:
-                lhs = cauchy.norlund_transform(samples, tuples)
-                ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
-                worst = max(worst, float(np.fmax.reduce(_abs(lhs - ref))))
-                comparisons += len(lhs)
-        except SymprodError:
-            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
-    return SuiteResult("norlund_divided_difference", worst, 1e-9, comparisons)
+    data = _boundary_data(domain, nodes, catalog.smooth_phi_suite()
+                          + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)])
+
+    def compare(n):
+        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
+        for _, samples in data:
+            lhs = cauchy.norlund_transform(samples, tuples)
+            ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
+            yield float(np.fmax.reduce(_abs(lhs - ref))), len(lhs)
+
+    return _tally("norlund_divided_difference", 1e-9, arities, compare)
 
 
 def gh_equivalence_suite(seed=0, tuples_per_case=20, max_nodes=5) -> SuiteResult:
@@ -122,9 +133,8 @@ def gh_equivalence_suite(seed=0, tuples_per_case=20, max_nodes=5) -> SuiteResult
     rng = np.random.default_rng(seed)
     funs = [catalog.exp_function(), catalog.monomial_phi(3),
             catalog.monomial_phi(6), catalog.pole_phi(3.0)]
-    worst = 0.0
-    comparisons = 0
-    for fun in funs:
+
+    def compare(fun):
         for m in range(2, max_nodes + 1):
             made = 0
             while made < tuples_per_case:
@@ -138,10 +148,10 @@ def gh_equivalence_suite(seed=0, tuples_per_case=20, max_nodes=5) -> SuiteResult
                     continue
                 a = divdiff.divdiff_recursive(fun, z)
                 b = divdiff.divdiff_analytic(fun, z)
-                worst = max(worst, abs(a - b))
-                comparisons += 1
+                yield abs(a - b), 1
                 made += 1
-    return SuiteResult("simplex_recursion_equivalence", worst, 1e-9, comparisons)
+
+    return _tally("simplex_recursion_equivalence", 1e-9, funs, compare)
 
 
 def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
@@ -149,24 +159,19 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     """Symmetrized transform at the coefficients of a tuple against the
     multi-node transform at the tuple itself."""
     rng = np.random.default_rng(seed)
-    grid = geometry.sample_boundary(domain, nodes)
-    phis = catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)]
-    data = _boundary_data(grid, phis)
-    worst = 0.0
-    comparisons = 0
-    for n in arities:
-        try:
-            tuples = cauchy._require_inside(domain, _separated_tuples(
-                domain, n, points, rng, min_distance=0.2, separation=0.05))
-            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
-            for _, samples in data:
-                lhs = cauchy.symmetrized_transform(samples, zs)
-                rhs = cauchy.norlund_transform(samples, tuples)
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
-                comparisons += len(lhs)
-        except SymprodError:
-            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
-    return SuiteResult("pushforward_identity", worst, 1e-9, comparisons)
+    data = _boundary_data(domain, nodes,
+                          catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)])
+
+    def compare(n):
+        tuples = cauchy._require_inside(domain, _separated_tuples(
+            domain, n, points, rng, min_distance=0.2, separation=0.05))
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
+        for _, samples in data:
+            lhs = cauchy.symmetrized_transform(samples, zs)
+            rhs = cauchy.norlund_transform(samples, tuples)
+            yield float(np.abs(lhs - rhs).max()), len(lhs)
+
+    return _tally("pushforward_identity", 1e-9, arities, compare)
 
 
 def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0,
@@ -200,56 +205,51 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     """
     rng = np.random.default_rng(seed)
     direction_rng = rng.spawn(1)[0]
-    grid = geometry.sample_boundary(domain, nodes)
-    data = _boundary_data(grid, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
+    data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
     diameter = geometry.domain_diameter(domain)
     # Every kernel factor is at least 0.37 * diameter: 0.37^9 ~ 1.3e-4 > KERNEL_FLOOR.
     depth = 0.37 * diameter
     radius = _CIRCLE_RADIUS * diameter
     zeta = radius * np.exp(2j * np.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS)
     rho_k = radius ** np.arange(_MAX_ORDER + 1)
-    worst = 0.0
-    comparisons = 0
-    for n in arities:
-        try:
-            tuples = _separated_tuples(domain, n, points, rng, min_distance=depth,
-                                       separation=0.08)
-            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
-            gammas = np.array(_multi_indices(n))
-            orders = gammas.sum(axis=1)
-            re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
-            u = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)   # (D, n)
-            # Roots that move at most _CIRCLE_RADIUS diameters stay 0.32 deep.  Certified once,
-            # they are carried with their coefficients, so no root finding runs for them.
-            w = tuples[:, None, None, :] + zeta[:, None] * u[:, None, :]                # (B, D, M, n)
-            w = cauchy._require_inside(domain, w).points
-            circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
-            weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
-            for _, samples in data:
-                try:
-                    got = cauchy.derivative_symmetrized(gammas, samples, zs)
-                    accepted = np.ones(got.shape, dtype=bool)
-                except KernelProximityError as exc:
-                    got, accepted = exc.partial
-                # (B, K): tuples whose entries of order <= k were all accepted.
-                checked = (accepted[:, None, :]
-                           | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
-                # The floor refuses circle points for every datum alike: the arity goes unchecked.
-                values = cauchy.symmetrized_transform(samples, circles)     # (B, D, M)
-                if not checked.any(axis=0).all():
-                    worst = float("inf")    # an order that no tuple could check
-                taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
-                terms = got[:, None, None, :] * weights
-                mask = np.broadcast_to(checked[:, None, :], taylor.shape)
-                scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
-                # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
-                size = _abs(samples.values * grid.weights).sum() / (2 * np.pi * (0.32 * diameter)**n)
-                errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
-                worst = max(worst, float(np.fmax.reduce(errors[mask], initial=0.0)))
-                comparisons += int(mask.sum())
-        except SymprodError:
-            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
-    return SuiteResult("derivative_factorization", worst, 1e-9, comparisons)
+
+    def compare(n):
+        tuples = _separated_tuples(domain, n, points, rng, min_distance=depth, separation=0.08)
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
+        gammas = np.array(_multi_indices(n))
+        orders = gammas.sum(axis=1)
+        re, im = direction_rng.standard_normal((2, n * (n + 1) // 2, n))
+        u = (re + 1j * im) / np.abs(re + 1j * im).max(axis=-1, keepdims=True)   # (D, n)
+        # Roots that move at most _CIRCLE_RADIUS diameters stay 0.32 deep.  Certified once,
+        # they are carried with their coefficients, so no root finding runs for them.
+        w = tuples[:, None, None, :] + zeta[:, None] * u[:, None, :]                # (B, D, M, n)
+        w = cauchy._require_inside(domain, w).points
+        circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
+        weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
+        for _, samples in data:
+            try:
+                got = cauchy.derivative_symmetrized(gammas, samples, zs)
+                accepted = np.ones(got.shape, dtype=bool)
+            except KernelProximityError as exc:
+                got, accepted = exc.partial
+            # (B, K): tuples whose entries of order <= k were all accepted.
+            checked = (accepted[:, None, :]
+                       | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
+            # The floor refuses circle points for every datum alike: the arity goes unchecked.
+            values = cauchy.symmetrized_transform(samples, circles)     # (B, D, M)
+            if not checked.any(axis=0).all():
+                yield float("inf"), 0    # an order that no tuple could check
+            taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
+            terms = got[:, None, None, :] * weights
+            mask = np.broadcast_to(checked[:, None, :], taylor.shape)
+            scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
+            # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
+            size = (_abs(samples.values * samples.grid.weights).sum()
+                    / (2 * np.pi * (0.32 * diameter)**n))
+            errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
+            yield float(np.fmax.reduce(errors[mask], initial=0.0)), int(mask.sum())
+
+    return _tally("derivative_factorization", 1e-9, arities, compare)
 
 
 def _multi_indices(n: int) -> list[tuple[int, ...]]:
@@ -260,8 +260,8 @@ def _multi_indices(n: int) -> list[tuple[int, ...]]:
 
 def _abs(x: np.ndarray) -> np.ndarray:
     # Bit for bit Python's abs(complex); np.abs of complex arrays may differ.
-    # The suites reduce these with np.fmax, which skips NaN entries as the
-    # per-entry max(worst, abs(...)) loops it replaced did.
+    # The suites reduce these with np.fmax, which skips NaN entries as
+    # _tally's max(worst, residual) skips a NaN residual.
     return np.hypot(x.real, x.imag)
 
 
@@ -299,64 +299,54 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     drawn roots (residue identity), each error relative to
     ``max(1, max|f|^ell)`` over the nodes."""
     rng = np.random.default_rng(seed)
-    grid = geometry.sample_boundary(domain, nodes)
-    funs = [catalog.monomial_phi(1), catalog.monomial_phi(2)]
-    worst = 0.0
-    comparisons = 0
-    for n in arities:
-        try:
-            tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
-            zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
-            for fun in funs:
-                samples = cauchy.boundary_samples(grid, fun)
-                roots_vals = fun(tuples)
-                for ell in range(1, n + 1):
-                    got = symmetric.power_sum_transform(samples, ell, zs)
-                    ref = (roots_vals**ell).sum(axis=-1)
-                    scale = max(1.0, float(np.abs(samples.values).max()) ** ell)
-                    worst = max(worst, float(np.abs(got - ref).max()) / scale)
-                    comparisons += len(tuples)
-        except SymprodError:
-            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
-    return SuiteResult("power_sum_residues", worst, 1e-9, comparisons)
+    data = _boundary_data(domain, nodes, [catalog.monomial_phi(1), catalog.monomial_phi(2)])
+
+    def compare(n):
+        tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
+        zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
+        for fun, samples in data:
+            roots_vals = fun(tuples)
+            for ell in range(1, n + 1):
+                got = symmetric.power_sum_transform(samples, ell, zs)
+                ref = (roots_vals**ell).sum(axis=-1)
+                scale = max(1.0, float(np.abs(samples.values).max()) ** ell)
+                yield float(np.abs(got - ref).max()) / scale, len(tuples)
+
+    return _tally("power_sum_residues", 1e-9, arities, compare)
 
 
 def newton_consistency_suite(seed=0) -> SuiteResult:
     """Newton's identities recover the elementary symmetric values from
     power sums (relative error)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in range(1, _NEWTON_MAX_ARITY + 1):
+
+    def compare(n):
         shape = (_NEWTON_TUPLES, n)
         w = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
         e_direct = symmetric.symmetrize(w)
         e_newton = symmetric.newton_map(symmetric.power_sums(w))
         scale = 1.0 + np.abs(e_direct).max(axis=-1, keepdims=True)
-        worst = max(worst, float((np.abs(e_newton - e_direct) / scale).max()))
-    return SuiteResult("newton_power_sum_consistency", worst, 1e-11,
-                       _NEWTON_TUPLES * _NEWTON_MAX_ARITY)
+        yield float((np.abs(e_newton - e_direct) / scale).max()), _NEWTON_TUPLES
+
+    return _tally("newton_power_sum_consistency", 1e-11, range(1, _NEWTON_MAX_ARITY + 1),
+                  compare)
 
 
 def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0) -> SuiteResult:
     """Bitwise permutation invariance of the multi-node transform."""
     rng = np.random.default_rng(seed)
-    grid = geometry.sample_boundary(domain, nodes)
-    data = _boundary_data(grid, [catalog.pole_phi(3.0)])
-    worst = 0.0
-    comparisons = 0
-    for n in (2, 3, 4):
-        try:
-            tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-            for _, samples in data:
-                base = cauchy.norlund_transform(samples, tuples)
-                for _ in range(3):
-                    perm = rng.permutation(n)
-                    other = cauchy.norlund_transform(samples, tuples[:, perm])
-                    worst = max(worst, float(np.abs(other - base).max()))
-                    comparisons += len(base)
-        except SymprodError:
-            worst = float("inf")    # no tuples placed, or a transform refused them: unchecked
-    return SuiteResult("permutation_invariance", worst, 0.0, comparisons)
+    data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0)])
+
+    def compare(n):
+        tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
+        for _, samples in data:
+            base = cauchy.norlund_transform(samples, tuples)
+            for _ in range(3):
+                perm = rng.permutation(n)
+                other = cauchy.norlund_transform(samples, tuples[:, perm])
+                yield float(np.abs(other - base).max()), len(base)
+
+    return _tally("permutation_invariance", 0.0, (2, 3, 4), compare)
 
 
 def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
@@ -364,7 +354,7 @@ def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
     """The full identity suite at CLI scale."""
     arities = tuple(range(2, max_arity + 1)) or (2,)
     sym_arities = tuple(range(1, max_arity + 1))
-    results = [
+    return [replace(r, tolerance=r.tolerance * tol_scale) for r in [
         cauchy_reproduction_suite(domain, nodes, points, seed),
         norlund_divdiff_suite(domain, nodes, points, seed, arities=arities),
         gh_equivalence_suite(seed, tuples_per_case=5, max_nodes=min(max_arity + 1, 5)),
@@ -374,10 +364,4 @@ def run_identity_suites(domain, nodes=DEFAULT_NODES, max_arity=3, seed=0,
         power_sum_suite(domain, nodes, max(points // 2, 10), seed, arities=sym_arities),
         newton_consistency_suite(seed),
         permutation_invariance_suite(domain, nodes, max(points // 2, 10), seed),
-    ]
-    if tol_scale != 1.0:
-        results = [
-            SuiteResult(r.name, r.max_residual, r.tolerance * tol_scale, r.comparisons)
-            for r in results
-        ]
-    return results
+    ]]

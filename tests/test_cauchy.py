@@ -216,7 +216,7 @@ def test_truncated_pv_degenerate(grids):
 def test_truncated_pv_radius_validation(grids):
     _, grid = grids
     sq = phi_samples(grid, catalog.monomial_phi(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateTruncationError):
         sp.truncated_pv(sq, [grid.nodes[0]], 0.9)
 
 

@@ -244,6 +244,14 @@ def test_pv_explicit_phi_is_used(tmp_path):
     assert rep["meta"]["config"]["phi"] == rep["results"]["phi"] == "monomial 3"
 
 
+def test_pv_on_a_domain_smaller_than_its_radii_is_refused(tmp_path, capfd):
+    # The fixed radius 2^-3 reaches past a quarter of this disc's diameter 0.4.
+    code = run(["pv", "--domain", "disc 0 0 0.2", "--out", str(tmp_path / "pv")])
+    _, err = capfd.readouterr()
+    assert code == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_propermap_run(tmp_path):
     out = tmp_path / "pm"
     code = run(["propermap", "--domain", "disc 0 0 1", "--propermap", "monomial 2",

@@ -330,15 +330,28 @@ DOMAIN_SUITES = [suites.cauchy_reproduction_suite, suites.norlund_divdiff_suite,
                  suites.power_sum_suite, suites.permutation_invariance_suite]
 
 
-@pytest.mark.parametrize("suite", DOMAIN_SUITES, ids=lambda s: s.__name__)
-@pytest.mark.parametrize("step, error", [
+REFUSALS = [(suite, step, error) for step, error in [
     ("draw", SamplingError), ("transform", NonFiniteDataError), ("certify", RootFindingError),
-])
+] for suite in DOMAIN_SUITES] + [(suite, "later-draw", SamplingError) for suite in DOMAIN_SUITES
+                                 if suite is not suites.cauchy_reproduction_suite]
+
+
+@pytest.mark.parametrize("suite, step, error", REFUSALS,
+                         ids=[f"{t}-{e.__name__}-{s.__name__}" for s, t, e in REFUSALS])
 def test_a_library_error_leaves_the_arity_unchecked(unit_disc, monkeypatch, suite, step, error):
     # Whatever library error a suite's draw, region check or transform
-    # raises, the suite reads inf and fails; it does not raise.
+    # raises, the suite reads inf and fails; it does not raise.  A refused
+    # second arity keeps the comparisons of the first.
     if step == "draw":
         monkeypatch.setattr(sp.geometry, "sample_interior", _refuse(error))
+    elif step == "later-draw":
+        draw, calls = suites._separated_tuples, []
+
+        def first_draw_only(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs) if len(calls) == 1 else _refuse(error)()
+
+        monkeypatch.setattr(suites, "_separated_tuples", first_draw_only)
     elif step == "certify":
         monkeypatch.setattr(cauchy, "_require_inside", _refuse(error))
         monkeypatch.setattr(cauchy, "_require_roots_inside", _refuse(error))
@@ -349,6 +362,7 @@ def test_a_library_error_leaves_the_arity_unchecked(unit_disc, monkeypatch, suit
         monkeypatch.setattr(symmetric, "power_sum_transform", _refuse(error))
     result = suite(unit_disc, points=10)
     assert result.max_residual == float("inf") and not result.passed
+    assert (result.comparisons > 0) == (step == "later-draw")
 
 
 @pytest.mark.parametrize("suite", DOMAIN_SUITES, ids=lambda s: s.__name__)

@@ -74,6 +74,8 @@ propermap --domain 'disc 0 0 1' --propermap 'blaschke 0.5' --n 3
 propermap --propermap identity
 propermap --propermap 'blaschke 0.5 -0.3'
 propermap --propermap 'blaschke nan'
+# pv's largest radius, 2^-3, reaches past a quarter of this disc's diameter.
+pv --domain 'disc 0 0 0.2'
 # Thin ellipses, and holes that leave the outer contour, nest, overlap or touch.
 transform --domain 'ellipse 0 0 1 0.2'
 transform --domain 'ellipse 0 0 1 0.25'
