@@ -20,6 +20,7 @@ from .cauchy import (
     cauchy_transform,
     derivative_symmetrized,
     norlund_transform,
+    stack_samples,
     symmetrized_transform,
     truncated_pv,
     truncation_growth_fit,

@@ -12,7 +12,11 @@ kernel values p(z, t_j) (and, for the derivative and power-sum variants, a
 numerator in place of phi) and hands them to :func:`_kernel_integral`, the
 one sum.  The kernel-magnitude floor is one predicate with a verdict per
 row, :func:`_kernel_floor`; every public transform refuses the whole call
-if it refuses any row.
+if it refuses any row.  A :class:`BoundarySamples` may carry a stack of D
+data on one grid (:func:`stack_samples`): each transform then forms and
+checks its kernel once and sums every datum against it, with a trailing
+data axis of length D on its result; each datum's values are bit for bit
+those of a call with that datum alone.
 Three named kernels matter downstream:
 
 * ``t - z``                       the classical Cauchy transform,
@@ -57,15 +61,25 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class BoundarySamples:
-    """Boundary data phi sampled on a quadrature grid."""
+    """Boundary data phi sampled on a quadrature grid: values (M,) for one
+    datum, or (D, M) for a stack of D data."""
 
     grid: BoundaryGrid
     values: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        if len(self.values) != len(self.grid.nodes):
+        if np.ndim(self.values) not in (1, 2) or np.shape(self.values)[-1] != len(self.grid.nodes):
             raise ValueError("value count does not match grid node count")
+
+
+def stack_samples(data) -> BoundarySamples:
+    """One or more single data on one grid as a stack, values (D, M)."""
+    data = list(data)
+    if not data or any(s.grid is not data[0].grid or np.ndim(s.values) != 1 for s in data):
+        raise ValueError("stack_samples takes one or more single data on one grid")
+    return BoundarySamples(grid=data[0].grid, values=np.stack([s.values for s in data]),
+                           description="; ".join(s.description for s in data))
 
 
 def boundary_samples(grid: BoundaryGrid, phi: CatalogFunction) -> BoundarySamples:
@@ -140,10 +154,13 @@ def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, nu
     """(2*pi*i)^{-1} * sum_j numerator_j * w_j / p(z, t_j) over the last axis
     of the kernel values ``kern`` (..., M).
 
-    ``numerator`` defaults to the boundary data.  This is the one sum: the
-    whole call raises :class:`KernelProximityError` if :func:`_kernel_floor`
-    refuses any row, and :class:`NonFiniteDataError` if a kernel value or a
-    sum is NaN or infinite.
+    ``numerator`` defaults to the boundary data.  For a stack of data
+    (D, M) the kernel is broadcast against a data axis before its last, so
+    the result gains a trailing axis (..., D), and a ``numerator`` carries
+    that axis as its second to last.  This is the one sum: the whole call
+    raises :class:`KernelProximityError` if :func:`_kernel_floor` refuses
+    any row, and :class:`NonFiniteDataError` if a kernel value or the sum of
+    any datum is NaN or infinite.
     """
     floor, refused = _kernel_floor(samples, kern, degree)
     if refused.any():
@@ -151,6 +168,10 @@ def _kernel_integral(samples: BoundarySamples, kern: np.ndarray, degree: int, nu
             f"kernel minimum {float(np.abs(kern).min()):.3g} below floor {floor:.3g} (degree {degree})"
         )
     values = samples.values if numerator is None else numerator
+    if samples.values.ndim == 2:
+        kern = kern[..., None, :]
+    # Elementwise products and a sum over the last axis, not a matrix product:
+    # each datum's sum is then bit for bit that of a single-datum call.
     with np.errstate(over="ignore", invalid="ignore"):
         out = (values * samples.grid.weights / kern).sum(axis=-1) / (2.0j * np.pi)
     if not np.isfinite(out).all():
@@ -204,6 +225,11 @@ def _require_roots_inside(domain, z) -> _Inside:
 # Transforms
 # ---------------------------------------------------------------------------
 
+def _scalar(out):
+    """A 0-d result as a ``complex``; an array as it is."""
+    return complex(out) if np.ndim(out) == 0 else out
+
+
 def cauchy_transform(samples: BoundarySamples, z):
     """Cauchy transform at interior point(s) z.
 
@@ -214,7 +240,7 @@ def cauchy_transform(samples: BoundarySamples, z):
     """
     zs = _require_inside(samples.grid.domain, z).points
     out = _kernel_integral(samples, samples.grid.nodes - np.atleast_1d(zs)[..., None], 1)
-    return out if zs.ndim else complex(out[0])
+    return out if zs.ndim else _scalar(out[0])
 
 
 def norlund_transform(samples: BoundarySamples, w):
@@ -228,8 +254,7 @@ def norlund_transform(samples: BoundarySamples, w):
     if np.ndim(w) == 0:
         raise ValueError("w must supply at least one coordinate")
     ws = _require_inside(samples.grid.domain, w).points
-    out = _kernel_integral(samples, product_eval(ws, samples.grid.nodes), ws.shape[-1])
-    return complex(out) if np.ndim(out) == 0 else out
+    return _scalar(_kernel_integral(samples, product_eval(ws, samples.grid.nodes), ws.shape[-1]))
 
 
 def symmetrized_transform(samples: BoundarySamples, z, check_region: bool = True):
@@ -243,8 +268,7 @@ def symmetrized_transform(samples: BoundarySamples, z, check_region: bool = True
     if check_region:
         z = _require_roots_inside(samples.grid.domain, z)
     zs = np.asarray(z, dtype=complex)
-    out = _kernel_integral(samples, monic_eval(zs, samples.grid.nodes), zs.shape[-1])
-    return complex(out) if zs.ndim == 1 else out
+    return _scalar(_kernel_integral(samples, monic_eval(zs, samples.grid.nodes), zs.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +311,18 @@ def derivative_symmetrized(gamma, samples: BoundarySamples, z):
 
     ``z`` has shape (..., n); ``gamma`` is one multi-index (n,) or a stack
     (G, n).  The values have shape (...) for one multi-index and (..., G)
-    for a stack; a 1-d ``z`` with one multi-index gives a ``complex``.  If
-    the kernel floor refuses any entry, the call raises
+    for a stack, and a stack of D data adds a trailing axis (D,); a 1-d
+    ``z`` with one multi-index and one datum gives a ``complex``.  If the
+    kernel floor refuses any entry, the call raises
     :class:`KernelProximityError`, whose ``partial`` holds the values and
-    the floor's verdict per entry in that shape; refused entries read 0.
+    the floor's verdict per entry, which is the same for every datum and
+    has the values' shape without the data axis; refused entries read 0.
     """
     values, accepted = _derivative_entries(gamma, samples, z)
     if not accepted.all():
         raise KernelProximityError(f"kernel floor refused {int((~accepted).sum())} of "
                                    f"{accepted.size} derivative entries", (values, accepted))
-    return complex(values) if values.ndim == 0 else values
+    return _scalar(values)
 
 
 def _derivative_entries(gamma, samples: BoundarySamples, z):
@@ -315,20 +341,23 @@ def _derivative_entries(gamma, samples: BoundarySamples, z):
     roots = _require_roots_inside(samples.grid.domain, z).roots.reshape(-1, n)
     nodes = samples.grid.nodes
     prod = product_eval(roots, nodes) if orders.any() else None
-    values = np.zeros((len(rows), len(gammas)), dtype=complex)
-    accepted = np.zeros(values.shape, dtype=bool)
+    data = samples.values.shape[:-1]
+    values = np.zeros((len(rows), len(gammas)) + data, dtype=complex)
+    accepted = np.zeros((len(rows), len(gammas)), dtype=bool)
     for k in sorted(set(orders.tolist())):
         # A Python int exponent: numpy squares by a different path for np.int64.
         with np.errstate(over="ignore", invalid="ignore"):    # the floor refuses non-finite values
             kern = monic_eval(rows, nodes) if k == 0 else prod ** (k + 1)
-        numerator = samples.values * np.stack(
-            [derivative_weight_values(row, n, nodes) for row, o in zip(gammas, orders) if o == k]
-        ) if k else None
+        numerator = None
+        if k:
+            weights = np.stack([derivative_weight_values(row, n, nodes)
+                                for row, o in zip(gammas, orders) if o == k])    # (G_k, M)
+            numerator = samples.values * (weights[:, None, :] if data else weights)
         ok, cols = ~_kernel_floor(samples, kern, n * (k + 1))[1], orders == k
         accepted[:, cols] = ok[:, None]
         values[np.ix_(ok, cols)] = _kernel_integral(samples, kern[ok, None, :], n * (k + 1), numerator)
     shape = zs.shape[:-1] + ((len(gammas),) if g.ndim == 2 else ())
-    return values.reshape(shape), accepted.reshape(shape)
+    return values.reshape(shape + data), accepted.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

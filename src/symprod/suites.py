@@ -2,12 +2,14 @@
 
 Each suite returns a :class:`SuiteResult` carrying the worst residual seen,
 the tolerance it was checked against and the number of comparisons.  A
-boundary datum whose samples are not finite is refused and compares nothing.
-A suite checks its cases (arities, or data) one at a time, and one rule,
-:func:`_tally`, holds for all of them: a library error while a suite draws,
-certifies or evaluates a case leaves that case unchecked, so the suite
-reports an infinite residual and fails, and the comparisons made before the
-error still count.
+boundary datum whose samples are not finite is refused and compares nothing;
+the other data of a suite form one stack, which each transform of a case
+evaluates in one call, so a datum whose sum leaves the float range refuses
+the whole case.  A suite checks its cases (arities, or data) one at a time,
+and one rule, :func:`_tally`, holds for all of them: a library error while a
+suite draws, certifies or evaluates a case leaves that case unchecked, so
+the suite reports an infinite residual and fails, and the comparisons made
+before the error still count.
 The CLI ``identities`` subcommand and the acceptance tests both run these.
 """
 
@@ -64,16 +66,18 @@ def _tally(name, tolerance, cases, compare) -> SuiteResult:
 
 
 def _boundary_data(domain, nodes, phis):
-    """(phi, samples) for each datum whose samples on the domain's boundary
-    grid are finite; the data refused with NonFiniteDataError are left out."""
+    """The data among ``phis`` whose samples on the domain's boundary grid are
+    finite, and those samples as one stack (D, M), or None if there are none;
+    the data refused with NonFiniteDataError are left out."""
     grid = geometry.sample_boundary(domain, nodes)
-    data = []
+    kept, samples = [], []
     for phi in phis:
         try:
-            data.append((phi, cauchy.boundary_samples(grid, phi)))
+            samples.append(cauchy.boundary_samples(grid, phi))
         except NonFiniteDataError:
             continue
-    return data
+        kept.append(phi)
+    return kept, cauchy.stack_samples(samples) if samples else None
 
 
 def _separated_tuples(domain, n, count, rng, min_distance=0.12, separation=0.15):
@@ -97,15 +101,17 @@ def cauchy_reproduction_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0) -
     """Reproduction of holomorphic boundary traces by the Cauchy transform,
     each datum's error relative to ``max(1, max|phi|)`` over the nodes."""
     rng = np.random.default_rng(seed)
-    data = _boundary_data(domain, nodes,
-                          [catalog.monomial_phi(m) for m in range(9)] + [catalog.pole_phi(3.0)])
+    phis, data = _boundary_data(domain, nodes, [catalog.monomial_phi(m) for m in range(9)]
+                                + [catalog.pole_phi(3.0)])
 
     def compare(count):
         zs = cauchy._require_inside(domain, geometry.sample_interior(domain, count, rng, 0.1))
-        for phi, samples in data:
-            got = cauchy.cauchy_transform(samples, zs)
-            scale = max(1.0, float(np.abs(samples.values).max()))
-            yield float(np.abs(got - phi(zs.points)).max()) / scale, len(got)
+        if data is None:
+            return
+        got = cauchy.cauchy_transform(data, zs)    # (count, D)
+        for d, phi in enumerate(phis):
+            scale = max(1.0, float(np.abs(data.values[d]).max()))
+            yield float(np.abs(got[:, d] - phi(zs.points)).max()) / scale, len(got)
 
     return _tally("cauchy_reproduction", 1e-10, [points], compare)
 
@@ -115,15 +121,18 @@ def norlund_divdiff_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     """Multi-node transform against divided differences of the Cauchy
     transform evaluated on the same grid."""
     rng = np.random.default_rng(seed)
-    data = _boundary_data(domain, nodes, catalog.smooth_phi_suite()
-                          + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)])
+    phis, data = _boundary_data(domain, nodes, catalog.smooth_phi_suite()
+                                + [catalog.conj_phi(), catalog.weierstrass_phi(0.5)])
 
     def compare(n):
         tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-        for _, samples in data:
-            lhs = cauchy.norlund_transform(samples, tuples)
-            ref = divdiff.divdiff_table(cauchy.cauchy_transform(samples, tuples), tuples.points)
-            yield float(np.fmax.reduce(_abs(lhs - ref))), len(lhs)
+        if data is None:
+            return
+        lhs = cauchy.norlund_transform(data, tuples)              # (B, D)
+        values = cauchy.cauchy_transform(data, tuples)            # (B, n, D)
+        for d in range(len(phis)):
+            ref = divdiff.divdiff_table(values[..., d], tuples.points)
+            yield float(np.fmax.reduce(_abs(lhs[:, d] - ref))), len(lhs)
 
     return _tally("norlund_divided_difference", 1e-9, arities, compare)
 
@@ -159,17 +168,19 @@ def pushforward_suite(domain, nodes=DEFAULT_NODES, points=200, seed=0,
     """Symmetrized transform at the coefficients of a tuple against the
     multi-node transform at the tuple itself."""
     rng = np.random.default_rng(seed)
-    data = _boundary_data(domain, nodes,
-                          catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)])
+    phis, data = _boundary_data(domain, nodes,
+                                catalog.smooth_phi_suite() + [catalog.weierstrass_phi(0.5)])
 
     def compare(n):
         tuples = cauchy._require_inside(domain, _separated_tuples(
             domain, n, points, rng, min_distance=0.2, separation=0.05))
         zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples.points))
-        for _, samples in data:
-            lhs = cauchy.symmetrized_transform(samples, zs)
-            rhs = cauchy.norlund_transform(samples, tuples)
-            yield float(np.abs(lhs - rhs).max()), len(lhs)
+        if data is None:
+            return
+        lhs = cauchy.symmetrized_transform(data, zs)      # (B, D)
+        rhs = cauchy.norlund_transform(data, tuples)
+        for d in range(len(phis)):
+            yield float(np.abs(lhs[:, d] - rhs[:, d]).max()), len(lhs)
 
     return _tally("pushforward_identity", 1e-9, arities, compare)
 
@@ -182,9 +193,9 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     Per arity, the tuples' roots w get C(n+1, 2) directions u, from a
     generator spawned off the tuple draws, and a circle w + zeta*u of
     ``_CIRCLE_POINTS`` points along each.  One symmetrized transform call per
-    datum evaluates all circle points, and an FFT gives the Taylor
-    coefficients g_k of F(symmetrize(w + zeta*u)); the chain rule predicts
-    them from the derivatives (:func:`_chain_rule_weights`).  A residual
+    arity evaluates all circle points for all data, and an FFT gives the
+    Taylor coefficients g_k of F(symmetrize(w + zeta*u)); the chain rule
+    predicts them from the derivatives (:func:`_chain_rule_weights`).  A residual
     |g_k - c_k| is scaled by the largest sum of |terms| of c_k over the
     arity's tuples and directions, or, where that is larger, by
     ``_RESOLUTION`` times a bound on the size of the quadrature terms over
@@ -194,18 +205,18 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
     The composed kernel of order |gamma| has degree n*(|gamma|+1) and the
     floor ``KERNEL_FLOOR * diameter^(n*(|gamma|+1))``.  Tuples sit 0.37
     diameters deep, which clears it while n*(|gamma|+1) <= 9.  Past that the
-    floor refuses some tuples' orders; the one derivative call per datum
-    hands back the other entries with its refusal.  If the floor refuses
-    every tuple of an arity at one order (on the unit disc, order 2 from
-    n = 5), or refuses the circle points, that order is unchecked and the
-    suite reports an infinite residual, so it fails.  So does an arity that
-    places no tuples at the sampling depth, as on a narrow annulus or on
-    ``ellipse 0 0 1 0.77`` at n = 3, or meets another library error: that
-    arity goes unchecked.
+    floor refuses some tuples' orders; the one derivative call per arity,
+    for all data, hands back the other entries with its refusal.  If the
+    floor refuses every tuple of an arity at one order (on the unit disc,
+    order 2 from n = 5), or refuses the circle points, that order is
+    unchecked and the suite reports an infinite residual, so it fails.  So
+    does an arity that places no tuples at the sampling depth, as on a
+    narrow annulus or on ``ellipse 0 0 1 0.77`` at n = 3, or meets another
+    library error: that arity goes unchecked.
     """
     rng = np.random.default_rng(seed)
     direction_rng = rng.spawn(1)[0]
-    data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
+    phis, data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0), catalog.monomial_phi(6)])
     diameter = geometry.domain_diameter(domain)
     # Every kernel factor is at least 0.37 * diameter: 0.37^9 ~ 1.3e-4 > KERNEL_FLOOR.
     depth = 0.37 * diameter
@@ -226,25 +237,27 @@ def derivative_factorization_suite(domain, nodes=DEFAULT_NODES, points=5, seed=0
         w = cauchy._require_inside(domain, w).points
         circles = cauchy._Inside(domain, symmetric.symmetrize(w), w)
         weights = _chain_rule_weights(gammas, tuples[:, None, :], u)     # (B, D, K, G)
-        for _, samples in data:
-            try:
-                got = cauchy.derivative_symmetrized(gammas, samples, zs)
-                accepted = np.ones(got.shape, dtype=bool)
-            except KernelProximityError as exc:
-                got, accepted = exc.partial
-            # (B, K): tuples whose entries of order <= k were all accepted.
-            checked = (accepted[:, None, :]
-                       | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
-            # The floor refuses circle points for every datum alike: the arity goes unchecked.
-            values = cauchy.symmetrized_transform(samples, circles)     # (B, D, M)
-            if not checked.any(axis=0).all():
-                yield float("inf"), 0    # an order that no tuple could check
-            taylor = np.fft.fft(values)[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
-            terms = got[:, None, None, :] * weights
+        if data is None:
+            return
+        try:
+            got = cauchy.derivative_symmetrized(gammas, data, zs)     # (B, G, P): P data
+            accepted = np.ones(got.shape[:-1], dtype=bool)
+        except KernelProximityError as exc:
+            got, accepted = exc.partial
+        # (B, K): tuples whose entries of order <= k were all accepted.
+        checked = (accepted[:, None, :]
+                   | (orders > np.arange(_MAX_ORDER + 1)[:, None])).all(-1)
+        # The floor refuses circle points for every datum alike: the arity goes unchecked.
+        values = cauchy.symmetrized_transform(data, circles)     # (B, D, M, P)
+        if not checked.any(axis=0).all():
+            yield float("inf"), 0    # an order that no tuple could check
+        for d in range(len(phis)):
+            taylor = np.fft.fft(values[..., d])[..., :_MAX_ORDER + 1] / (_CIRCLE_POINTS * rho_k)
+            terms = got[:, None, None, :, d] * weights
             mask = np.broadcast_to(checked[:, None, :], taylor.shape)
             scale = np.where(mask, _abs(terms).sum(axis=-1), 0.0).max(axis=(0, 1))   # (K,)
             # Terms of a circle point's sum are at most |phi w| / (0.32 diameter)^n.
-            size = (_abs(samples.values * samples.grid.weights).sum()
+            size = (_abs(data.values[d] * data.grid.weights).sum()
                     / (2 * np.pi * (0.32 * diameter)**n))
             errors = _abs(taylor - terms.sum(axis=-1)) / np.maximum(scale, _RESOLUTION * size / rho_k)
             yield float(np.fmax.reduce(errors[mask], initial=0.0)), int(mask.sum())
@@ -299,18 +312,20 @@ def power_sum_suite(domain, nodes=DEFAULT_NODES, points=50, seed=0, arities=(1, 
     drawn roots (residue identity), each error relative to
     ``max(1, max|f|^ell)`` over the nodes."""
     rng = np.random.default_rng(seed)
-    data = _boundary_data(domain, nodes, [catalog.monomial_phi(1), catalog.monomial_phi(2)])
+    funs, data = _boundary_data(domain, nodes, [catalog.monomial_phi(1), catalog.monomial_phi(2)])
 
     def compare(n):
         tuples = _separated_tuples(domain, n, points, rng, min_distance=0.2, separation=0.05)
         zs = cauchy._require_roots_inside(domain, symmetric.symmetrize(tuples))
-        for fun, samples in data:
+        if data is None:
+            return
+        got = symmetric.power_sum_transform(data, range(1, n + 1), zs)    # (B, n, D)
+        for d, fun in enumerate(funs):
             roots_vals = fun(tuples)
             for ell in range(1, n + 1):
-                got = symmetric.power_sum_transform(samples, ell, zs)
                 ref = (roots_vals**ell).sum(axis=-1)
-                scale = max(1.0, float(np.abs(samples.values).max()) ** ell)
-                yield float(np.abs(got - ref).max()) / scale, len(tuples)
+                scale = max(1.0, float(np.abs(data.values[d]).max()) ** ell)
+                yield float(np.abs(got[:, ell - 1, d] - ref).max()) / scale, len(tuples)
 
     return _tally("power_sum_residues", 1e-9, arities, compare)
 
@@ -333,18 +348,20 @@ def newton_consistency_suite(seed=0) -> SuiteResult:
 
 
 def permutation_invariance_suite(domain, nodes=DEFAULT_NODES, points=25, seed=0) -> SuiteResult:
-    """Bitwise permutation invariance of the multi-node transform."""
+    """Bitwise permutation invariance of the multi-node transform: the tuples
+    and three permutations of their coordinates, in one call per arity."""
     rng = np.random.default_rng(seed)
-    data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0)])
+    phis, data = _boundary_data(domain, nodes, [catalog.pole_phi(3.0)])
 
     def compare(n):
         tuples = cauchy._require_inside(domain, _separated_tuples(domain, n, points, rng))
-        for _, samples in data:
-            base = cauchy.norlund_transform(samples, tuples)
-            for _ in range(3):
-                perm = rng.permutation(n)
-                other = cauchy.norlund_transform(samples, tuples[:, perm])
-                yield float(np.abs(other - base).max()), len(base)
+        if data is None:
+            return
+        orders = np.stack([np.arange(n)] + [rng.permutation(n) for _ in range(3)])
+        out = cauchy.norlund_transform(data, tuples[:, orders])    # (B, 4, D)
+        for d in range(len(phis)):
+            for other in out[:, 1:, d].T:
+                yield float(np.abs(other - out[:, 0, d]).max()), len(out)
 
     return _tally("permutation_invariance", 0.0, (2, 3, 4), compare)
 

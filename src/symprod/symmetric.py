@@ -12,6 +12,7 @@ through boundary integrals of power sums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,28 +337,35 @@ def newton_map(p) -> np.ndarray:
     return e[..., 1:]
 
 
-def power_sum_transform(f_samples: BoundarySamples, ell: int, z):
+def power_sum_transform(f_samples: BoundarySamples, ell, z):
     """Boundary integral of f^ell times the logarithmic derivative of the
     coefficient-form kernel; equals the ell-th power sum of f over the
     kernel roots by residue calculus.
 
-    ``z`` has shape (..., n); a single tuple gives a complex scalar, a batch
-    an array of shape ``z.shape[:-1]``.
+    ``z`` has shape (..., n) and ``ell`` is one power or a sequence of L
+    powers, all formed against one kernel.  The result has shape
+    ``z.shape[:-1]``, then (L,) for a sequence, then (D,) for a stack of D
+    data; a single tuple, power and datum give a complex scalar.
     """
-    if ell < 1:
-        raise ValueError("power must be >= 1")
+    ells = [operator.index(e) for e in np.atleast_1d(ell)]
+    if min(ells, default=0) < 1:
+        raise ValueError("powers must be >= 1")
     z = _require_roots_inside(f_samples.grid.domain, z).points
-    out = _power_sum_integrals(f_samples, z, [ell])[..., 0]
-    return complex(out) if z.ndim == 1 else out
+    out = _power_sum_integrals(f_samples, z, ells)
+    if np.ndim(ell) == 0:
+        out = np.take(out, 0, axis=z.ndim - 1)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def _power_sum_integrals(f_samples: BoundarySamples, z: np.ndarray, ells) -> np.ndarray:
-    """The power-sum integrals of ``z`` (..., n) for every power in ``ells``,
-    stacked on a last axis: one kernel evaluation, one checked sum over a
-    numerator f^ell * q' of shape (..., len(ells), M)."""
+    """The power-sum integrals of ``z`` (..., n) for every power in ``ells``
+    (Python ints), stacked on an axis after the tuples' and before a stack's
+    data axis: one kernel evaluation, one checked sum over a numerator
+    f^ell * q' of shape (..., len(ells), [D,] M)."""
     t = f_samples.grid.nodes
-    powers = np.stack([f_samples.values**ell for ell in ells])
-    numerator = powers * monic_derivative_eval(z, t)[..., None, :]
+    q_prime = monic_derivative_eval(z, t).reshape(z.shape[:-1] + (1,) * f_samples.values.ndim + t.shape)
+    with np.errstate(over="ignore", invalid="ignore"):    # the kernel sum refuses non-finite terms
+        numerator = np.stack([f_samples.values**ell for ell in ells]) * q_prime
     return _kernel_integral(f_samples, monic_eval(z, t)[..., None, :], z.shape[-1],
                             numerator=numerator)
 

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog, cauchy, symmetric
+from symprod import catalog, cauchy, suites, symmetric
 from symprod.cauchy import _kernel_integral
 from symprod.errors import (
     BoundaryProximityError,
@@ -396,3 +398,117 @@ def test_transform_sum_matches_mpmath(grids, transform, w):
         ref = mpmath.fsum(term * mpmath.mpc(wt) for term, wt in zip(terms, grid.weights))
         ref = complex(ref / (2j * mpmath.pi))
     assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+# A stack of data on one grid: one kernel, and each datum bit for bit its own call.
+
+README_DOMAINS = [
+    "disc 0 0 1",
+    "ellipse 0 0 1.1 0.9",
+    "star 1 0.25 2",
+    "annulus 0 0 0.3 1",
+    "disc 0 0 2 + hole disc 0.8 0 0.4 + hole disc -0.8 0 0.4",
+]
+STACK_PHIS = [catalog.monomial_phi(2), catalog.pole_phi(3.0), catalog.conj_phi(),
+              catalog.weierstrass_phi(0.5)]
+
+
+def _derivative_entries(gammas, samples, z):
+    """derivative_symmetrized's values and verdicts, also where the floor refuses some."""
+    try:
+        values = sp.derivative_symmetrized(gammas, samples, z)
+    except KernelProximityError as exc:
+        return exc.partial
+    return values, np.ones(np.shape(gammas)[:1], dtype=bool)
+
+
+def _stacked_and_single(transform, stack, singles, w):
+    """The stacked call's values and the single-datum calls' values, data last."""
+    z = sp.symmetrize(w)
+    gammas = np.array(suites._multi_indices(w.shape[-1]))
+    calls = {
+        "cauchy": lambda s: sp.cauchy_transform(s, w.reshape(-1)),
+        "norlund": lambda s: sp.norlund_transform(s, w),
+        "symmetrized": lambda s: sp.symmetrized_transform(s, z),
+        "derivative": lambda s: _derivative_entries(gammas, s, z)[0],
+        "power_sum": lambda s: sp.power_sum_transform(s, [1, 2, 3], z),
+    }
+    return calls[transform](stack), np.stack([calls[transform](s) for s in singles], axis=-1)
+
+
+@pytest.mark.parametrize("transform", ["cauchy", "norlund", "symmetrized", "derivative", "power_sum"])
+@pytest.mark.parametrize("descriptor", README_DOMAINS)
+def test_stacked_data_match_single_calls_bitwise(descriptor, transform):
+    domain = sp.build_domain(descriptor)
+    grid = sp.sample_boundary(domain, 256)
+    singles = [sp.boundary_samples(grid, phi) for phi in STACK_PHIS]
+    stack = sp.stack_samples(singles)
+    assert stack.values.shape == (len(STACK_PHIS), len(grid.nodes))
+    w = suites._separated_tuples(domain, 2, 6, np.random.default_rng(7), min_distance=0.25,
+                                 separation=0.1)
+    got, ref = _stacked_and_single(transform, stack, singles, w)
+    assert got.shape == ref.shape and got.shape[-1] == len(STACK_PHIS)
+    assert np.array_equal(got, ref)
+    # A scalar point or a single tuple gives one value per datum.
+    one, ref = _stacked_and_single(transform, stack, singles, w[0])
+    assert np.array_equal(one, ref)
+
+
+def test_stacked_derivative_partial_matches_single_calls(unit_disc, disc_grid):
+    # At n = 4 on the unit disc the floor refuses order 2 of some tuples only.
+    singles = [sp.boundary_samples(disc_grid, phi) for phi in STACK_PHIS]
+    tuples = suites._separated_tuples(unit_disc, 4, 5, np.random.default_rng(0),
+                                      min_distance=0.37 * 2, separation=0.08)
+    z = sp.symmetrize(tuples)
+    gammas = np.array(suites._multi_indices(4))
+    with pytest.raises(KernelProximityError) as caught:
+        sp.derivative_symmetrized(gammas, sp.stack_samples(singles), z)
+    values, accepted = caught.value.partial
+    assert values.shape == accepted.shape + (len(singles),)
+    refused = ~accepted
+    assert refused.any() and not refused[:, gammas.sum(axis=1) < 2].any()
+    assert not refused[:, gammas.sum(axis=1) == 2].all()
+    for d, single in enumerate(singles):
+        with pytest.raises(KernelProximityError) as one:
+            sp.derivative_symmetrized(gammas, single, z)
+        assert np.array_equal(one.value.partial[1], accepted)
+        assert np.array_equal(one.value.partial[0], values[..., d])
+
+
+def test_power_sum_transform_takes_a_sequence_of_powers(grids, rng):
+    domain, grid = grids
+    sq = phi_samples(grid, catalog.monomial_phi(2))
+    w = sp.sample_interior(domain, 12, rng, 0.2).reshape(4, 3)
+    got = sp.power_sum_transform(sq, range(1, 4), sp.symmetrize(w))
+    assert got.shape == (4, 3)
+    for i, ell in enumerate(range(1, 4)):
+        assert np.array_equal(got[:, i], sp.power_sum_transform(sq, ell, sp.symmetrize(w)))
+        assert np.abs(got[:, i] - (w**(2 * ell)).sum(axis=-1)).max() < 1e-12
+    with pytest.raises(ValueError):
+        sp.power_sum_transform(sq, [1, 0], sp.symmetrize(w))
+
+
+def test_stacked_call_with_an_overflowing_datum_is_refused_whole():
+    # On a disc of radius 1e36, t^8 times the weights leaves the float range
+    # while t^1 does not: the stacked call refuses every datum, and warns nothing.
+    grid = sp.sample_boundary(sp.disc(0, 1e36), 256)
+    stack = sp.stack_samples([phi_samples(grid, catalog.monomial_phi(m)) for m in (1, 8)])
+    z = np.array([0.0, 1e35, 3e35j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(sp.cauchy_transform(phi_samples(grid, catalog.monomial_phi(1)), z)).all()
+        with pytest.raises(NonFiniteDataError, match="sum"):
+            sp.cauchy_transform(stack, z)
+        with pytest.raises(NonFiniteDataError, match="sum"):
+            sp.power_sum_transform(stack, [1, 2, 3], sp.symmetrize(z[1:]))
+
+
+def test_stack_samples_takes_single_data_on_one_grid(grids):
+    domain, grid = grids
+    one = phi_samples(grid, catalog.monomial_phi(1))
+    other = phi_samples(sp.sample_boundary(domain, 128), catalog.monomial_phi(1))
+    for bad in ([], [one, other], [sp.stack_samples([one])]):
+        with pytest.raises(ValueError):
+            sp.stack_samples(bad)
+    with pytest.raises(ValueError):
+        sp.BoundarySamples(grid=grid, values=np.zeros((2, 3), dtype=complex))

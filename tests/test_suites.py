@@ -175,7 +175,7 @@ def test_derivative_stack_validation(disc_grid):
 
 def test_derivative_suite_evaluates_no_refused_entry(unit_disc, monkeypatch):
     # Over arities 1..5 the floor refuses order 2 of some tuples at n = 4 and of
-    # every tuple at n = 5: one core call per datum and arity, no floor refusal inside.
+    # every tuple at n = 5: one core call per arity for both data, no floor refusal inside.
     calls, cores, sums = [], [], []
     public, core, integral = (cauchy.derivative_symmetrized, cauchy._derivative_entries,
                               cauchy._kernel_integral)
@@ -197,9 +197,9 @@ def test_derivative_suite_evaluates_no_refused_entry(unit_disc, monkeypatch):
     monkeypatch.setattr(cauchy, "_derivative_entries", counted(cores, core))
     monkeypatch.setattr(cauchy, "_kernel_integral", counted(sums, integral))
     res = suites.derivative_factorization_suite(unit_disc, points=5, seed=0, arities=arities)
-    assert len(cores) == len(calls) == 2 * len(arities) and all(cores)
+    assert len(cores) == len(calls) == len(arities) and all(cores)
     # Each refused call hands back its accepted entries and is not repeated.
-    assert calls.count(False) == 4 and all(sums)
+    assert calls.count(False) == 2 and all(sums)
     assert (res.max_residual, res.comparisons) == ref
 
 
@@ -256,7 +256,7 @@ def test_derivative_suite_fails_a_perturbed_second_derivative(unit_disc, monkeyp
         out = exact(gammas, samples, z)
         second = np.flatnonzero(np.atleast_2d(gammas).sum(axis=1) == 2)
         if len(second):
-            out[..., second[0]] *= 1 + 1e-7
+            out[:, second[0]] *= 1 + 1e-7    # (B, G, data): one entry for every datum
         return out
 
     assert suites.derivative_factorization_suite(unit_disc).passed
