@@ -19,8 +19,11 @@ contour, in the ring's inner disc and 0 elsewhere.  A node lies on the
 curve and every curve point lies within a node spacing h of a node, so a
 point whose nearest node is d away is between d - h and d from that
 contour: the nearest nodes decide the distance test, except in a band of
-one spacing above the floor, which goes to :func:`distance_to_boundary`.  The same pass gives the 256-node winding
-sums of the points that it does not refuse.
+one spacing above the floor.  A point within two spacings of a contour is
+projected onto it once, and that foot gives both its side of the contour
+and its exact distance to it; :func:`distance_to_boundary` measures the
+rest of the band.  The same pass gives the 256-node winding sums of the
+farther points that it does not refuse.
 Random interior points come from one rejection sampler built on the
 oracle, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
@@ -425,18 +428,22 @@ def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
     the others lie more than ``floor`` plus ``near`` from it and have the
     winding of its centre in the ring's inner disc and 0 elsewhere.  A point
     whose nearest node is d away lies between d - ``spacing`` and d from the
-    contour, so it is refused when some d is within ``floor``, kept when
-    every d less its spacing is beyond it, and measured by
-    :func:`distance_to_boundary` in between: a band about one spacing wide, from a relative ``_SCREEN_SLACK``
-    below ``floor`` so that rounding cannot flip a verdict.  The same block
-    gives the winding sums of the points beyond ``near`` that its nearest
-    node does not refuse; kept points within ``near`` take the side of the
-    tangent at their projection.  Raises NonconvergentWindingError when a
-    sum is not near -1, 0 or 1, or a winding is not one these holes allow.
+    contour, so it is refused when some d is within ``floor``, from a
+    relative ``_SCREEN_SLACK`` below it so that rounding cannot flip a
+    verdict, and lies beyond ``floor`` from each contour whose d less
+    ``spacing`` is.  The same block gives the winding sums of the points
+    beyond ``near`` that its nearest node does not refuse.  A point within
+    ``near`` is projected onto the contour once, from that nearest node, and
+    the foot gives both its exact distance to the contour and its side of
+    the tangent there.  The rest of the band, the points within one spacing
+    above ``floor`` of a contour whose nearest node lies beyond ``near``, is
+    measured by :func:`distance_to_boundary`.  Raises
+    NonconvergentWindingError when a sum is not near -1, 0 or 1, or a
+    winding is not one these holes allow.
     """
     flat = w.reshape(-1)
     refuse = floor * (1.0 - _SCREEN_SLACK)
-    near, low = np.full((2, len(flat)), np.inf)
+    out, band = np.zeros((2, len(flat)), dtype=bool)
     windings = np.zeros((len(flat), len(domain.contours)), dtype=int)
     sides = []
     for k, c in enumerate(domain.contours):
@@ -446,25 +453,25 @@ def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
         index = np.arange(len(flat))[sel]
         for start, blk, z, zz, d2, j, d in _node_blocks(grid, flat[sel]):
             rows = index[start : start + len(blk)]
-            near[rows] = np.minimum(near[rows], d)
-            low[rows] = np.minimum(low[rows], d - grid.spacing)
             live, close = d > refuse, d < grid.near
+            out[rows[~live]] = True
+            band[rows[~close & (d - grid.spacing <= floor)]] = True
             far = np.flatnonzero(live & ~close)
             if far.size:
                 windings[rows[far], k] = c.orientation * _winding_sums(c, blk, z, zz, d2, far)
             sides.append((k, rows[live & close], j[live & close]))
-    out = near <= refuse
-    band = np.flatnonzero(~out & ~(low > floor))
-    if band.size:
-        out[band] = distance_to_boundary(domain, flat[band]) <= floor
     for k, rows, j in sides:
         rows, j = rows[~out[rows]], j[~out[rows]]
         if rows.size:
             c = domain.contours[k]
             grid = _winding_grid(c)
             foot, tangent = _project(c, grid, flat[rows], j)
+            out[rows] = np.abs(foot - flat[rows]) <= floor
             inner = grid.sense * np.imag(np.conj(tangent) * (flat[rows] - foot)) > 0
             windings[rows, k] = c.orientation * grid.sense * inner
+    band = np.flatnonzero(band & ~out)
+    if band.size:
+        out[band] = distance_to_boundary(domain, flat[band]) <= floor
     outer = windings[:, 0]
     if (outer < 0).any():
         raise NonconvergentWindingError("unexpected winding about the outer contour")

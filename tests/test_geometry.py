@@ -383,20 +383,40 @@ def _probes(domain, threshold, rng):
 
 
 def _count_oracle_work(monkeypatch):
-    """Record the sizes of the ``distance_to_boundary`` calls in a list and
+    """Record the points of each ``distance_to_boundary`` call in a list,
     the rows that the ``_node_blocks`` passes of each winding grid scan in a
-    dict keyed by the grid's id."""
-    measured, scanned = [], {}
-    exact, blocks = sp.geometry.distance_to_boundary, sp.geometry._node_blocks
+    dict keyed by the grid's id, and the points that ``_regions`` projects
+    itself, outside ``distance_to_boundary``, as (grid id, points) pairs in
+    a list."""
+    measured, scanned, projected, busy = [], {}, [], []
+    exact, blocks, project = (sp.geometry.distance_to_boundary, sp.geometry._node_blocks,
+                              sp.geometry._project)
+
+    def distance(domain, pts):
+        measured.append(np.ravel(pts))
+        busy.append(True)
+        try:
+            return exact(domain, pts)
+        finally:
+            busy.pop()
 
     def node_blocks(grid, pts):
         scanned[id(grid)] = scanned.get(id(grid), 0) + len(pts)
         return blocks(grid, pts)
 
-    monkeypatch.setattr(sp.geometry, "distance_to_boundary",
-                        lambda d, pts: measured.append(np.size(pts)) or exact(d, pts))
+    def projection(contour, grid, pts, j):
+        if not busy:
+            projected.append((id(grid), pts))
+        return project(contour, grid, pts, j)
+
+    monkeypatch.setattr(sp.geometry, "distance_to_boundary", distance)
     monkeypatch.setattr(sp.geometry, "_node_blocks", node_blocks)
-    return measured, scanned
+    monkeypatch.setattr(sp.geometry, "_project", projection)
+    return measured, scanned, projected
+
+
+def _size(parts):
+    return sum(len(p) for p in parts)
 
 
 def _oracle_domain(name):
@@ -409,7 +429,7 @@ def _oracle_domain(name):
     return sp.geometry.composite(sp.geometry.circle_contour(0, 1), [hole])
 
 
-@pytest.mark.parametrize("factor", [0.0, 5e-3, 0.05])
+@pytest.mark.parametrize("factor", [0.0, 5e-3, 0.02, 0.05])
 # "disc 0 0 1 + hole disc 0.55 0 0.4" leaves a gap of two outer node
 # spacings at x = 0.95, where both contours are within a spacing of each
 # other's nearest nodes.
@@ -425,18 +445,18 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
 
     tol = sp.geometry.boundary_tolerance(domain)
     clear = w[oracle_reference.distance(domain, w) > tol]
-    measured, scanned = _count_oracle_work(monkeypatch)
+    measured, scanned, projected = _count_oracle_work(monkeypatch)
     sp.interior_mask(domain, w, threshold)
-    # The nearest nodes decide most points and a band of them is measured
-    # exactly.
-    assert 0 < sum(measured) < len(w) / 2
+    # The nearest nodes decide most points, and a band of them is projected
+    # or measured exactly.
+    assert 0 < _size(measured) + _size(p for _, p in projected) < len(w) / 2
     measured.clear(), scanned.clear()
     sp.classify_points(domain, clear)
     for hole in domain.contours[1:]:
         # Hole winding sums run only inside the holes' boxes and rings.
         grid = sp.geometry._winding_grid(hole)
         shell = np.arange(len(clear))[sp.geometry._screen(grid, clear, tol)[0]]
-        assert scanned.get(id(grid), 0) <= len(shell) + sum(measured) < len(clear)
+        assert scanned.get(id(grid), 0) <= len(shell) + _size(measured) < len(clear)
     monkeypatch.undo()
     floor = max(threshold, tol)
 
@@ -447,30 +467,58 @@ def test_oracle_matches_the_unscreened_reference(name, factor, oracle_reference,
 def test_interior_mask_scans_each_contour_once(annulus_domain, monkeypatch):
     # One nearest-node pass per contour serves the distance test and the
     # winding sums: a contour scans the points of its shell, in its box and
-    # its ring, once, plus the band that distance_to_boundary measures on
-    # every contour.
+    # its ring, once, plus the points that distance_to_boundary measures on
+    # every contour, the part of the band that lies beyond two node spacings
+    # of the contour that bands it.
     threshold = 5e-3 * sp.domain_diameter(annulus_domain)
     rng = np.random.default_rng(5)
     # Uniform draws from the annulus's bounding box.
     w = rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)
-    measured, scanned = _count_oracle_work(monkeypatch)
+    measured, scanned, _ = _count_oracle_work(monkeypatch)
     mask = sp.interior_mask(annulus_domain, w, threshold)
     monkeypatch.undo()
-    assert mask.any() and sum(measured) > 0
+    assert mask.any() and _size(measured) > 0
     shells = []
     for c in annulus_domain.contours:
         grid = sp.geometry._winding_grid(c)
         shells.append(np.arange(len(w))[sp.geometry._screen(grid, w, threshold)[0]])
-        assert scanned.get(id(grid), 0) <= len(shells[-1]) + sum(measured)
+        assert scanned.get(id(grid), 0) <= len(shells[-1]) + _size(measured)
     # The outer circle's shell holds about a fifth of the draws; the rest of
     # its box is its inner disc or beyond its ring.
     assert 0.15 * len(w) < len(shells[0]) < 0.25 * len(w)
 
 
+# The second domain's gap of two outer node spacings at x = 0.95 puts points
+# within two spacings of both contours.
+@pytest.mark.parametrize("name", ["annulus 0 0 0.3 1", "disc 0 0 1 + hole disc 0.55 0 0.4"])
+def test_oracle_projects_a_point_once_per_contour(name, monkeypatch):
+    # A point within two node spacings of a contour is projected onto it
+    # once, and that foot settles its distance to the contour as well as its
+    # side: distance_to_boundary measures only points that some contour bands
+    # from beyond two spacings.
+    domain = sp.build_domain(name)
+    threshold = 5e-3 * sp.domain_diameter(domain)
+    x0, x1, y0, y1 = sp.bounding_box(domain)
+    rng = np.random.default_rng(3)
+    w = rng.uniform(x0, x1, 20000) + 1j * rng.uniform(y0, y1, 20000)
+    measured, _, projected = _count_oracle_work(monkeypatch)
+    sp.interior_mask(domain, w, threshold)
+    monkeypatch.undo()
+    floor = max(threshold, sp.geometry.boundary_tolerance(domain))
+    banded = []
+    for c in domain.contours:
+        grid = sp.geometry._winding_grid(c)
+        pts = np.concatenate([p for g, p in projected if g == id(grid)])
+        assert len(np.unique(pts)) == len(pts) > 0
+        _, d = sp.geometry._nearest_nodes(grid, w)
+        banded.append((d >= grid.near) & (d - grid.spacing <= floor))
+    assert measured and np.isin(np.concatenate(measured), w[np.any(banded, axis=0)]).all()
+
+
 def test_nesting_scans_no_row_of_the_outer_grid(monkeypatch):
     # Every validation sample of the hole lies in the outer circle's inner
     # disc, so the nesting check labels all 2048 of them with no node pass.
-    measured, scanned = _count_oracle_work(monkeypatch)
+    measured, scanned, _ = _count_oracle_work(monkeypatch)
     screened, screen = [], sp.geometry._screen
     monkeypatch.setattr(sp.geometry, "_screen",
                         lambda grid, w, pad: screened.append(len(w)) or screen(grid, w, pad))
