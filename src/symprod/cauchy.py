@@ -216,7 +216,7 @@ def _require_roots_inside(domain, z) -> _Inside:
     from .symmetric import desymmetrize_batch  # local import to avoid a cycle
 
     z = np.asarray(z, dtype=complex)
-    roots, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
+    roots, _ = desymmetrize_batch(z)
     _require_inside(domain, roots)
     return _Inside(domain, z, roots.reshape(z.shape))
 
@@ -330,7 +330,8 @@ def _derivative_entries(gamma, samples: BoundarySamples, z):
     The roots of all rows (``z.roots`` of a certified set) and their product
     are formed once; order k uses its power k+1, of degree n*(k+1), and sums
     only the rows that :func:`_kernel_floor` accepts."""
-    zs = np.asarray(z, dtype=complex)
+    inside = _require_roots_inside(samples.grid.domain, z)
+    zs = inside.points
     n = zs.shape[-1]
     g = np.asarray(gamma, dtype=int)
     if g.ndim not in (1, 2):
@@ -338,7 +339,7 @@ def _derivative_entries(gamma, samples: BoundarySamples, z):
     gammas = [_validated_multiindex(row, n) for row in np.atleast_2d(g)]
     orders = np.array([int(row.sum()) for row in gammas], dtype=int)
     rows = zs.reshape(-1, n)
-    roots = _require_roots_inside(samples.grid.domain, z).roots.reshape(-1, n)
+    roots = inside.roots.reshape(-1, n)
     nodes = samples.grid.nodes
     prod = product_eval(roots, nodes) if orders.any() else None
     data = samples.values.shape[:-1]

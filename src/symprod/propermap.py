@@ -64,7 +64,7 @@ def evaluate_proper_map(spec: ProperMapSpec, z, route: str = "roots",
     by default the map on a 256-node boundary grid."""
     z = np.asarray(z, dtype=complex)
     if route == "roots":
-        w, _ = desymmetrize_batch(z.reshape(-1, z.shape[-1]))
+        w, _ = desymmetrize_batch(z)
         return symmetrize(spec.fun(w)).reshape(z.shape)
     if route == "integral":
         if samples is None:

@@ -1,11 +1,16 @@
 """Monic polynomials in coefficient form: evaluation and root finding.
 
 Operates on batches of polynomials of a common degree, given by coefficient
-rows in descending powers.  Roots are the eigenvalues of the companion
-matrices, which are backward stable (Edelman & Murakami 1995, Math. Comp.
-64, 763-776), finished by a guarded Newton polish.  Multiple roots end up
-accurate to roughly sqrt(machine eps), which the callers accept through a
-relaxed residual for clustered roots.
+rows in descending powers.  :func:`horner` is the one evaluator: it fills
+one output array in place, so its peak memory is about that of its result,
+with the floating-point operations of Horner's rule in their usual order.
+Roots are the eigenvalues of the companion matrices, which are backward
+stable (Edelman & Murakami 1995, Math. Comp. 64, 763-776), finished by a
+guarded Newton polish that carries the polynomial values of its current
+roots from step to step and returns them, so a caller's residual needs no
+further evaluation.  Multiple roots end up accurate to roughly
+sqrt(machine eps), which the callers accept through a relaxed residual for
+clustered roots.
 """
 
 from __future__ import annotations
@@ -45,23 +50,27 @@ def horner(coeffs, x) -> np.ndarray:
     shape = np.broadcast_shapes(coeffs[..., :1].shape, x.shape)
     out = np.broadcast_to(coeffs[..., :1], shape).copy()
     for k in range(1, coeffs.shape[-1]):
-        out = out * x + coeffs[..., k : k + 1]
+        out *= x
+        out += coeffs[..., k : k + 1]
     return out
 
 
-def monic_roots(coeffs) -> np.ndarray:
-    """All roots of each monic polynomial row, sorted by (real, imag).
+def monic_roots(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of each monic polynomial row, sorted by (real, imag), and
+    the polynomial's values there.
 
-    ``coeffs`` has shape (B, degree+1) with leading entries 1; returns
-    (B, degree).
+    ``coeffs`` has shape (..., degree+1) with leading entries 1; returns
+    roots and values of shape (..., degree).  The values are those of
+    :func:`horner` at the returned roots, bit for bit.
     """
     c = np.asarray(coeffs, dtype=complex)
-    B, m1 = c.shape
-    degree = m1 - 1
-    if degree < 1:
+    if c.ndim == 0 or c.shape[-1] < 2:
         raise ValueError("need degree >= 1")
+    degree = c.shape[-1] - 1
+    shape = c.shape[:-1] + (degree,)
+    c = c.reshape(-1, degree + 1)
 
-    companion = np.zeros((B, degree, degree), dtype=complex)
+    companion = np.zeros((len(c), degree, degree), dtype=complex)
     companion[:, 0, :] = -c[:, 1:]
     companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
     try:
@@ -69,14 +78,19 @@ def monic_roots(coeffs) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # non-finite entries or no convergence
         raise RootFindingError(f"companion eigenvalues failed: {exc}") from exc
 
+    # p is horner(c, x) throughout: a step keeps each root's old value or
+    # takes its candidate's, already evaluated for the comparison.
     dcoeffs = derivative_coefficients(c)
+    p = horner(c, x)
     for _ in range(_POLISH_STEPS):
-        p = horner(c, x)
         dp = horner(dcoeffs, x)
         dp = np.where(dp == 0, 1e-300, dp)
         candidate = x - p / dp
-        better = np.abs(horner(c, candidate)) <= np.abs(p)
+        pc = horner(c, candidate)
+        better = np.abs(pc) <= np.abs(p)
         x = np.where(better, candidate, x)
+        p = np.where(better, pc, p)
 
     order = np.lexsort((x.imag, x.real), axis=-1)
-    return np.take_along_axis(x, order, axis=-1)
+    return (np.take_along_axis(x, order, axis=-1).reshape(shape),
+            np.take_along_axis(p, order, axis=-1).reshape(shape))

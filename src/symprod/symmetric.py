@@ -91,12 +91,19 @@ def _has_cluster(rts: np.ndarray) -> np.ndarray:
 def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
     """Roots for a batch of coefficient tuples; returns (roots, residuals).
 
-    Residual acceptance is multiplicity-aware: rows whose roots cluster are
+    ``z`` has shape (..., n), and the roots have its shape and the
+    residuals its shape without the last axis; one tuple (n,) is a batch
+    of one, (1, n).  A 0-d ``z`` is refused with :class:`ValueError`.
+    The residual of a row is the largest polynomial value at its roots, as
+    the polish of :func:`roots.monic_roots` leaves them.  Residual
+    acceptance is multiplicity-aware: rows whose roots cluster are
     accepted at a relaxed tolerance, since a multiple root can only be
     located to a fractional power of machine precision.  Tuples with a
     non-finite entry raise :class:`RootFindingError` before any arithmetic.
     """
     zb = np.asarray(z, dtype=complex)
+    if zb.ndim == 0:
+        raise ValueError("z must supply at least one coordinate")
     if zb.ndim == 1:
         zb = zb[None, :]
     n = zb.shape[-1]
@@ -104,9 +111,8 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"arity {n} above the supported maximum {MAX_ROOT_ARITY}")
     if not np.isfinite(zb).all():
         raise RootFindingError("non-finite coefficient tuple")
-    coeffs = _roots.monic_coefficients(zb)
-    rts = _roots.monic_roots(coeffs)
-    res = np.abs(_roots.horner(coeffs, rts)).max(axis=-1)
+    rts, values = _roots.monic_roots(_roots.monic_coefficients(zb))
+    res = np.abs(values).max(axis=-1)
     scale = 1.0 + np.abs(zb).max(axis=-1)
     ok = res <= ROOT_TOL * scale
     if not ok.all():
@@ -124,8 +130,11 @@ def desymmetrize_batch(z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def desymmetrize(z) -> RootMultiset:
-    """All roots of the coefficient-form polynomial of a single tuple."""
-    rts, res = desymmetrize_batch(np.asarray(z, dtype=complex)[None, :])
+    """All roots of the coefficient-form polynomial of a single tuple (n,)."""
+    if np.ndim(z) > 1:
+        raise ValueError(f"desymmetrize takes one tuple (n,), not {np.shape(z)}; "
+                         "desymmetrize_batch takes a batch")
+    rts, res = desymmetrize_batch(z)
     return RootMultiset(roots=rts[0], residual=float(res[0]))
 
 
