@@ -7,23 +7,25 @@ sample grid at construction time; simplicity is one sorted sweep over the
 validation samples that finds every pair closer than twice the largest
 sample step and at least 8 steps apart in arc length, O(m log m) for smooth curves.
 Point queries run on a fixed 256-node grid per contour, in blocks of
-bounded memory.  :func:`distance_to_boundary` projects every point onto
-every contour's analytic parametrization, so it is exact to rounding.
+bounded memory.  A node lies on the curve and every curve point lies
+within a node spacing h of a node, so a point whose nearest node is d away
+is between d - h and d from that contour.  :func:`distance_to_boundary`
+projects every point onto the analytic parametrization of each contour
+whose d - h is no larger than the point's least d, the contours that can
+hold its nearest curve point, so it is exact to rounding.
 :func:`classify_points` and :func:`interior_mask` share one oracle that
 makes one nearest-node pass per contour over the points inside the
 contour's node bounding box and inside the ring about the nodes' centre
-that holds every node, both padded by the distance floor and three
-spacings.  A point outside either lies beyond the floor from that contour,
-and its winding about it is that of the centre, one 256-node sum per
-contour, in the ring's inner disc and 0 elsewhere.  A node lies on the
-curve and every curve point lies within a node spacing h of a node, so a
-point whose nearest node is d away is between d - h and d from that
-contour: the nearest nodes decide the distance test, except in a band of
-one spacing above the floor.  A point within two spacings of a contour is
-projected onto it once, and that foot gives both its side of the contour
-and its exact distance to it; :func:`distance_to_boundary` measures the
-rest of the band.  The same pass gives the 256-node winding sums of the
-farther points that it does not refuse.
+that holds every node, both padded by the distance floor and one spacing.
+A point outside either lies beyond the floor from that contour, and its
+winding about it is that of the centre, one 256-node sum per contour, in
+the ring's inner disc and 0 elsewhere.  The nearest nodes decide the
+distance test, except in a band of one spacing above the floor.  A point
+within two spacings of a contour is projected onto it once, and that foot
+gives both its side of the contour and its exact distance to it;
+:func:`distance_to_boundary` measures the rest of the band.  The same pass
+gives the 256-node winding sums of the farther points that it does not
+refuse.
 Random interior points come from one rejection sampler built on the
 oracle, :func:`sample_interior`.
 Quadrature grids are equispaced in the parameter, so the trapezoid rule is
@@ -205,19 +207,17 @@ class _WindingGrid:
     of the area the parametrization encloses, +1 when it runs
     counterclockwise.  Points within ``near`` of the curve are classified by
     their projection.  Every curve point lies within ``spacing``, the largest
-    node step, of a node, so a point whose nearest node lies ``reach``
-    (``near`` plus one spacing) away is farther than ``near`` from the curve,
-    and so is every point outside ``box``, the nodes' (x_min, x_max, y_min,
-    y_max) padded by ``reach``; about such a point the winding is 0.
-    ``r_in`` and ``r_out`` are the least and the largest node distance from
-    ``center``, less and plus ``reach``, so the curve lies in the ring
-    ``r_in + near <= |q - center| <= r_out - near``.  Every point of the
-    inner disc ``|w - center| < r_in`` is therefore farther than ``near``
-    from the curve and has ``inside``, the rounded winding sum of
-    ``center``, as its winding; every point beyond ``r_out`` is as far and
-    has winding 0.  ``r_in`` is at most 0, an empty inner disc, when the
-    nodes come within ``reach`` of the centre or its sum is not near -1, 0
-    or 1.
+    node step, of a node, so the curve lies inside ``box``, the nodes'
+    (x_min, x_max, y_min, y_max) padded by ``spacing``, and in the ring
+    ``r_in <= |q - center| <= r_out``: ``r_in`` and ``r_out`` are the least
+    and the largest node distance from ``center``, less and plus
+    ``spacing``.  About a point outside the box or beyond ``r_out`` the
+    winding is 0, and about a point of the inner disc ``|w - center| <
+    r_in`` it is ``inside``, the rounded winding sum of ``center``.  That
+    sum is trusted only when ``center`` lies farther than ``near`` plus
+    ``spacing`` from every node, and so farther than ``near`` from the
+    curve; ``r_in`` is 0, an empty inner disc, when it does not or its sum
+    is not near -1, 0 or 1.
     """
 
     nodes: np.ndarray
@@ -228,7 +228,6 @@ class _WindingGrid:
     moments: np.ndarray
     spacing: float
     near: float
-    reach: float
     box: tuple[float, float, float, float]
     r_in: float
     r_out: float
@@ -248,22 +247,23 @@ def _winding_grid(contour: Contour) -> _WindingGrid:
     area = 0.5 * float(tw.imag.sum())
     spacing = float(np.abs(np.roll(nodes, -1) - nodes).max())
     near = _NEAR_SPACINGS * spacing
-    reach = near + spacing
-    box = (float(nodes.real.min()) - reach, float(nodes.real.max()) + reach,
-           float(nodes.imag.min()) - reach, float(nodes.imag.max()) + reach)
+    box = (float(nodes.real.min()) - spacing, float(nodes.real.max()) + spacing,
+           float(nodes.imag.min()) - spacing, float(nodes.imag.max()) + spacing)
     radii = np.abs(t)
-    r_in, r_out, inside = float(radii.min()) - reach, float(radii.max()) + reach, 0
-    if r_in > 0:
+    r_in, r_out, inside = float(radii.min()) - spacing, float(radii.max()) + spacing, 0
+    if r_in > near:
         est = complex((weights / t).sum()) / (2.0j * np.pi)
         inside = round(est.real)
         if abs(est - inside) > _WINDING_SLACK or abs(inside) > 1:
             r_in, inside = 0.0, 0
+    else:
+        r_in = 0.0
     return _WindingGrid(
         nodes, tangents, center,
         xy=-2.0 * np.stack([t.real, t.imag]),
         sq=t.real**2 + t.imag**2,
         moments=np.stack([tw.real, tw.imag, weights.real, weights.imag], axis=1),
-        spacing=spacing, near=near, reach=reach, box=box,
+        spacing=spacing, near=near, box=box,
         r_in=r_in, r_out=r_out, inside=inside, sense=1 if area > 0 else -1,
     )
 
@@ -384,7 +384,7 @@ def _screen(grid: _WindingGrid, w: np.ndarray, pad: float):
     ``slice(None)``, which copies nothing, when every point is.  A point
     with ``|w - center| < r_in - pad`` is deep and has winding
     ``grid.inside`` about the contour, and every other point has winding 0.
-    Deep and other points lie more than ``pad`` plus ``near`` from it.
+    Deep and other points lie more than ``pad`` from it.
     """
     x0, x1, y0, y1 = grid.box
     r = np.abs(w - grid.center)
@@ -405,17 +405,25 @@ def _finite_points(w) -> np.ndarray:
 def distance_to_boundary(domain: DomainBoundary, w) -> np.ndarray:
     """Distance from point(s) w to the analytic boundary curves.
 
-    Every point is projected onto every contour's parametrization, so the
-    result is exact to rounding, not to a sample spacing.  A NaN or infinite
-    point raises NonFiniteDataError.
+    Every point is projected onto each contour's parametrization that can
+    hold its nearest curve point, so the result is exact to rounding, not to
+    a sample spacing.  A point whose nearest node on contour c lies d_c away
+    is at least d_c less c's ``spacing`` from c, so only the contours with
+    d_c - spacing no larger than the least d_k are projected onto; no other
+    can come nearer.  A NaN or infinite point raises NonFiniteDataError.
     """
     w = _finite_points(w)
     flat = w.reshape(-1)
+    grids = [_winding_grid(c) for c in domain.contours]
+    nearest = [_nearest_nodes(grid, flat) for grid in grids]
+    bound = functools.reduce(np.minimum, [d for _, d in nearest])
     dist = np.full(len(flat), np.inf)
-    for c in domain.contours:
-        grid = _winding_grid(c)
-        foot, _ = _project(c, grid, flat, _nearest_nodes(grid, flat)[0])
-        dist = np.minimum(dist, np.abs(foot - flat))
+    for c, grid, (j, d) in zip(domain.contours, grids, nearest):
+        keep = d - grid.spacing <= bound
+        if keep.any():
+            rows = slice(None) if keep.all() else np.flatnonzero(keep)
+            foot, _ = _project(c, grid, flat[rows], j[rows])
+            dist[rows] = np.minimum(dist[rows], np.abs(foot - flat[rows]))
     return dist.reshape(w.shape)
 
 
@@ -425,17 +433,17 @@ def _regions(domain: DomainBoundary, w: np.ndarray, floor: float) -> np.ndarray:
 
     Each contour makes one ``_node_blocks`` pass over the points that
     :func:`_screen` finds in its ``box`` and its ring, padded by ``floor``;
-    the others lie more than ``floor`` plus ``near`` from it and have the
-    winding of its centre in the ring's inner disc and 0 elsewhere.  A point
-    whose nearest node is d away lies between d - ``spacing`` and d from the
-    contour, so it is refused when some d is within ``floor``, from a
-    relative ``_SCREEN_SLACK`` below it so that rounding cannot flip a
-    verdict, and lies beyond ``floor`` from each contour whose d less
-    ``spacing`` is.  The same block gives the winding sums of the points
-    beyond ``near`` that its nearest node does not refuse.  A point within
-    ``near`` is projected onto the contour once, from that nearest node, and
-    the foot gives both its exact distance to the contour and its side of
-    the tangent there.  The rest of the band, the points within one spacing
+    the others lie more than ``floor`` from it and have the winding of its
+    centre in the ring's inner disc and 0 elsewhere.  A point whose nearest
+    node is d away lies between d - ``spacing`` and d from the contour, so
+    it is refused when some d is within ``floor``, from a relative
+    ``_SCREEN_SLACK`` below it so that rounding cannot flip a verdict, and
+    lies beyond ``floor`` from each contour whose d less ``spacing`` is.
+    The same block gives the winding sums of the points beyond ``near``
+    that its nearest node does not refuse.  A point within ``near`` is
+    projected onto the contour once, from that nearest node, and the foot
+    gives both its exact distance to the contour and its side of the
+    tangent there.  The rest of the band, the points within one spacing
     above ``floor`` of a contour whose nearest node lies beyond ``near``, is
     measured by :func:`distance_to_boundary`.  Raises
     NonconvergentWindingError when a sum is not near -1, 0 or 1, or a

@@ -25,9 +25,12 @@ _POLISH_STEPS = 3
 def monic_coefficients(z) -> np.ndarray:
     """Coefficient rows of t^n - z_1 t^(n-1) + z_2 t^(n-2) - ... + (-1)^n z_n.
 
-    ``z`` has shape (..., n); returns (..., n+1) in descending powers.
+    ``z`` has shape (..., n); returns (..., n+1) in descending powers.  A
+    0-d ``z`` is refused with :class:`ValueError`.
     """
     z = np.asarray(z, dtype=complex)
+    if z.ndim == 0:
+        raise ValueError("z must supply at least one coordinate")
     signs = (-1.0) ** np.arange(1, z.shape[-1] + 1)
     lead = np.ones(z.shape[:-1] + (1,), dtype=complex)
     return np.concatenate([lead, z * signs], axis=-1)

@@ -223,7 +223,12 @@ def lojasiewicz_check(domain: DomainBoundary, n: int, num_pairs: int, seed: int 
     noise = rng.standard_normal((count_b, n)) + 1j * rng.standard_normal((count_b, n))
     noise /= np.maximum(np.abs(noise), 1e-12)
     wb = zb + scales * noise
-    keep = interior_mask(domain, np.concatenate([zb, wb], axis=1), floor).all(axis=1)
+    # The unclustered base tuples are sample_interior's draws at this floor,
+    # and the mask's verdicts do not depend on the batch: only the moved
+    # tuples need checking.
+    inside = interior_mask(domain, np.concatenate([zb[cluster], wb]), floor).all(axis=1)
+    keep = inside[-count_b:]
+    keep[cluster] &= inside[:-count_b]
     zb, wb = zb[keep], wb[keep]
 
     Z = np.concatenate([za, zb], axis=0)

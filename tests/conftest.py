@@ -141,3 +141,27 @@ class OracleReference:
 @pytest.fixture(scope="session")
 def oracle_reference():
     return OracleReference
+
+
+def check_screen(contour) -> None:
+    """Assert that one contour's screen is rigorous: every validation sample
+    lies in the grid's ring ``[r_in, r_out]`` about ``center`` and in its
+    ``box``, and an inner disc is kept only when the centre lies farther than
+    ``near`` plus ``spacing`` from every node, with ``inside`` the winding of
+    the centre on the validation grid."""
+    grid = _winding_grid(contour)
+    pts = _dense_points(contour)
+    r = np.abs(pts - grid.center)
+    assert (r >= grid.r_in).all() and (r <= grid.r_out).all()
+    x0, x1, y0, y1 = grid.box
+    assert ((x0 <= pts.real) & (pts.real <= x1) & (y0 <= pts.imag) & (pts.imag <= y1)).all()
+    if grid.r_in > 0:
+        assert np.abs(grid.nodes - grid.center).min() > grid.near + grid.spacing
+        weights = (2 * np.pi / len(pts)) * _dense_tangents(contour)
+        est = (weights / (pts - grid.center)).sum() / (2j * np.pi)
+        assert grid.inside == round(est.real)
+
+
+@pytest.fixture(scope="session")
+def screen_holds():
+    return check_screen

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
+from symprod.errors import InvalidGeometryError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -77,3 +78,27 @@ def test_oracle_matches_the_unscreened_reference(descriptor, factor, seed, sprea
     base = contour.point(rng.uniform(0.0, 2 * np.pi, 64))
     w = base + spread * diam * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     oracle_reference.check(domain, w, factor * diam)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    center=st.complex_numbers(max_magnitude=5.0),
+    a=st.floats(min_value=0.05, max_value=3.0),
+    b=st.floats(min_value=0.05, max_value=3.0),
+)
+def test_screen_holds_on_ellipses(center, a, b, screen_holds):
+    screen_holds(sp.geometry.ellipse_contour(center, a, b))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    radius=st.floats(min_value=0.05, max_value=3.0),
+    ripple=st.floats(min_value=0.0, max_value=0.6),
+    arms=st.integers(min_value=1, max_value=12),
+)
+def test_screen_holds_on_stars(radius, ripple, arms, screen_holds):
+    try:
+        contour = sp.geometry.star_contour(radius, ripple, arms)
+    except InvalidGeometryError:
+        hypothesis.reject()
+    screen_holds(contour)

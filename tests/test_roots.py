@@ -143,9 +143,14 @@ def test_monic_eval_peaks_near_its_output(rng):
     assert peak <= 1.25 * out.nbytes
 
 
-# Every entry point that reads a coefficient tuple (..., n) before it finds
-# the kernel roots.
+# Every entry point that reads a coefficient tuple (..., n): the kernel
+# evaluators, the transforms with and without their root-finding region
+# check, and the root finders.
 _ZERO_D_ENTRIES = {
+    "monic_eval": lambda s, z: cauchy.monic_eval(z, s.grid.nodes),
+    "monic_derivative_eval": lambda s, z: cauchy.monic_derivative_eval(z, s.grid.nodes),
+    "symmetrized_transform_unchecked":
+        lambda s, z: sp.symmetrized_transform(s, z, check_region=False),
     "symmetrized_transform": lambda s, z: sp.symmetrized_transform(s, z),
     "derivative_symmetrized": lambda s, z: sp.derivative_symmetrized((0,), s, z),
     "power_sum_transform": lambda s, z: sp.power_sum_transform(s, 1, z),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import symprod as sp
-from symprod import catalog
+from symprod import catalog, symmetric
 from symprod.errors import RootFindingError
 from symprod.symmetric import delta_metric_batch, desymmetrize_batch, power_sums
 
@@ -139,6 +139,37 @@ def test_lojasiewicz_check_basics(unit_disc):
     assert rep.pairs_used > 300
     with pytest.raises(ValueError):
         sp.lojasiewicz_check(unit_disc, 2, 50)
+
+
+def test_lojasiewicz_check_masks_only_the_moved_tuples(annulus_domain, monkeypatch):
+    # The unclustered base tuples are the sampler's draws, already certified
+    # at the same floor: the mask sees the clustered base tuples and the
+    # perturbed ones, (clustered + count_b) * n points, not 2 * count_b * n.
+    n, num_pairs = 3, 200
+    count_b = num_pairs - (num_pairs // 2) // n
+    floor = 5e-3 * sp.domain_diameter(annulus_domain)
+    drawn, masked = [], []
+    sample, mask = symmetric.sample_interior, symmetric.interior_mask
+
+    def sampler(domain, count, rng, min_distance):
+        pts = sample(domain, count, rng, min_distance)
+        # lojasiewicz_check moves the clustered rows in place.
+        drawn.append((pts.copy(), min_distance, rng.bit_generator.state))
+        return pts
+
+    monkeypatch.setattr(symmetric, "sample_interior", sampler)
+    monkeypatch.setattr(symmetric, "interior_mask",
+                        lambda domain, w, d: masked.append((np.size(w), d)) or mask(domain, w, d))
+    sp.lojasiewicz_check(annulus_domain, n, num_pairs, seed=4)
+    monkeypatch.undo()
+    [(pts, min_distance, state)] = drawn
+    # The clustered rows are the draws right after the sampler's.
+    after = np.random.default_rng()
+    after.bit_generator.state = state
+    clustered = int((after.random(count_b) < 0.5).sum())
+    assert 0 < clustered < count_b
+    assert masked == [((clustered + count_b) * n, floor)] and min_distance == floor
+    assert sp.interior_mask(annulus_domain, pts, floor).all()
 
 
 def test_lojasiewicz_arity_one(unit_disc, rng):
